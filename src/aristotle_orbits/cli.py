@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -31,6 +32,7 @@ from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams, Trajectory,
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
+from .lie_core import compose_bch
 from .orbits import DualElement, classify, invariants, orbit_dimension
 
 EXIT_OK = 0
@@ -101,7 +103,7 @@ def _load_points_json(path: str, text: str, backend: str) -> list:
 
 def _load_points_file(path: str, backend: str) -> list:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}")
@@ -220,6 +222,8 @@ def _parse_range(text: str, backend: str) -> tuple:
         raise InputFormatError(f"--range: expected A:B, got {text!r}")
     start = parse_scalar(parts[0].strip(), backend)
     stop = parse_scalar(parts[1].strip(), backend)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (start, stop)):
+        raise InputFormatError(f"--range: ends must be finite, got {text!r}")
     return start, stop
 
 
@@ -282,8 +286,14 @@ def _require_rational(args, what: str):
                                f"rational backend only")
 
 
+def _require_samples(args):
+    if args.samples < 1:
+        raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _cmd_verify(args) -> int:
     _require_rational(args, "verify")
+    _require_samples(args)
     if args.mutate is not None and args.mutate not in verify_mod.MUTATIONS:
         known = ", ".join(sorted(verify_mod.MUTATIONS))
         raise InputFormatError(
@@ -329,7 +339,8 @@ def _render_law_table(table: list, verified: int) -> str:
 
 def _cmd_derive_law(args) -> int:
     _require_rational(args, "derive-law")
-    derived = derive_law_mod.reconstruct_law()
+    _require_samples(args)
+    derived = derive_law_mod.reconstruct_law(law=compose_bch)
     verified = derive_law_mod.verify_reconstruction(
         derived, samples=args.samples, seed=args.seed)
     printed = derive_law_mod.printed_law_polynomials()

@@ -135,8 +135,8 @@ class Trajectory:
 
     def __post_init__(self):
         values = [row[0] for row in self.rows]
-        assert all(a < b for a, b in zip(values, values[1:])), \
-            "trajectory parameter must be strictly increasing"
+        if not all(a < b for a, b in zip(values, values[1:])):
+            raise ValueError("trajectory parameter must be strictly increasing")
 
     def final_state(self) -> tuple:
         return tuple(self.rows[-1][1:-2])

@@ -21,10 +21,10 @@ remaining generator, and the only reading whose center quotient
 reproduces the first-extension law).  The errata report states this
 assumption explicitly.
 
-``compose`` is derived by BCH factor shuffling and is the canonical group
-law.  ``compose_printed`` transcribes the source text's multiplication
-law verbatim; it is not associative and exists only for the errata
-engine.
+``compose_bch`` derives the group law by BCH factor shuffling; the closed
+polynomials ``compose``, ``inverse`` and ``adjoint_of_group`` are checked
+against it (Corwin & Greenleaf, section 1.2).  ``compose_printed`` copies
+the source text's non-associative law verbatim, for the errata engine only.
 """
 
 from __future__ import annotations
@@ -268,6 +268,17 @@ class GroupElement:
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    """Product in second-kind coordinates: the closed form of ``compose_bch``."""
+    return GroupElement(
+        g.x + h.x,
+        g.t + h.t,
+        g.zeta + h.zeta + g.x * h.t,
+        g.a + h.a + g.x * h.zeta + HALF * g.x * g.x * h.t,
+        g.b + h.b + HALF * (g.zeta * h.t - g.t * h.zeta - g.x * g.t * h.t),
+    )
+
+
+def compose_bch(g: GroupElement, h: GroupElement) -> GroupElement:
     """Product in second-kind coordinates, derived by BCH factor shuffling.
 
     Moves exp(x*P) rightward past exp(t'E + zeta'F) via conjugation by
@@ -277,8 +288,8 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     # conjugate the second factor's E-F block past exp(x*P)
     v = E.scaled(h.t) + F.scaled(h.zeta)
     w = exp_ad(P.scaled(g.x)).apply(v)
-    # conjugation by exp(x*P) cannot create a P component
-    assert w[BasisIndex.P] == 0
+    if w[BasisIndex.P] != 0:
+        raise ArithmeticError("conjugation by exp(x*P) produced a P component")
     # merge the two E-F blocks; only a central Y term can appear
     m = bch(E.scaled(g.t) + F.scaled(g.zeta),
             E.scaled(w[BasisIndex.E]) + F.scaled(w[BasisIndex.F]))
@@ -320,22 +331,32 @@ def from_single_exponential(element: AlgebraElement) -> GroupElement:
     """
     x = element[BasisIndex.P]
     no_p = bch(element, P.scaled(-x))
-    assert no_p[BasisIndex.P] == 0
+    if no_p[BasisIndex.P] != 0:
+        raise ArithmeticError("peeling exp(x*P) left a P component")
     t = no_p[BasisIndex.E]
     zeta = no_p[BasisIndex.F]
     central = bch(no_p, -(E.scaled(t) + F.scaled(zeta)))
-    assert all(central[i] == 0 for i in (BasisIndex.P, BasisIndex.E, BasisIndex.F))
+    if any(central[i] != 0 for i in (BasisIndex.P, BasisIndex.E, BasisIndex.F)):
+        raise ArithmeticError("peeling the E-F block left a non-central remainder")
     return GroupElement(x, t, zeta, central[BasisIndex.LAMBDA], central[BasisIndex.Y])
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    return from_single_exponential(-to_single_exponential(g))
+    """Closed form of from_single_exponential(-to_single_exponential(g))."""
+    return GroupElement(-g.x, -g.t, g.x * g.t - g.zeta,
+                        g.x * g.zeta - HALF * g.x * g.x * g.t - g.a, -g.b)
 
 
 def adjoint_of_group(g: GroupElement) -> AdjointMatrix:
-    """Ad_g as the product of factor exponentials, rightmost factor applied first.
+    """Ad_g in closed form, equal to exp_ad(tE + zeta F) @ exp_ad(xP).
 
-    The central factor contributes the identity, so only the E-F block and
-    the P factor enter.  Homomorphism: Ad(compose(g, h)) = Ad(g) @ Ad(h).
+    The central factor contributes the identity, so only (x, t, zeta)
+    enter.  Homomorphism: Ad(compose(g, h)) = Ad(g) @ Ad(h).
     """
-    return exp_ad(E.scaled(g.t) + F.scaled(g.zeta)) @ exp_ad(P.scaled(g.x))
+    return AdjointMatrix((
+        (1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0),
+        (-g.t, g.x, 1, 0, 0),
+        (-g.zeta, HALF * g.x * g.x, g.x, 1, 0),
+        (HALF * g.t * g.t, g.zeta - g.x * g.t, -g.t, 0, 1),
+    ))

@@ -78,34 +78,15 @@ def det(a: Matrix):
     return result * sign
 
 
-def rank(a: Matrix, tol: float = 0.0) -> int:
-    """Row rank.  Exact inputs use fraction-free (Bareiss) elimination;
-    float inputs use partial pivoting with a relative tolerance."""
-    rows = [list(r) for r in a]
+def rank(a: Matrix) -> int:
+    """Exact row rank by fraction-free (Bareiss) elimination.
+
+    Division-free apart from the exact previous pivot.
+    """
+    rows = [[Fraction(x) for x in r] for r in a]
     if not rows:
         return 0
     n, m = len(rows), len(rows[0])
-    if any(isinstance(x, float) for r in rows for x in r):
-        scale = max((abs(x) for r in rows for x in r), default=0.0)
-        if scale == 0.0:
-            return 0
-        cutoff = tol * max(1.0, scale)
-        r = 0
-        for col in range(m):
-            pivot = max(range(r, n), key=lambda i: abs(rows[i][col]), default=None)
-            if pivot is None or abs(rows[pivot][col]) <= cutoff:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(r + 1, n):
-                factor = rows[i][col] / rows[r][col]
-                for c in range(col, m):
-                    rows[i][c] -= factor * rows[r][c]
-            r += 1
-            if r == n:
-                break
-        return r
-    # Bareiss: division-free apart from the exact previous pivot
-    rows = [[Fraction(x) for x in r] for r in rows]
     prev = Fraction(1)
     r = 0
     for col in range(m):
@@ -122,22 +103,3 @@ def rank(a: Matrix, tol: float = 0.0) -> int:
         if r == n:
             break
     return r
-
-
-def invert(a: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; inputs must be exact scalars."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)

@@ -20,7 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .backend import EPS_CLASS, Scalar, exact_div, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
 
@@ -187,5 +186,7 @@ def coadjoint_generators(mu: DualElement) -> tuple:
 
 
 def orbit_dimension(mu: DualElement, tol: float = EPS_CLASS) -> int:
-    """Rank of the generator matrix at mu; 2 on every nonzero orbit, else 0."""
-    return linalg.rank(coadjoint_generators(mu), tol)
+    """Rank of the generator rows: their nonzero block is the antisymmetric
+    [[0, -f, -k], [f, 0, y], [k, -y, 0]], so 2 unless classify's zero test
+    finds f = k = y = 0, then 0."""
+    return 0 if classify(mu, tol) is OrbitClass.FIXED_POINT else 2

@@ -26,11 +26,11 @@ from .dynamics import (
 )
 from .lie_core import (
     DIM, AlgebraElement, BasisIndex, GroupElement, StructureTensor,
-    adjoint_of_group, bracket, compose, inverse, jacobi_residual,
+    adjoint_of_group, bracket, compose, compose_bch, inverse, jacobi_residual,
 )
 from .orbits import (
-    OrbitClass, DualElement, classify, coadjoint, coadjoint_printed,
-    invariants, orbit_dimension,
+    OrbitClass, DualElement, classify, coadjoint, coadjoint_generators,
+    coadjoint_printed, invariants, orbit_dimension,
 )
 from .rng import SplitMix64
 
@@ -88,9 +88,11 @@ def _check_nilpotency(ctx: _Context):
 
 def _check_associativity(ctx: _Context):
     failures = 0
-    for _ in range(ctx.samples):
+    for i in range(ctx.samples):
         g, h, w = ctx.group(), ctx.group(), ctx.group()
         if compose(compose(g, h), w) != compose(g, compose(h, w)):
+            failures += 1
+        elif i < ctx.heavy and compose(g, h) != compose_bch(g, h):
             failures += 1
     return failures == 0, f"{ctx.samples} random triples, {failures} failures"
 
@@ -197,6 +199,8 @@ def _check_orbit_dimension(ctx: _Context):
         if classify(mu) is not expected_class:
             failures += 1
         elif orbit_dimension(mu) != expected_dim:
+            failures += 1
+        elif linalg.rank(coadjoint_generators(mu)) != expected_dim:
             failures += 1
     return failures == 0, (f"{len(reps)} seeded class representatives, "
                            f"{failures} failures")

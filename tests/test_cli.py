@@ -109,6 +109,18 @@ def test_file_inputs_json_and_csv_agree(tmp_path, capsys):
     assert from_json == from_csv
 
 
+def test_csv_with_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("p,e,f,k,y\n1,1,1,1,1\n", encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_text("p,e,f,k,y\n1,1,1,1,1\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    _, expected, _ = run(capsys, "classify", "--in", str(plain))
+    code, out, err = run(capsys, "classify", "--in", str(marked))
+    assert code == 0, err
+    assert out == expected
+
+
 def test_missing_input_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
@@ -199,6 +211,16 @@ def test_simulate_f0_misuse(capsys):
     assert "--f0" in err
 
 
+@pytest.mark.parametrize("bounds", ["0:inf", "-inf:0", "nan:1"])
+def test_simulate_non_finite_range_is_input_error(capsys, bounds):
+    code, out, err = run(capsys, "simulate", "--picture", "time",
+                         "--state", "0,0", "--k", "1", "--y", "1",
+                         f"--range={bounds}", "--backend", "float")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_simulate_bad_range(capsys):
     code, _, err = run(capsys, "simulate", "--picture", "time",
                        "--state", "0,0", "--k", "1", "--y", "1",
@@ -227,6 +249,15 @@ def test_verify_mutation_exits_2(capsys):
     validate("verify.schema.json", payload)
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["jacobi"]["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["verify", "derive-law"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_usage_error(capsys, command, samples):
+    code, out, err = run(capsys, command, "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_verify_unknown_mutation_is_usage_error(capsys):

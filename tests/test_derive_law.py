@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aristotle_orbits import derive_law
+from aristotle_orbits.lie_core import compose, compose_bch
 from aristotle_orbits.derive_law import (
     comparison_table, evaluate_polynomial, monomial_name,
     printed_law_polynomials, reconstruct_law, verify_reconstruction,
@@ -19,7 +20,7 @@ def by_name(poly):
 
 @pytest.fixture(scope="module")
 def derived():
-    return reconstruct_law()
+    return reconstruct_law(compose_bch)
 
 
 def test_reconstructed_tables(derived):
@@ -30,6 +31,11 @@ def test_reconstructed_tables(derived):
                                        "x^2*t'": HALF}
     assert by_name(derived["b''"]) == {"b": 1, "b'": 1, "zeta*t'": HALF,
                                        "t*zeta'": -HALF, "x*t*t'": -HALF}
+
+
+def test_closed_law_has_the_derived_table(derived):
+    """Both laws have degree <= 3, so equal tables mean equal polynomials."""
+    assert reconstruct_law(compose) == derived
 
 
 def test_key_coefficients(derived):
@@ -45,7 +51,7 @@ def test_printed_law_table():
     assert by_name(printed["b''"]) == {"b": 1, "b'": 1, "t'*zeta'": 1,
                                        "x*t'^2": HALF}
     # the first four coordinates of the printed law are the derived ones
-    derived = reconstruct_law()
+    derived = reconstruct_law(compose_bch)
     for name in ("x''", "t''", "zeta''", "a''"):
         assert printed[name] == derived[name]
 
@@ -80,7 +86,7 @@ def test_verification_catches_corruption(derived):
 
 
 def test_evaluate_polynomial_matches_direct_composition(derived):
-    from aristotle_orbits.lie_core import GroupElement, compose
+    from aristotle_orbits.lie_core import GroupElement
     g = GroupElement(1, 2, Fraction(1, 3), 0, 5)
     h = GroupElement(Fraction(-2, 7), 1, 4, 2, 1)
     point = g.as_tuple() + h.as_tuple()

@@ -13,7 +13,7 @@ from aristotle_orbits.dynamics import (
     closed_form_trajectory, dual_flow_trajectory,
     hamiltonian_space, hamiltonian_time, integrate,
     potential_energy, potential_momentum,
-    realization_space, realization_time,
+    Trajectory, realization_space, realization_time,
     scalar_coefficients,
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
@@ -290,6 +290,15 @@ def test_integrator_config_validation():
         IntegratorConfig(start=1, stop=0)
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
+
+
+def test_trajectory_rejects_non_increasing_parameter():
+    # a real exception, not an assert, so ``python -O`` keeps the check
+    rows = ((0, 1, 2, 0, 0), (0, 1, 2, 0, 0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(picture="time", columns=("t", "q", "p", "U", "drift"),
+                   invariant_name="U", method="closed-form", params={},
+                   rows=rows)
 
 
 def test_integrate_zero_length_range():

@@ -18,8 +18,9 @@ from aristotle_orbits import lie_core
 from aristotle_orbits.lie_core import (
     E, F, LAMBDA, P, Y,
     AlgebraElement, BasisIndex, GroupElement, StructureTensor,
-    ad, adjoint_of_group, bch, bracket, compose, compose_printed,
-    from_single_exponential, inverse, jacobi_residual, to_single_exponential,
+    ad, adjoint_of_group, bch, bracket, compose, compose_bch, compose_printed,
+    exp_ad, from_single_exponential, inverse, jacobi_residual,
+    to_single_exponential,
 )
 
 import free_nilpotent_oracle as oracle
@@ -180,6 +181,11 @@ def test_compose_matches_oracle(g, h):
     assert compose(g, h).as_tuple() == oracle.oracle_compose(g, h)
 
 
+@given(group_elements, group_elements)
+def test_compose_equals_bch_derivation(g, h):
+    assert compose(g, h) == compose_bch(g, h)
+
+
 @given(group_elements, group_elements, group_elements)
 def test_compose_associative(g, h, k):
     assert compose(compose(g, h), k) == compose(g, compose(h, k))
@@ -197,6 +203,11 @@ def test_inverse_frozen_examples():
     got = inverse(GroupElement(1, 0, 1, 0, 0))
     assert got == GroupElement(-1, 0, -1, 1, 0)
     assert oracle.oracle_inverse(GroupElement(1, 0, 1, 0, 0)) == (-1, 0, -1, 1, 0)
+
+
+@given(group_elements)
+def test_inverse_equals_bch_derivation(g):
+    assert inverse(g) == from_single_exponential(-to_single_exponential(g))
 
 
 @given(group_elements, group_elements)
@@ -298,6 +309,12 @@ def test_adjoint_of_pure_translation():
 @settings(max_examples=60)
 def test_adjoint_matches_oracle(g):
     assert adjoint_of_group(g).rows == oracle.oracle_adjoint(g)
+
+
+@given(group_elements)
+def test_adjoint_equals_factor_exponentials(g):
+    factors = exp_ad(E.scaled(g.t) + F.scaled(g.zeta)) @ exp_ad(P.scaled(g.x))
+    assert adjoint_of_group(g).rows == factors.rows
 
 
 @given(group_elements, group_elements)

@@ -6,7 +6,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aristotle_orbits.backend import rel_err
+from aristotle_orbits import linalg
+from aristotle_orbits.backend import parse_scalar, rel_err
 from aristotle_orbits.lie_core import (
     AlgebraElement, GroupElement, E, F, LAMBDA, P, Y, compose,
 )
@@ -22,6 +23,17 @@ HALF = Fraction(1, 2)
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 dual_points = st.tuples(*([small_fractions] * 5)).map(DualElement.from_seq)
 group_elements = st.tuples(*([small_fractions] * 5)).map(GroupElement.from_seq)
+# every zero pattern of (f, k, y) is drawn often, so all five classes occur
+maybe_zero = st.one_of(st.just(Fraction(0)), small_fractions)
+patterned_duals = st.tuples(small_fractions, small_fractions, maybe_zero,
+                            maybe_zero, maybe_zero).map(DualElement.from_seq)
+# well scaled: numerators up to 10^6, denominators up to 10^3
+well_scaled = st.builds(Fraction, st.integers(-10**6, 10**6),
+                        st.integers(1, 10**3))
+well_scaled_duals = st.tuples(
+    well_scaled, well_scaled, st.one_of(st.just(Fraction(0)), well_scaled),
+    st.one_of(st.just(Fraction(0)), well_scaled),
+    st.one_of(st.just(Fraction(0)), well_scaled)).map(DualElement.from_seq)
 
 
 def random_dual(rng, bound=9):
@@ -241,3 +253,22 @@ def test_dimension_constant_along_orbit(g, mu):
 def test_orbit_dimension_float_backend():
     assert orbit_dimension(DualElement(1.0, 1.0, 1.0, 1.0, 1.0)) == 2
     assert orbit_dimension(DualElement(0.0, 0.0, 0.0, 0.0, 0.0)) == 0
+    # a float rank of the generator rows reported 3 on these points
+    for text in ("885257/42,-230255/388,31/695,977256/767,-658533/572",
+                 "36965/277,697601/4,271/114,187276/595,-88129/170"):
+        mu = DualElement.from_seq(
+            [parse_scalar(c, "float") for c in text.split(",")])
+        assert orbit_dimension(mu) == 2
+
+
+@given(patterned_duals)
+def test_orbit_dimension_equals_exact_generator_rank(mu):
+    assert orbit_dimension(mu) == linalg.rank(coadjoint_generators(mu))
+
+
+@given(well_scaled_duals)
+def test_orbit_dimension_zero_or_two_on_both_backends(mu):
+    exact = orbit_dimension(mu)
+    assert exact in (0, 2)
+    as_float = DualElement.from_seq(tuple(float(c) for c in mu.as_tuple()))
+    assert orbit_dimension(as_float) == exact
