@@ -15,6 +15,7 @@ arithmetic degrades to float, which is exactly the genericity we rely on.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -30,7 +31,7 @@ EPS_CLASS = 1e-12
 
 
 class InputFormatError(ValueError):
-    """A scalar or point failed to parse; carries position diagnostics."""
+    """An input failed to parse or cannot be used; carries diagnostics."""
 
 
 def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
@@ -38,18 +39,22 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
 
     Accepts ints, floats, plain integer strings, ``"n/d"`` fractions and
     decimal strings.  On the rational backend decimal text is read exactly
-    (``"0.1"`` becomes 1/10).
+    (``"0.1"`` becomes 1/10).  The float backend rejects NaN, infinities
+    and values that overflow a double.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     try:
         if backend == FLOAT:
-            return float(Fraction(text) if isinstance(text, str) and "/" in text else text)
+            value = float(Fraction(text) if isinstance(text, str) and "/" in text else text)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         if isinstance(text, float):
             # exact decimal meaning, not the binary expansion
             return Fraction(repr(text))
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 
@@ -67,9 +72,14 @@ def json_scalar(value: Scalar) -> "str | float":
     return str(Fraction(value))
 
 
+def is_float_backed(*values: Scalar) -> bool:
+    """True when any of ``values`` is a float, so arithmetic on them is float."""
+    return any(isinstance(value, float) for value in values)
+
+
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """a/b; stays rational unless either operand is a float."""
-    if isinstance(a, float) or isinstance(b, float):
+    if is_float_backed(a, b):
         return a / b
     return Fraction(a) / Fraction(b)
 

@@ -17,8 +17,9 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from typing import Optional
 
 from . import derive_law as derive_law_mod
@@ -44,6 +45,7 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 # colliding with the input force column
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
+CSV_CHUNK_ROWS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,20 +142,30 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+@contextmanager
+def _output(out_path: Optional[str]):
+    """The --out file, or stdout without --out."""
+    if out_path:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield sys.stdout
 
 
 def _emit(text: str, out_path: Optional[str]):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as handle:
+        handle.write(text)
+
+
+def _emit_csv(header, rows, out_path: Optional[str]):
+    """Write CSV as ``rows`` produces it, in chunks: a write per row is slow."""
+    rows, chunk = iter(rows), [header]
+    with _output(out_path) as handle:
+        while chunk:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\r\n").writerows(chunk)
+            handle.write(buffer.getvalue())
+            chunk = list(islice(rows, CSV_CHUNK_ROWS))
 
 
 # ------------------------------------------------------------- commands
@@ -192,7 +204,7 @@ def _cmd_classify(args) -> int:
         rows = [[format_scalar(c) for c in mu.as_tuple()]
                 + [cls.value, str(dim)] + _invariant_cells(inv)
                 for mu, cls, dim, inv in records]
-        _emit(_csv_text(header, rows), args.out)
+        _emit_csv(header, rows, args.out)
     return EXIT_OK
 
 
@@ -212,7 +224,7 @@ def _cmd_invariants(args) -> int:
         header = POINT_FIELDS + INVARIANT_HEADERS
         rows = [[format_scalar(c) for c in mu.as_tuple()]
                 + _invariant_cells(inv) for mu, _cls, _dim, inv in records]
-        _emit(_csv_text(header, rows), args.out)
+        _emit_csv(header, rows, args.out)
     return EXIT_OK
 
 
@@ -220,11 +232,11 @@ def _parse_range(text: str, backend: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise InputFormatError(f"--range: expected A:B, got {text!r}")
-    start = parse_scalar(parts[0].strip(), backend)
-    stop = parse_scalar(parts[1].strip(), backend)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in (start, stop)):
-        raise InputFormatError(f"--range: ends must be finite, got {text!r}")
-    return start, stop
+    try:
+        return (parse_scalar(parts[0].strip(), backend),
+                parse_scalar(parts[1].strip(), backend))
+    except InputFormatError as exc:
+        raise InputFormatError(f"--range: {exc}") from exc
 
 
 def _trajectory_payload(trajectory: Trajectory) -> dict:
@@ -272,11 +284,13 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
+    # every check above ran before the first byte; CSV rows stream out
     if args.format == "json":
         _emit(_dump_json(_trajectory_payload(trajectory)), args.out)
     else:
-        rows = [[format_scalar(c) for c in row] for row in trajectory.rows]
-        _emit(_csv_text(trajectory.columns, rows), args.out)
+        rows = ([format_scalar(c) for c in row]
+                for row in trajectory.row_factory())
+        _emit_csv(trajectory.columns, rows, args.out)
     return EXIT_OK
 
 

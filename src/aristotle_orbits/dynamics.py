@@ -12,7 +12,12 @@ reproduces the closed forms
 Each chart exists only on one side of the dual space: the q-chart needs
 k != 0 and the tau-chart needs y != 0.  Outside a chart the dual-space
 flows (``time_flow``/``space_flow``) are total and should be used
-directly; ChartUndefinedError says exactly that.
+directly; ChartUndefinedError says exactly that.  The flows are closed
+polynomials in the parameter, checked against the printed coadjoint
+action ``coadjoint_printed`` by the tests and by ``verify``.
+
+Every trajectory (RK4, closed form, dual flow) comes from one row
+generator over a lazy grid, so rows can be written as they are produced.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -22,12 +27,15 @@ instant; they exist for the errata engine, not for simulation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from itertools import chain, islice
+from typing import Callable, Iterator, Optional, Sequence
 
-from .backend import Scalar
-from .orbits import DualElement, coadjoint_printed
+from .backend import InputFormatError, Scalar, exact_div, is_float_backed
+from .orbits import DualElement
 
 HALF = Fraction(1, 2)
 
@@ -53,26 +61,19 @@ class OrbitParams:
     k: Scalar
     y: Scalar
 
-    def _is_float_backed(self) -> bool:
-        return isinstance(self.k, float) or isinstance(self.y, float)
-
     @property
     def v(self) -> Scalar:
         """Invariant velocity y/k; the time chart's slope."""
         if self.k == 0:
             raise ChartUndefinedError("time (q, p)", "k != 0")
-        if self._is_float_backed():
-            return self.y / self.k
-        return Fraction(self.y) / Fraction(self.k)
+        return exact_div(self.y, self.k)
 
     @property
     def s(self) -> Scalar:
         """Invariant slowness k/y; the space chart's slope."""
         if self.y == 0:
             raise ChartUndefinedError("space (tau, e)", "y != 0")
-        if self._is_float_backed():
-            return self.k / self.y
-        return Fraction(self.k) / Fraction(self.y)
+        return exact_div(self.k, self.y)
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,6 @@ class TimeState:
     p: Scalar
     t: Scalar = 0
 
-    def force(self, params: OrbitParams) -> Scalar:
-        return params.k * self.q
-
 
 @dataclass(frozen=True)
 class SpaceState:
@@ -94,9 +92,6 @@ class SpaceState:
     tau: Scalar
     e: Scalar
     x: Scalar = 0
-
-    def force(self, params: OrbitParams) -> Scalar:
-        return params.y * self.tau
 
 
 @dataclass(frozen=True)
@@ -124,6 +119,8 @@ class Trajectory:
     ``columns`` names the row entries in order; ``method`` records how the
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
+    ``row_factory()`` produces the rows one at a time, afresh on each call;
+    ``rows`` holds them all, built on first use.
     """
 
     picture: str
@@ -131,12 +128,11 @@ class Trajectory:
     invariant_name: str
     method: str
     params: dict
-    rows: tuple
+    row_factory: Callable[[], Iterator[tuple]]
 
-    def __post_init__(self):
-        values = [row[0] for row in self.rows]
-        if not all(a < b for a, b in zip(values, values[1:])):
-            raise ValueError("trajectory parameter must be strictly increasing")
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(self.row_factory())
 
     def final_state(self) -> tuple:
         return tuple(self.rows[-1][1:-2])
@@ -148,13 +144,15 @@ class Trajectory:
 # ------------------------------------------------------------- dual flows
 
 def time_flow(mu0: DualElement, t: Scalar) -> DualElement:
-    """Flow of exp(-t E) on the dual: p gains -f t + y t^2/2, f gains -y t."""
-    return coadjoint_printed(0, -t, 0, mu0)
+    """Flow of exp(-t E), coadjoint_printed(0, -t, 0, mu0) without zeros."""
+    p, e, f, k, y = mu0.as_tuple()
+    return DualElement(p - f * t + HALF * y * t * t, e, f - y * t, k, y)
 
 
 def space_flow(mu0: DualElement, x: Scalar) -> DualElement:
-    """Flow of exp(-x P) on the dual: e gains f x + k x^2/2, f gains k x."""
-    return coadjoint_printed(-x, 0, 0, mu0)
+    """Flow of exp(-x P), coadjoint_printed(-x, 0, 0, mu0) without zeros."""
+    p, e, f, k, y = mu0.as_tuple()
+    return DualElement(p, e + f * x + HALF * k * x * x, f + k * x, k, y)
 
 
 # ------------------------------------------------------------ closed forms
@@ -281,76 +279,102 @@ def chart_invariant_space(tau: Scalar, e: Scalar, params: OrbitParams) -> Scalar
 
 # -------------------------------------------------------------- integration
 
-def _parameter_grid(config: IntegratorConfig) -> list:
-    """Floating grid start, start+h, ...; the final point lands on stop."""
-    start = float(config.start)
-    stop = float(config.stop)
-    h = float(config.step)
-    if stop == start:
-        return [start]
+def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
+    """Floating grid start, start+h, ...; the final point lands on stop.
+
+    Rerunnable.  A step too small to advance the grid at its magnitude is
+    an input error, raised here, before any row exists.
+    """
+    start, stop, h = float(config.start), float(config.stop), float(config.step)
     count = int((stop - start) / h + 1e-9)
-    grid = [start + i * h for i in range(count + 1)]
-    if abs(grid[-1] - stop) <= 1e-9 * h:
-        grid[-1] = stop
-    else:
-        grid.append(stop)
+    if abs(start + count * h - stop) > 1e-9 * h:
+        count += 1
+    last = start if stop == start else stop  # [start] keeps a -0.0 start
+
+    def grid():
+        return chain((start + i * h for i in range(count)), (last,))
+
+    if not all(map(operator.lt, grid(), islice(grid(), 1, None))):
+        raise InputFormatError(
+            f"step {h!r} does not advance the float grid from {start!r} to "
+            f"{stop!r}; the trajectory parameter must be strictly increasing")
     return grid
 
 
-def _exact_grid(config: IntegratorConfig) -> list:
+def _exact_grid(config: IntegratorConfig) -> Callable[[], Iterator]:
     """Rational grid on the same spacing; decimal steps are read exactly."""
     step = Fraction(repr(config.step)) if isinstance(config.step, float) \
         else Fraction(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
-    grid = []
-    param = start
-    while param < stop:
-        grid.append(param)
-        param += step
-    grid.append(stop)
+
+    def grid():
+        param = start
+        while param < stop:
+            yield param
+            param += step
+        yield stop
     return grid
 
 
-def _rk4_step(rhs: Callable, state: tuple, h: float) -> tuple:
-    k1 = rhs(state)
-    k2 = rhs(tuple(s + h / 2 * d for s, d in zip(state, k1)))
-    k3 = rhs(tuple(s + h / 2 * d for s, d in zip(state, k2)))
-    k4 = rhs(tuple(s + h * d for s, d in zip(state, k3)))
-    return tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
+    """(param, *coords, invariant, drift) for each parameter of the grid."""
+    inv0 = None
+    for param in grid:
+        coords = sample(param)
+        inv = invariant(*coords)
+        if inv0 is None:
+            inv0 = inv
+        yield (param, *coords, inv, abs(inv - inv0))
 
 
-_PICTURES = {
-    "time": {
-        "columns": ("t", "q", "p"),
-        "invariant": "U",
-    },
-    "space": {
-        "columns": ("x", "tau", "e"),
-        "invariant": "pi",
-    },
+def _rk4(state0: Sequence[float], rate: float, gain: float) -> Callable:
+    """Sampler stepping (a, b)' = (rate, gain a) by classical RK4 to each
+    parameter in turn, with the generic scheme's float operations; the
+    field ignores b and a moves at a constant rate, so k3 equals k2."""
+    a, b = state0
+    rate_sum = ((rate + 2 * rate) + 2 * rate) + rate
+    prev = None
+
+    def sample(param):
+        nonlocal a, b, prev
+        if prev is not None:
+            h = param - prev
+            half, sixth = h / 2, h / 6
+            k2 = gain * (a + half * rate)
+            b = b + sixth * (((gain * a + 2 * k2) + 2 * k2)
+                             + gain * (a + h * rate))
+            a = a + sixth * rate_sum
+        prev = param
+        return a, b
+    return sample
+
+
+def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
+    """chart_invariant_time/space with the chart's constants taken once."""
+    slope, half_force = ((params.v, HALF * params.k) if picture == "time"
+                         else (params.s, HALF * params.y))
+    return lambda a, b: b * slope - half_force * a * a
+
+
+# picture -> (coordinate columns, invariant name)
+_LAYOUTS = {
+    "time": (("t", "q", "p"), "U"),
+    "space": (("x", "tau", "e"), "pi"),
+    "dual-time": (("t", "p", "e", "f"), "psi"),
+    "dual-space": (("x", "p", "e", "f"), "psi"),
 }
 
 
-def _picture_rhs(picture: str, params: OrbitParams) -> Callable:
-    if picture == "time":
-        def rhs(state):
-            return time_rhs(TimeState(q=state[0], p=state[1]), params)
-    else:
-        def rhs(state):
-            return space_rhs(SpaceState(tau=state[0], e=state[1]), params)
-    return rhs
+def _check_picture(picture: str):
+    if picture not in ("time", "space"):
+        raise ValueError(f"unknown picture {picture!r}")
 
 
-def _picture_invariant(picture: str, params: OrbitParams) -> Callable:
-    if picture == "time":
-        return lambda state: chart_invariant_time(state[0], state[1], params)
-    return lambda state: chart_invariant_space(state[0], state[1], params)
-
-
-def _require_chart(picture: str, params: OrbitParams):
-    # touching the slope raises ChartUndefinedError when the chart is gone
-    _ = params.v if picture == "time" else params.s
+def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
+                row_factory: Callable) -> Trajectory:
+    columns, invariant = _LAYOUTS[picture]
+    return Trajectory(picture, columns + (invariant, "drift"), invariant,
+                      method, {"k": k, "y": y}, row_factory)
 
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
@@ -361,35 +385,17 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
     polynomial field, so at h = 1e-3 the scheme tracks the closed forms
     to roundoff.
     """
-    if picture not in _PICTURES:
-        raise ValueError(f"unknown picture {picture!r}")
+    _check_picture(picture)
     config = config or IntegratorConfig()
-    _require_chart(picture, params)
-    float_params = OrbitParams(float(params.k), float(params.y))
-    rhs = _picture_rhs(picture, float_params)
-    invariant = _picture_invariant(picture, float_params)
+    params = OrbitParams(float(params.k), float(params.y))
     state = tuple(float(c) for c in state0)
-    grid = _parameter_grid(config)
-
-    rows = []
-    inv0 = invariant(state)
-    prev = grid[0]
-    for i, param in enumerate(grid):
-        if i > 0:
-            state = _rk4_step(rhs, state, param - prev)
-        prev = param
-        inv = invariant(state)
-        rows.append((param,) + state + (inv, abs(inv - inv0)))
-
-    meta = _PICTURES[picture]
-    return Trajectory(
-        picture=picture,
-        columns=meta["columns"] + (meta["invariant"], "drift"),
-        invariant_name=meta["invariant"],
-        method=f"rk4 h={float(config.step)!r}",
-        params={"k": float_params.k, "y": float_params.y},
-        rows=tuple(rows),
-    )
+    invariant = _chart_invariant(picture, params)
+    rate, gain = ((-params.v, -params.k) if picture == "time"
+                  else (params.s, params.y))
+    grid = _float_grid(config)
+    return _trajectory(
+        picture, f"rk4 h={float(config.step)!r}", params.k, params.y,
+        lambda: _rows(grid(), _rk4(state, rate, gain), invariant))
 
 
 def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
@@ -401,51 +407,32 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
     Backend-generic: rational inputs give exact rational rows.  For the
     space picture f0 defaults to the on-orbit value y*tau0.
     """
-    if picture not in _PICTURES:
-        raise ValueError(f"unknown picture {picture!r}")
+    _check_picture(picture)
     config = config or IntegratorConfig()
-    _require_chart(picture, params)
-    float_backed = (any(isinstance(c, float) for c in state0)
-                    or isinstance(params.k, float) or isinstance(params.y, float))
-
-    if float_backed:
+    if is_float_backed(*state0, params.k, params.y):
         params = OrbitParams(float(params.k), float(params.y))
         state0 = tuple(float(c) for c in state0)
-        grid = _parameter_grid(config)
+        grid = _float_grid(config)
         if f0 is not None:
             f0 = float(f0)
     else:
         grid = _exact_grid(config)
-
+    invariant = _chart_invariant(picture, params)
+    a0, b0 = state0
     if picture == "time":
-        def sample(param):
-            return time_closed_form(state0[0], state0[1], params, param)
+        v, kq0, half_y = params.v, params.k * a0, HALF * params.y
+
+        def sample(t):
+            return a0 - v * t, b0 - kq0 * t + half_y * t * t
     else:
+        s, half_k = params.s, HALF * params.k
         if f0 is None:
-            f0 = params.y * state0[0]
+            f0 = params.y * a0
 
-        def sample(param):
-            return space_closed_form(state0[0], state0[1], f0, params, param)
-
-    invariant = _picture_invariant(picture, params)
-    rows = []
-    inv0 = None
-    for param in grid:
-        state = sample(param)
-        inv = invariant(state)
-        if inv0 is None:
-            inv0 = inv
-        rows.append((param,) + tuple(state) + (inv, abs(inv - inv0)))
-
-    meta = _PICTURES[picture]
-    return Trajectory(
-        picture=picture,
-        columns=meta["columns"] + (meta["invariant"], "drift"),
-        invariant_name=meta["invariant"],
-        method="closed-form",
-        params={"k": params.k, "y": params.y},
-        rows=tuple(rows),
-    )
+        def sample(x):
+            return a0 + s * x, b0 + f0 * x + half_k * x * x
+    return _trajectory(picture, "closed-form", params.k, params.y,
+                       lambda: _rows(grid(), sample, invariant))
 
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
@@ -453,38 +440,33 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
     """Exact dual-space evolution of (p, e, f); total, any k and y.
 
     The carried invariant is psi = 2ke - f^2 + 2py, which is defined on
-    every orbit, so this mode works where the charts do not.
+    every orbit, so this mode works where the charts do not.  Rows are
+    time_flow/space_flow with the constant terms taken once.
     """
-    if picture not in _PICTURES:
-        raise ValueError(f"unknown picture {picture!r}")
+    _check_picture(picture)
     config = config or IntegratorConfig()
-    flow = time_flow if picture == "time" else space_flow
-    float_backed = any(isinstance(c, float) for c in mu0.as_tuple())
-
-    if float_backed:
-        mu0 = DualElement.from_seq(tuple(float(c) for c in mu0.as_tuple()))
-        grid = _parameter_grid(config)
+    coords = mu0.as_tuple()
+    if is_float_backed(*coords):
+        coords = tuple(float(c) for c in coords)
+        grid = _float_grid(config)
     else:
         grid = _exact_grid(config)
+    p0, e0, f0, k, y = coords
+    if picture == "time":
+        half_y, ke = HALF * y, 2 * k * e0
 
-    def psi(mu):
-        return 2 * mu.k * mu.e - mu.f * mu.f + 2 * mu.p * mu.y
+        def sample(t):
+            return p0 - f0 * t + half_y * t * t, e0, f0 - y * t
 
-    rows = []
-    inv0 = None
-    for param in grid:
-        mu = flow(mu0, param)
-        inv = psi(mu)
-        if inv0 is None:
-            inv0 = inv
-        rows.append((param, mu.p, mu.e, mu.f, inv, abs(inv - inv0)))
+        def psi(p, e, f):
+            return ke - f * f + 2 * p * y
+    else:
+        half_k, py = HALF * k, 2 * p0 * y
 
-    param_name = "t" if picture == "time" else "x"
-    return Trajectory(
-        picture=f"dual-{picture}",
-        columns=(param_name, "p", "e", "f", "psi", "drift"),
-        invariant_name="psi",
-        method="closed-form",
-        params={"k": mu0.k, "y": mu0.y},
-        rows=tuple(rows),
-    )
+        def sample(x):
+            return p0, e0 + f0 * x + half_k * x * x, f0 + k * x
+
+        def psi(p, e, f):
+            return 2 * k * e - f * f + py
+    return _trajectory(f"dual-{picture}", "closed-form", k, y,
+                       lambda: _rows(grid(), sample, psi))

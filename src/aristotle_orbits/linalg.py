@@ -44,28 +44,15 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
-def det(a: Matrix):
-    """Determinant by exact elimination (Fractions) or pivoted float elimination."""
+def det(a: Matrix) -> Fraction:
+    """Determinant by exact elimination over Fractions."""
     n = len(a)
-    rows = [list(r) for r in a]
-    exact = not any(isinstance(x, float) for r in rows for x in r)
-    if exact:
-        rows = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    result = 1.0 if not exact else Fraction(1)
+    rows = [[Fraction(x) for x in r] for r in a]
+    sign, result = 1, Fraction(1)
     for col in range(n):
-        pivot = None
-        if exact:
-            for r in range(col, n):
-                if rows[r][col] != 0:
-                    pivot = r
-                    break
-        else:
-            pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
-            if rows[pivot][col] == 0:
-                pivot = None
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
-            return result * 0
+            return Fraction(0)
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .backend import EPS_CLASS, Scalar, exact_div, is_zero
+from .backend import EPS_CLASS, Scalar, exact_div, is_float_backed, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
 
 HALF = Fraction(1, 2)
@@ -49,9 +49,6 @@ class DualElement:
 
     def as_tuple(self) -> tuple:
         return (self.p, self.e, self.f, self.k, self.y)
-
-    def is_float_backed(self) -> bool:
-        return any(isinstance(c, float) for c in self.as_tuple())
 
 
 class OrbitClass(Enum):
@@ -123,6 +120,12 @@ def coadjoint_printed(x: Scalar, t: Scalar, zeta: Scalar, mu: DualElement) -> Du
     )
 
 
+def _zero_scale(mu: DualElement) -> Scalar:
+    """The largest |component| (at least 1) on floats, 1 on rationals."""
+    values = mu.as_tuple()
+    return max(1, *map(abs, values)) if is_float_backed(*values) else 1
+
+
 def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
     """Orbit family of mu, split on (k, y, f).
 
@@ -130,7 +133,7 @@ def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
     test with tolerance ``tol`` against the largest component (so the
     classification of scaled points is stable).
     """
-    scale = max(1, *(abs(c) for c in mu.as_tuple())) if mu.is_float_backed() else 1
+    scale = _zero_scale(mu)
     k_zero = is_zero(mu.k, tol, scale)
     y_zero = is_zero(mu.y, tol, scale)
     if not k_zero and not y_zero:
@@ -147,7 +150,7 @@ def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
 def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
     """All invariants defined at mu; see InvariantSet for the presence rules."""
     p, e, f, k, y = mu.as_tuple()
-    scale = max(1, *(abs(c) for c in mu.as_tuple())) if mu.is_float_backed() else 1
+    scale = _zero_scale(mu)
     k_zero = is_zero(k, tol, scale)
     y_zero = is_zero(y, tol, scale)
 

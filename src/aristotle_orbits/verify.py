@@ -213,15 +213,19 @@ def _check_closed_form_flow(ctx: _Context):
         y = ctx.rng.nonzero_rational()
         params = OrbitParams(k, y)
         q0, p0, e0, t = ctx.rng.rationals(4)
-        mu = time_flow(DualElement(p0, e0, k * q0, k, y), t)
+        mu0 = DualElement(p0, e0, k * q0, k, y)
+        mu = time_flow(mu0, t)
         q, p = time_closed_form(q0, p0, params, t)
-        if mu.f / k != q or mu.p != p:
+        if (mu.f / k != q or mu.p != p
+                or mu != coadjoint_printed(0, -t, 0, mu0)):
             failures += 1
             continue
         tau0, e0, p0, x = ctx.rng.rationals(4)
-        mu = space_flow(DualElement(p0, e0, y * tau0, k, y), x)
+        mu0 = DualElement(p0, e0, y * tau0, k, y)
+        mu = space_flow(mu0, x)
         tau, e = space_closed_form(tau0, e0, y * tau0, params, x)
-        if mu.f / y != tau or mu.e != e:
+        if (mu.f / y != tau or mu.e != e
+                or mu != coadjoint_printed(-x, 0, 0, mu0)):
             failures += 1
     return failures == 0, (f"{ctx.samples} flow/closed-form comparisons "
                            f"per picture, {failures} failures")

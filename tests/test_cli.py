@@ -1,12 +1,24 @@
 """CLI contract: exit codes, schemas, goldens, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+import aristotle_orbits
+from aristotle_orbits.backend import format_scalar
 from aristotle_orbits.cli import main
+from aristotle_orbits.dynamics import (
+    IntegratorConfig, OrbitParams, closed_form_trajectory,
+    dual_flow_trajectory, integrate,
+)
+from aristotle_orbits.orbits import DualElement
 
 HERE = Path(__file__).parent
 GOLDENS = HERE / "goldens"
@@ -121,6 +133,29 @@ def test_csv_with_byte_order_mark(tmp_path, capsys):
     assert out == expected
 
 
+@pytest.mark.parametrize("point", ["nan,1,1,1,1", "inf,1,1,1e-300,1",
+                                   "1,-inf,1,1,1", "1e400,1,1,1,1",
+                                   f"1,1,1,1,{10 ** 400}/3"])
+def test_non_finite_float_point_is_input_error(capsys, point):
+    code, out, err = run(capsys, "classify", "--backend", "float", point)
+    assert code == 1
+    assert out == ""
+    assert "aristotle-orbits: error:" in err
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend,
+                                              entry):
+    path = tmp_path / "points.json"
+    path.write_text(f"[[{entry}, 1, 1, 1, 1]]", encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--in", str(path),
+                         "--backend", backend)
+    assert code == 1
+    assert out == ""
+    assert "entry 1" in err
+
+
 def test_missing_input_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
@@ -219,6 +254,127 @@ def test_simulate_non_finite_range_is_input_error(capsys, bounds):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--state=nan,1", "--k=1", "--y=1"),
+    ("--state=1,1", "--k=inf", "--y=1"),
+    ("--dual", "--mu=1,1,1,inf,1"),
+    ("--dual", "--mu=1,nan,1,1,1"),
+])
+def test_simulate_non_finite_input_is_input_error(capsys, argv):
+    code, out, err = run(capsys, "simulate", "--picture", "time",
+                         "--backend", "float", "--range", "0:1",
+                         "--step", "0.5", *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+NON_ADVANCING = ("simulate", "--picture", "time", "--backend", "float",
+                 "--state=1,1", "--k=1", "--y=1",
+                 "--range", "1e16:10000000000000004", "--step", "1")
+
+
+@pytest.mark.parametrize("mode", [(), ("--closed-form",), ("--format", "json")])
+def test_simulate_non_advancing_grid_is_input_error(tmp_path, capsys, mode):
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, *NON_ADVANCING, *mode)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aristotle-orbits: error:")
+    assert "strictly increasing" in err
+    code, _, _ = run(capsys, *NON_ADVANCING, *mode, "--out", str(out_path))
+    assert code == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--backend", "float", "nan,1,1,1,1"),
+    NON_ADVANCING,
+])
+def test_input_checks_survive_optimized_mode(argv):
+    # validation must not rely on ``assert``, which ``python -O`` strips
+    src = str(Path(aristotle_orbits.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "aristotle_orbits", *argv],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == b""
+    assert b"aristotle-orbits: error:" in result.stderr
+
+
+# every simulate mode: (argv, the same trajectory built by the library)
+_K, _Y = Fraction(3, 2), Fraction(-5, 4)
+_EXACT = IntegratorConfig(step=Fraction(1, 8), start=Fraction(-1, 2),
+                          stop=Fraction(2))
+_FLOAT = IntegratorConfig(step=0.125, start=-0.5, stop=2.0)
+_MU = (Fraction(1, 4), Fraction(-3, 4), Fraction(5, 4), _K, _Y)
+_CHART = ("--k=3/2", "--y=-5/4", "--range=-1/2:2", "--step=1/8")
+_DUAL = ("--mu=1/4,-3/4,5/4,3/2,-5/4", "--range=-1/2:2", "--step=1/8")
+SIMULATE_MODES = []
+for _picture in ("time", "space"):
+    SIMULATE_MODES += [
+        (("--picture", _picture, "--state=1/4,-7/4", *_CHART),
+         lambda p=_picture: integrate(p, (0.25, -1.75), OrbitParams(1.5, -1.25),
+                                      _FLOAT)),
+        (("--picture", _picture, "--state=1/4,-7/4", *_CHART, "--closed-form"),
+         lambda p=_picture: closed_form_trajectory(
+             p, (Fraction(1, 4), Fraction(-7, 4)), OrbitParams(_K, _Y),
+             _EXACT)),
+        (("--picture", _picture, "--state=1/4,-7/4", *_CHART, "--closed-form",
+          "--backend", "float"),
+         lambda p=_picture: closed_form_trajectory(
+             p, (0.25, -1.75), OrbitParams(1.5, -1.25), _FLOAT)),
+        (("--picture", _picture, "--dual", *_DUAL),
+         lambda p=_picture: dual_flow_trajectory(DualElement(*_MU), p,
+                                                 _EXACT)),
+        (("--picture", _picture, "--dual", *_DUAL, "--backend", "float"),
+         lambda p=_picture: dual_flow_trajectory(
+             DualElement(*(float(c) for c in _MU)), p, _FLOAT)),
+    ]
+SIMULATE_MODES.append(
+    (("--picture", "space", "--state=1/4,-7/4", *_CHART, "--closed-form",
+      "--f0=2/3"),
+     lambda: closed_form_trajectory(
+         "space", (Fraction(1, 4), Fraction(-7, 4)), OrbitParams(_K, _Y),
+         _EXACT, f0=Fraction(2, 3))))
+
+
+@pytest.mark.parametrize("argv, build", SIMULATE_MODES)
+def test_streamed_csv_equals_formatted_rows(tmp_path, capsys, argv, build):
+    trajectory = build()
+    expected = "".join(",".join(cells) + "\r\n" for cells in (
+        [trajectory.columns]
+        + [[format_scalar(c) for c in row] for row in trajectory.rows]))
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 0, err
+    assert out == expected
+    out_path = tmp_path / "rows.csv"
+    code, out, _ = run(capsys, "simulate", *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_bytes() == expected.encode("utf-8")
+
+
+def test_streamed_csv_memory_stays_below_its_size(tmp_path, capsys):
+    # 20001 RK4 rows: streaming must not hold them, nor their text
+    out_path = tmp_path / "rows.csv"
+    argv = ("simulate", "--picture", "time", "--backend", "float",
+            "--state=0.25,-1.75", "--k=1.5", "--y=-1.25", "--range", "0:2",
+            "--step", "0.0001", "--out", str(out_path))
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out_path.stat().st_size
+    assert out_path.read_bytes().count(b"\r\n") == 1 + 20001
+    assert peak < size, (peak, size)
 
 
 def test_simulate_bad_range(capsys):

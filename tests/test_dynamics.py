@@ -18,7 +18,7 @@ from aristotle_orbits.dynamics import (
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
-from aristotle_orbits.orbits import DualElement, invariants
+from aristotle_orbits.orbits import DualElement, coadjoint_printed, invariants
 
 HALF = Fraction(1, 2)
 
@@ -43,6 +43,13 @@ def test_space_flow_frozen_examples():
     mu = DualElement(0, 0, 1, 1, 1)
     assert space_flow(mu, 0) == mu
     assert space_flow(mu, 1) == DualElement(0, Fraction(3, 2), 2, 1, 1)
+
+
+@given(dual_points, small_fractions)
+def test_flows_are_the_printed_action(mu, t):
+    """The closed flows are the printed action with its zero terms dropped."""
+    assert time_flow(mu, t) == coadjoint_printed(0, -t, 0, mu)
+    assert space_flow(mu, t) == coadjoint_printed(-t, 0, 0, mu)
 
 
 @given(dual_points, small_fractions, small_fractions)
@@ -293,12 +300,19 @@ def test_integrator_config_validation():
 
 
 def test_trajectory_rejects_non_increasing_parameter():
-    # a real exception, not an assert, so ``python -O`` keeps the check
-    rows = ((0, 1, 2, 0, 0), (0, 1, 2, 0, 0))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(picture="time", columns=("t", "q", "p", "U", "drift"),
-                   invariant_name="U", method="closed-form", params={},
-                   rows=rows)
+    # a real exception, not an assert, so ``python -O`` keeps the check;
+    # at 1e16 a unit step does not advance the float grid
+    config = IntegratorConfig(step=1.0, start=1e16, stop=1e16 + 4)
+    builds = (
+        lambda: integrate("time", (1, 1), OrbitParams(1, 1), config),
+        lambda: closed_form_trajectory("space", (1.0, 1.0),
+                                       OrbitParams(1.0, 1.0), config),
+        lambda: dual_flow_trajectory(DualElement(1.0, 1, 1, 1, 1), "time",
+                                     config),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build()
 
 
 def test_integrate_zero_length_range():
@@ -383,3 +397,149 @@ def test_trajectory_params_strictly_increasing():
     values = [row[0] for row in traj.rows]
     assert values == sorted(set(values))
     assert values[-1] == 1.0
+
+
+# ------------------------------------ trajectory rows against the formulas
+
+def _reference_float_grid(start, stop, h):
+    """The float grid written out as a list."""
+    if stop == start:
+        return [start]
+    count = int((stop - start) / h + 1e-9)
+    grid = [start + i * h for i in range(count + 1)]
+    if abs(grid[-1] - stop) <= 1e-9 * h:
+        grid[-1] = stop
+    else:
+        grid.append(stop)
+    return grid
+
+
+def _reference_rk4(picture, state, params, grid):
+    """Generic classical RK4 on time_rhs/space_rhs, one row per parameter."""
+    def rhs(s):
+        if picture == "time":
+            return time_rhs(TimeState(q=s[0], p=s[1]), params)
+        return space_rhs(SpaceState(tau=s[0], e=s[1]), params)
+
+    states, prev = [], None
+    for param in grid:
+        if prev is not None:
+            h = param - prev
+            k1 = rhs(state)
+            k2 = rhs(tuple(s + h / 2 * d for s, d in zip(state, k1)))
+            k3 = rhs(tuple(s + h / 2 * d for s, d in zip(state, k2)))
+            k4 = rhs(tuple(s + h * d for s, d in zip(state, k3)))
+            state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
+                          for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+        prev = param
+        states.append(state)
+    return states
+
+
+def _chart_rows(picture, params, grid, states):
+    invariant = chart_invariant_time if picture == "time" \
+        else chart_invariant_space
+    rows = [(param, a, b, invariant(a, b, params))
+            for param, (a, b) in zip(grid, states)]
+    return [row + (abs(row[-1] - rows[0][-1]),) for row in rows]
+
+
+def _dual_rows(picture, mu0, grid):
+    flow = time_flow if picture == "time" else space_flow
+    rows = []
+    for param in grid:
+        mu = flow(mu0, param)
+        rows.append((param, mu.p, mu.e, mu.f, invariants(mu).psi))
+    return [row + (abs(row[-1] - rows[0][-1]),) for row in rows]
+
+
+def _closed_form_states(picture, state0, params, grid, f0):
+    if picture == "time":
+        return [time_closed_form(*state0, params, t) for t in grid]
+    if f0 is None:
+        f0 = params.y * state0[0]
+    return [space_closed_form(*state0, f0, params, x) for x in grid]
+
+
+pictures = st.sampled_from(("time", "space"))
+steps = st.fractions(min_value=Fraction(1, 5), max_value=2, max_denominator=6)
+
+
+@given(pictures, params_st(), small_fractions, small_fractions,
+       small_fractions, steps, st.one_of(st.none(), small_fractions))
+@settings(max_examples=60)
+def test_exact_closed_form_rows_are_the_formulas(picture, params, a0, b0,
+                                                 start, step, f0):
+    if picture == "time":
+        f0 = None
+    config = IntegratorConfig(step=step, start=start, stop=start + 3)
+    traj = closed_form_trajectory(picture, (a0, b0), params, config, f0=f0)
+    grid = [row[0] for row in traj.rows]
+    assert grid[0] == start and grid[-1] == start + 3
+    assert all(b - a == step for a, b in zip(grid, grid[1:-1]))
+    states = _closed_form_states(picture, (a0, b0), params, grid, f0)
+    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+
+
+@given(pictures, dual_points, small_fractions, steps)
+@settings(max_examples=60)
+def test_exact_dual_rows_are_the_flows(picture, mu0, start, step):
+    config = IntegratorConfig(step=step, start=start, stop=start + 3)
+    traj = dual_flow_trajectory(mu0, picture, config)
+    grid = [row[0] for row in traj.rows]
+    assert grid[-1] == start + 3
+    assert list(traj.rows) == _dual_rows(picture, mu0, grid)
+
+
+float_cases = st.tuples(
+    pictures,
+    st.floats(0.25, 4) | st.floats(-4, -0.25),
+    st.floats(0.25, 4) | st.floats(-4, -0.25),
+    st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
+    st.sampled_from((0.1, 0.125, 0.3, 0.001)))
+
+
+@given(float_cases, st.one_of(st.none(), st.floats(-3, 3)))
+@settings(max_examples=40)
+def test_float_closed_form_rows_are_the_formulas(case, f0):
+    picture, k, y, a0, b0, start, h = case
+    if picture == "time":
+        f0 = None
+    params = OrbitParams(k, y)
+    config = IntegratorConfig(step=h, start=start, stop=start + 2)
+    traj = closed_form_trajectory(picture, (a0, b0), params, config, f0=f0)
+    grid = _reference_float_grid(start, start + 2, h)
+    states = _closed_form_states(picture, (a0, b0), params, grid, f0)
+    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+
+
+@given(float_cases, st.floats(-3, 3))
+@settings(max_examples=40)
+def test_float_dual_rows_are_the_flows(case, e0):
+    picture, k, y, p0, f0, start, h = case
+    mu0 = DualElement(p0, e0, f0, k, y)
+    config = IntegratorConfig(step=h, start=start, stop=start + 2)
+    traj = dual_flow_trajectory(mu0, picture, config)
+    grid = _reference_float_grid(start, start + 2, h)
+    assert list(traj.rows) == _dual_rows(picture, mu0, grid)
+
+
+@given(float_cases)
+@settings(max_examples=40)
+def test_rk4_rows_are_the_generic_scheme(case):
+    """Same float operations as classical RK4 written over the rhs."""
+    picture, k, y, a0, b0, start, h = case
+    params = OrbitParams(k, y)
+    config = IntegratorConfig(step=h, start=start, stop=start + 2)
+    traj = integrate(picture, (a0, b0), params, config)
+    grid = _reference_float_grid(start, start + 2, h)
+    states = _reference_rk4(picture, (a0, b0), params, grid)
+    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+
+
+def test_rows_rerun_identically_and_cache():
+    config = IntegratorConfig(step=0.25, start=0, stop=2)
+    traj = integrate("space", (0.5, -1.0), OrbitParams(3, 2), config)
+    assert list(traj.row_factory()) == list(traj.row_factory()) \
+        == list(traj.rows)
+    assert traj.rows is traj.rows
