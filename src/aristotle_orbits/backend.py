@@ -62,14 +62,14 @@ def format_scalar(value: Scalar) -> str:
     """Canonical text form: ``"3/2"``, ``"-2"``, or the float repr."""
     if isinstance(value, float):
         return repr(value)
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def json_scalar(value: Scalar) -> "str | float":
     """JSON form: rationals as strings (exact), floats as numbers."""
     if isinstance(value, float):
         return value
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def is_float_backed(*values: Scalar) -> bool:

@@ -228,15 +228,19 @@ def _cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _parse_flag(text: str, backend: str, flag: str):
+    try:
+        return parse_scalar(text, backend)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{flag}: {exc}") from exc
+
+
 def _parse_range(text: str, backend: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
         raise InputFormatError(f"--range: expected A:B, got {text!r}")
-    try:
-        return (parse_scalar(parts[0].strip(), backend),
-                parse_scalar(parts[1].strip(), backend))
-    except InputFormatError as exc:
-        raise InputFormatError(f"--range: {exc}") from exc
+    return tuple(_parse_flag(part.strip(), backend, "--range")
+                 for part in parts)
 
 
 def _trajectory_payload(trajectory: Trajectory) -> dict:
@@ -253,7 +257,7 @@ def _trajectory_payload(trajectory: Trajectory) -> dict:
 
 def _cmd_simulate(args) -> int:
     start, stop = _parse_range(args.range, args.backend)
-    step = parse_scalar(args.step, args.backend)
+    step = _parse_flag(args.step, args.backend, "--step")
     try:
         config = IntegratorConfig(step=step, start=start, stop=stop)
     except ValueError as exc:
@@ -274,11 +278,11 @@ def _cmd_simulate(args) -> int:
             raise InputFormatError(
                 "simulate needs --state, --k and --y (or --dual with --mu)")
         state = _parse_fields(args.state, 2, args.backend, "--state")
-        params = OrbitParams(parse_scalar(args.k, args.backend),
-                             parse_scalar(args.y, args.backend))
+        params = OrbitParams(_parse_flag(args.k, args.backend, "--k"),
+                             _parse_flag(args.y, args.backend, "--y"))
         if args.closed_form:
-            f0 = None if args.f0 is None else parse_scalar(args.f0,
-                                                           args.backend)
+            f0 = None if args.f0 is None else _parse_flag(args.f0,
+                                                          args.backend, "--f0")
             trajectory = closed_form_trajectory(args.picture, state, params,
                                                 config, f0=f0)
         else:

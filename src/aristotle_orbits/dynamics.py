@@ -18,6 +18,9 @@ action ``coadjoint_printed`` by the tests and by ``verify``.
 
 Every trajectory (RK4, closed form, dual flow) comes from one row
 generator over a lazy grid, so rows can be written as they are produced.
+Exact rows past the first three are tabulated by integer forward
+differences, every column being quadratic in the grid index, and the
+tabulation is checked against the sampler before any row is produced.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -27,11 +30,12 @@ instant; they exist for the errata engine, not for simulation.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from .backend import InputFormatError, Scalar, exact_div, is_float_backed
@@ -180,16 +184,6 @@ def space_closed_form(tau0: Scalar, e0: Scalar, f0: Scalar,
     return (tau, e)
 
 
-def potential_momentum(f0: Scalar, params: OrbitParams, t: Scalar) -> Scalar:
-    """Impulse accumulated by time t: -f0 t + y t^2/2."""
-    return -f0 * t + HALF * params.y * t * t
-
-
-def potential_energy(f0: Scalar, params: OrbitParams, x: Scalar) -> Scalar:
-    """Work accumulated over x: f0 x + k x^2/2."""
-    return f0 * x + HALF * params.k * x * x
-
-
 # -------------------------------------------------------- right-hand sides
 
 def time_rhs(state: TimeState, params: OrbitParams) -> tuple:
@@ -219,11 +213,6 @@ def space_rhs_printed(state: SpaceState, params: OrbitParams) -> tuple:
     """
     w = params.y * state.x
     return (params.s, params.y * state.tau + w * params.s)
-
-
-def scalar_coefficients(t_or_x: Scalar, params: OrbitParams) -> tuple:
-    """(c, W) = (k * arg, y * arg): damping coefficient and power."""
-    return (params.k * t_or_x, params.y * t_or_x)
 
 
 # ------------------------------------------------------------ Hamiltonians
@@ -301,19 +290,59 @@ def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
     return grid
 
 
-def _exact_grid(config: IntegratorConfig) -> Callable[[], Iterator]:
-    """Rational grid on the same spacing; decimal steps are read exactly."""
+def _exact_rows(config: IntegratorConfig, sample: Callable,
+                invariant: Callable) -> Callable[[], Iterator]:
+    """Exact rows on start + i*step for i < n = ceil((stop - start)/step),
+    then stop; decimal steps are read exactly.
+
+    The first three rows and the last come from ``sample``.  Every column
+    is a polynomial of degree <= 2 in i, so the others are tabulated by
+    forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator per
+    column, numerators advanced by two integer additions per row.  The
+    tabulation is checked against ``sample`` at i = n-1 before any row.
+    """
     step = Fraction(repr(config.step)) if isinstance(config.step, float) \
         else Fraction(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
+    n = math.ceil((stop - start) / step)
+    *head, last = _rows([start + i * step for i in range(min(n, 3))] + [stop],
+                        sample, invariant)
+    if n <= 3:
+        return lambda: iter((*head, last))
+    # per column (param, coords, invariant): denominator, N0, dN, d2N
+    tables = []
+    for values in list(zip(*head))[:-1]:
+        den = math.lcm(*(value.denominator for value in values))
+        n0, n1, n2 = (value.numerator * (den // value.denominator)
+                      for value in values)
+        tables.append((den, n0, n1 - n0, n2 - 2 * n1 + n0))
+    reference = next(_rows([start + (n - 1) * step], sample, invariant))
+    if any(next(_newton(n0, d1, d2, n - 1)) != value * den
+           for (den, n0, d1, d2), value in zip(tables, reference)):
+        raise ArithmeticError(
+            f"forward differences disagree with the sampler at "
+            f"{reference[0]}: the rows are not quadratic in the parameter")
+    den, _, d1, d2 = tables[-1]
+    tables.append((den, 0, d1, d2, abs))  # drift |N - N0| / den
 
-    def grid():
-        param = start
-        while param < stop:
-            yield param
-            param += step
-        yield stop
-    return grid
+    def rows():
+        columns = (_column(*table) for table in tables)
+        return chain(head, islice(zip(*columns), n - 3), (last,))
+    return rows
+
+
+def _newton(n0: int, d1: int, d2: int, i: int) -> Iterator[int]:
+    """n0 + j*d1 + C(j, 2)*d2 for j = i, i+1, ..., two additions each."""
+    return accumulate(accumulate(repeat(d2), initial=d1 + i * d2),
+                      initial=n0 + i * d1 + i * (i - 1) // 2 * d2)
+
+
+def _column(den: int, n0: int, d1: int, d2: int,
+            op: Callable = operator.pos) -> Iterator[Fraction]:
+    """op(n0 + j*d1 + C(j, 2)*d2) / den for j = 3, 4, ..."""
+    if d1 == d2 == 0:
+        return repeat(Fraction(op(n0), den))
+    return map(Fraction, map(op, _newton(n0, d1, d2, 3)), repeat(den))
 
 
 def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
@@ -325,6 +354,14 @@ def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
         if inv0 is None:
             inv0 = inv
         yield (param, *coords, inv, abs(inv - inv0))
+
+
+def _sampled_rows(grid: Optional[Callable], config: IntegratorConfig,
+                  sample: Callable, invariant: Callable) -> Callable:
+    """Row factory over a checked float grid, or exact when grid is None."""
+    if grid is None:
+        return _exact_rows(config, sample, invariant)
+    return lambda: _rows(grid(), sample, invariant)
 
 
 def _rk4(state0: Sequence[float], rate: float, gain: float) -> Callable:
@@ -409,14 +446,14 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
     """
     _check_picture(picture)
     config = config or IntegratorConfig()
-    if is_float_backed(*state0, params.k, params.y):
+    if is_float_backed(*state0, params.k, params.y, f0):
         params = OrbitParams(float(params.k), float(params.y))
         state0 = tuple(float(c) for c in state0)
         grid = _float_grid(config)
         if f0 is not None:
             f0 = float(f0)
     else:
-        grid = _exact_grid(config)
+        grid = None
     invariant = _chart_invariant(picture, params)
     a0, b0 = state0
     if picture == "time":
@@ -432,7 +469,7 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
         def sample(x):
             return a0 + s * x, b0 + f0 * x + half_k * x * x
     return _trajectory(picture, "closed-form", params.k, params.y,
-                       lambda: _rows(grid(), sample, invariant))
+                       _sampled_rows(grid, config, sample, invariant))
 
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
@@ -450,7 +487,7 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
         coords = tuple(float(c) for c in coords)
         grid = _float_grid(config)
     else:
-        grid = _exact_grid(config)
+        grid = None
     p0, e0, f0, k, y = coords
     if picture == "time":
         half_y, ke = HALF * y, 2 * k * e0
@@ -469,4 +506,4 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
         def psi(p, e, f):
             return 2 * k * e - f * f + py
     return _trajectory(f"dual-{picture}", "closed-form", k, y,
-                       lambda: _rows(grid(), sample, psi))
+                       _sampled_rows(grid, config, sample, psi))

@@ -12,6 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import aristotle_orbits
+from aristotle_orbits import dynamics
 from aristotle_orbits.backend import format_scalar
 from aristotle_orbits.cli import main
 from aristotle_orbits.dynamics import (
@@ -269,6 +270,36 @@ def test_simulate_non_finite_input_is_input_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("backend", ("rational", "float"))
+@pytest.mark.parametrize("flag, value", [
+    ("--k", "inf"), ("--y", "nan"), ("--step", "abc"), ("--f0", "x"),
+])
+def test_simulate_scalar_flag_errors_name_the_flag(capsys, backend, flag,
+                                                   value):
+    argv = {"--k": "1", "--y": "1", "--step": "0.5", "--f0": "1"}
+    argv[flag] = value
+    code, out, err = run(capsys, "simulate", "--picture", "space",
+                         "--closed-form", "--backend", backend,
+                         "--state=1,1", "--range", "0:1",
+                         *(f"{name}={text}" for name, text in argv.items()))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        f"aristotle-orbits: error: {flag}: cannot parse scalar {value!r}")
+
+
+def test_simulate_non_quadratic_rows_fail_before_output(capsys, monkeypatch):
+    # a cubic invariant cannot be tabulated by second differences
+    monkeypatch.setattr(dynamics, "_chart_invariant",
+                        lambda picture, params: lambda a, b: a * a * a)
+    code, out, err = run(capsys, "simulate", "--picture", "time",
+                         "--closed-form", "--state=1,1", "--k=1", "--y=1",
+                         "--range", "0:2", "--step", "0.25")
+    assert code == 2
+    assert out == ""
+    assert "not quadratic" in err
 
 
 NON_ADVANCING = ("simulate", "--picture", "time", "--backend", "float",

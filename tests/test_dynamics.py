@@ -12,12 +12,11 @@ from aristotle_orbits.dynamics import (
     chart_invariant_space, chart_invariant_time,
     closed_form_trajectory, dual_flow_trajectory,
     hamiltonian_space, hamiltonian_time, integrate,
-    potential_energy, potential_momentum,
     Trajectory, realization_space, realization_time,
-    scalar_coefficients,
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
+from aristotle_orbits.dynamics import _exact_rows
 from aristotle_orbits.orbits import DualElement, coadjoint_printed, invariants
 
 HALF = Fraction(1, 2)
@@ -154,10 +153,12 @@ def test_potential_forms_build_the_closed_forms():
     params = OrbitParams(Fraction(2), Fraction(3))
     q0, p0, t = Fraction(1), Fraction(5), Fraction(7)
     _, p = time_closed_form(q0, p0, params, t)
-    assert p == p0 + potential_momentum(params.k * q0, params, t)
+    # impulse accumulated by time t: -f0 t + y t^2/2 with f0 = k q0
+    assert p == p0 - params.k * q0 * t + HALF * params.y * t * t
     e0, f0, x = Fraction(5), Fraction(4), Fraction(7)
     _, e = space_closed_form(0, e0, f0, params, x)
-    assert e == e0 + potential_energy(f0, params, x)
+    # work accumulated over x: f0 x + k x^2/2
+    assert e == e0 + f0 * x + HALF * params.k * x * x
 
 
 # -------------------------------------------------------- right-hand sides
@@ -279,11 +280,6 @@ def test_realization_time_restricted_to_time_axis(params, q0, p0, t):
 @given(params_st(), small_fractions, small_fractions, small_fractions)
 def test_realization_space_time_axis_shifts_tau_only(params, tau0, e0, t):
     assert realization_space(0, t, 0, (e0, tau0), params) == (e0, tau0 - t)
-
-
-def test_scalar_coefficients():
-    assert scalar_coefficients(0, OrbitParams(3, 5)) == (0, 0)
-    assert scalar_coefficients(2, OrbitParams(3, 5)) == (6, 10)
 
 
 # -------------------------------------------------------------- integrator
@@ -489,6 +485,86 @@ def test_exact_dual_rows_are_the_flows(picture, mu0, start, step):
     grid = [row[0] for row in traj.rows]
     assert grid[-1] == start + 3
     assert list(traj.rows) == _dual_rows(picture, mu0, grid)
+
+
+# ------------------- exact rows tabulated by differences, past the head
+
+def _reference_exact_grid(start, stop, step):
+    """start, start+step, ... while below stop, then stop itself."""
+    grid, param = [], start
+    while param < stop:
+        grid.append(param)
+        param += step
+    return grid + [stop]
+
+
+def _exact_cases(picture, start, stop, step, state0, params, f0, mu0):
+    """(trajectory, expected rows) for the three exact trajectories."""
+    config = IntegratorConfig(step=step, start=start, stop=stop)
+    grid = _reference_exact_grid(start, stop, step)
+    states = _closed_form_states(picture, state0, params, grid, None)
+    cases = [
+        (closed_form_trajectory(picture, state0, params, config),
+         _chart_rows(picture, params, grid, states)),
+        (dual_flow_trajectory(mu0, picture, config),
+         _dual_rows(picture, mu0, grid)),
+    ]
+    if picture == "space":
+        states = _closed_form_states(picture, state0, params, grid, f0)
+        cases.append(
+            (closed_form_trajectory(picture, state0, params, config, f0=f0),
+             _chart_rows(picture, params, grid, states)))
+    return cases
+
+
+long_steps = st.fractions(min_value=Fraction(1, 10), max_value=1,
+                          max_denominator=10)
+lattice_offsets = st.just(Fraction(0)) | st.fractions(
+    min_value=0, max_value=1, max_denominator=7).filter(lambda f: f < 1)
+
+
+@given(pictures, params_st(), small_fractions, small_fractions,
+       small_fractions, dual_points, small_fractions, long_steps,
+       st.integers(0, 60), lattice_offsets)
+@settings(max_examples=80, deadline=None)
+def test_exact_rows_past_the_head_are_the_formulas(
+        picture, params, a0, b0, f0, mu0, start, step, count, offset):
+    # stop on the lattice (offset 0) or between two of its points
+    stop = start + (count + offset) * step
+    for traj, expected in _exact_cases(picture, start, stop, step,
+                                       (a0, b0), params, f0, mu0):
+        rows = list(traj.rows)
+        assert rows == expected
+        assert all(type(c) is Fraction for row in rows for c in row)
+
+
+@pytest.mark.parametrize("picture", ("time", "space"))
+@pytest.mark.parametrize("count", range(5))
+@pytest.mark.parametrize("offset", (Fraction(0), Fraction(2, 3)))
+def test_exact_rows_at_each_head_length(picture, count, offset):
+    start, step = Fraction(-7, 3), Fraction(1, 2)
+    stop = start + (count + offset) * step
+    params = OrbitParams(Fraction(3, 2), Fraction(-5, 4))
+    mu0 = DualElement(Fraction(1, 4), Fraction(-3, 4), Fraction(7, 4),
+                      params.k, params.y)
+    for traj, expected in _exact_cases(picture, start, stop, step,
+                                       (Fraction(-3, 4), Fraction(5, 4)),
+                                       params, Fraction(3, 7), mu0):
+        assert len(expected) == count + (2 if offset else 1)
+        assert list(traj.rows) == expected
+
+
+def test_difference_guard_rejects_a_cubic_sampler():
+    config = IntegratorConfig(step=Fraction(1, 3), start=-1, stop=2)
+    with pytest.raises(ArithmeticError, match="not quadratic"):
+        _exact_rows(config, lambda t: (t, t * t * t), lambda a, b: a)
+    with pytest.raises(ArithmeticError, match="not quadratic"):
+        _exact_rows(config, lambda t: (t, t * t), lambda a, b: a * b)
+    # three lattice points are sampled, not tabulated: nothing to check
+    short = IntegratorConfig(step=1, start=0, stop=3)
+    rows = list(_exact_rows(short, lambda t: (t, t * t * t),
+                            lambda a, b: b)())
+    assert [row[2] for row in rows] == [0, 1, 8, 27]
 
 
 float_cases = st.tuples(

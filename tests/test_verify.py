@@ -1,5 +1,7 @@
 """Verification suite: registry shape, mutation teeth, determinism."""
 
+import tracemalloc
+
 import pytest
 
 from aristotle_orbits.verify import (
@@ -88,3 +90,16 @@ def test_render_text(report):
     assert "[FAIL] jacobi" in mutated
     assert "mutation: Eq2.4" in mutated
     assert mutated.endswith("FAILURES PRESENT")
+
+
+def test_integrator_check_streams_its_rows():
+    # 4 RK4 trajectories of 10001 rows; held in memory they peak at ~2 MiB
+    check = dict(CHECKS)["integrator-tolerance"]  # draws no samples
+    tracemalloc.start()
+    try:
+        passed, _ = check(None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 0.5 * 2 ** 20, peak
