@@ -1,33 +1,24 @@
-"""Reconstruct the group law as explicit polynomials, then audit the text.
+"""Read the group law off as explicit polynomials, then audit the text.
 
-Step-3 nilpotency bounds every coordinate of the product g*h by total
-degree 3 in the ten input coordinates, so the law is recoverable from
-finitely many evaluations with no symbolic machinery.  The reconstruction
-uses iterated forward differences on the integer simplex:
+The law's coordinates are polynomials in the ten input coordinates
+(total degree at most 3, the algebra being step-3 nilpotent), and the
+kernel needs only ``+ - *``.  Composing two group elements whose
+coordinates are indeterminates (``poly.Poly``) therefore returns the
+coefficient table itself: nothing is interpolated or sampled.
 
-    for |alpha| = 3,  Delta^alpha f(0) = alpha! * c_alpha,
-
-and lower-degree coefficients follow after subtracting the already-known
-higher monomials through the Stirling expansion of Delta^alpha on powers.
-Every evaluation point has at most three nonzero coordinates, so the
-whole table costs 286 product evaluations.
-
-The command line reconstructs the BCH derivation ``compose_bch``, compares
-it monomial by monomial with the law printed in the source text, and
-verifies it against the closed ``compose`` on fresh random points.
+The command line reads off the BCH derivation ``compose_bch`` and the
+law printed in the source text, compares them monomial by monomial, and
+checks the table independently against the closed ``compose`` on fresh
+random points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
 
+from . import poly
 from .lie_core import GroupElement, compose, compose_printed
 from .rng import SplitMix64
-
-NUM_VARS = 10
-DEGREE = 3
 
 # input coordinate names in evaluation order: first factor, then second
 VARIABLES = ("x", "t", "zeta", "a", "b", "x'", "t'", "zeta'", "a'", "b'")
@@ -35,118 +26,38 @@ VARIABLES = ("x", "t", "zeta", "a", "b", "x'", "t'", "zeta'", "a'", "b'")
 OUTPUT_NAMES = ("x''", "t''", "zeta''", "a''", "b''")
 
 
-def _exponent_vectors(degree: int = DEGREE) -> list:
-    """All exponent 10-vectors of total degree <= degree, graded order."""
-    out = [(0,) * NUM_VARS]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(NUM_VARS), d):
-            alpha = [0] * NUM_VARS
-            for idx in combo:
-                alpha[idx] += 1
-            out.append(tuple(alpha))
-    return out
-
-
 def monomial_name(alpha: tuple) -> str:
     """Readable form like "x^2*t'"; the empty product is "1"."""
-    parts = []
-    for name, power in zip(VARIABLES, alpha):
-        if power == 1:
-            parts.append(name)
-        elif power > 1:
-            parts.append(f"{name}^{power}")
-    return "*".join(parts) if parts else "1"
+    return poly.monomial_name(alpha, VARIABLES)
 
 
-def _stirling2(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = 0
-    for j in range(k + 1):
-        total += (-1) ** (k - j) * comb(k, j) * j ** n
-    return total // factorial(k)
-
-
-def _box_points(alpha: tuple):
-    """Integer points beta <= alpha componentwise."""
-    support = [i for i, a in enumerate(alpha) if a]
-    def rec(pos, current):
-        if pos == len(support):
-            yield tuple(current)
-            return
-        i = support[pos]
-        for value in range(alpha[i] + 1):
-            current[i] = value
-            yield from rec(pos + 1, current)
-        current[i] = 0
-    yield from rec(0, [0] * NUM_VARS)
-
-
-def _evaluate_law(law, point: tuple) -> tuple:
-    g = GroupElement.from_seq([Fraction(c) for c in point[:5]])
-    h = GroupElement.from_seq([Fraction(c) for c in point[5:]])
-    return law(g, h).as_tuple()
+def _evaluate_law(law, point) -> tuple:
+    return law(GroupElement.from_seq(point[:5]),
+               GroupElement.from_seq(point[5:])).as_tuple()
 
 
 def reconstruct_law(law=compose) -> dict:
-    """{output name: {exponent vector: coefficient}} for any degree<=3 law."""
-    exponents = _exponent_vectors()
-    # one product evaluation per simplex point serves all five outputs
-    values = {}
-    for alpha in exponents:
-        for beta in _box_points(alpha):
-            if beta not in values:
-                values[beta] = _evaluate_law(law, beta)
-
-    coeffs = [dict() for _ in OUTPUT_NAMES]
-    for alpha in sorted(exponents, key=sum, reverse=True):
-        weight = sum(alpha)
-        alpha_factorial = 1
-        for a in alpha:
-            alpha_factorial *= factorial(a)
-        for out in range(len(OUTPUT_NAMES)):
-            delta = Fraction(0)
-            for beta in _box_points(alpha):
-                sign = (-1) ** (weight - sum(beta))
-                binom = 1
-                for a, b in zip(alpha, beta):
-                    binom *= comb(a, b)
-                delta += sign * binom * values[beta][out]
-            # strip contributions of already-known higher monomials
-            for gamma, c in coeffs[out].items():
-                if sum(gamma) <= weight or any(g < a for g, a in zip(gamma, alpha)):
-                    continue
-                shift = c
-                for g, a in zip(gamma, alpha):
-                    shift *= factorial(a) * _stirling2(g, a)
-                delta -= shift
-            value = delta / alpha_factorial
-            if value != 0:
-                coeffs[out][alpha] = value
-    return dict(zip(OUTPUT_NAMES, coeffs))
+    """{output name: {exponent vector: coefficient}}: ``law`` on indeterminates."""
+    product = _evaluate_law(law, poly.indeterminates(VARIABLES))
+    return {name: c.terms for name, c in zip(OUTPUT_NAMES, product)}
 
 
-def evaluate_polynomial(poly: dict, point: tuple):
-    total = Fraction(0)
-    for alpha, coeff in poly.items():
-        term = coeff
-        for value, power in zip(point, alpha):
-            for _ in range(power):
-                term *= value
-        total += term
-    return total
+def evaluate_polynomial(terms: dict, point: tuple):
+    """The value of one coefficient table at a 10-coordinate point."""
+    return poly.Poly(terms, VARIABLES).evaluate(point)
 
 
-def verify_reconstruction(polys: dict, samples: int = 1000, seed: int = 0) -> int:
-    """Exact agreement with `compose` on fresh random rational points.
+def verify_reconstruction(polys: dict, samples: int = 1000, seed: int = 0,
+                          law=compose) -> int:
+    """Exact agreement with ``law`` on fresh random rational points.
 
     Returns the number of points checked; raises on the first mismatch
-    (which would mean the degree bound or the difference engine is wrong).
+    (which would mean the read-off or the polynomial scalar is wrong).
     """
     rng = SplitMix64(seed)
     for i in range(samples):
-        point = tuple(rng.rational() for _ in range(NUM_VARS))
-        expected = _evaluate_law(compose, point)
+        point = rng.rationals(len(VARIABLES))
+        expected = _evaluate_law(law, point)
         for idx, name in enumerate(OUTPUT_NAMES):
             got = evaluate_polynomial(polys[name], point)
             if got != expected[idx]:
@@ -157,11 +68,10 @@ def verify_reconstruction(polys: dict, samples: int = 1000, seed: int = 0) -> in
 
 
 def printed_law_polynomials() -> dict:
-    """The text's multiplication law, reconstructed the same way.
+    """The text's multiplication law, read off the same way.
 
-    Running the identical difference engine on the transcribed law keeps
-    the comparison symmetric: both sides are monomial tables produced by
-    one algorithm.
+    Both sides of the comparison are monomial tables produced by one
+    read-off, which keeps it symmetric.
     """
     return reconstruct_law(compose_printed)
 

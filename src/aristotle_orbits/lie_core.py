@@ -197,15 +197,6 @@ class AdjointMatrix:
         """Apply the transpose to a dual-coordinate vector (used by Ad*)."""
         return linalg.mat_vec(linalg.transpose(self.rows), covector)
 
-    def det(self) -> Scalar:
-        return linalg.det(self.rows)
-
-    def unipotence_defect(self) -> Scalar:
-        """Max entry of (M - I)^3; zero for genuine adjoint matrices."""
-        n = linalg.mat_sub(self.rows, linalg.identity(DIM))
-        cubed = linalg.mat_pow(n, 3)
-        return max(abs(x) for row in cubed for x in row)
-
 
 def ad(a: AlgebraElement, tensor: StructureTensor = DEFAULT_TENSOR) -> AdjointMatrix:
     """Matrix of bracket(a, .) in the fixed basis; nilpotent of index <= 3."""

@@ -44,27 +44,6 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return out
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by exact elimination over Fractions."""
-    n = len(a)
-    rows = [[Fraction(x) for x in r] for r in a]
-    sign, result = 1, Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            factor = rows[r][col] / p
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return result * sign
-
-
 def rank(a: Matrix) -> int:
     """Exact row rank by fraction-free (Bareiss) elimination.
 

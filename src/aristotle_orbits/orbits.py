@@ -9,8 +9,8 @@ Two implementations of the action are provided.  ``coadjoint`` is the
 canonical one, mu . Ad_{g^-1}, computed from the group-level adjoint
 matrices, so it is correct by construction for the derived group law.
 ``coadjoint_printed`` transcribes the closed formulas of the source text.
-Both were compared empirically point by point; they agree identically,
-which is recorded in ``PRINTED_ACTION_CONVENTION`` and pinned by a test.
+``verify`` proves on indeterminates that they are one polynomial map, as
+``PRINTED_ACTION_CONVENTION`` records.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
 HALF = Fraction(1, 2)
 
 # How coadjoint(g, mu) relates to coadjoint_printed(g.x, g.t, g.zeta, mu):
-# they coincide with no inversion and no sign flips.  Determined by
-# evaluating both on random points before freezing, and kept as data so
+# they coincide with no inversion and no sign flips, an identity proved on
+# indeterminates by verify's coadjoint-action-laws check.  Kept as data so
 # downstream reports can cite it.
 PRINTED_ACTION_CONVENTION = "identity"
 

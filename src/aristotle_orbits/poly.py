@@ -1,0 +1,98 @@
+"""Sparse polynomials with exact rational coefficients, used as a scalar.
+
+``Poly`` has ``+ - * ==`` with itself and with ``int``/``Fraction`` on
+either side, so the group law, ``Ad`` and the coadjoint action run on it
+unchanged.  On indeterminates they return their own coefficients, and an
+identity holds for every input iff its residual is the zero polynomial.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
+
+
+def monomial_name(alpha: tuple, names) -> str:
+    """Readable form like "x^2*t'"; the empty product is "1"."""
+    return "*".join(name if power == 1 else f"{name}^{power}"
+                    for name, power in zip(names, alpha) if power) or "1"
+
+
+class Poly:
+    """{exponent tuple: nonzero Fraction} over the variables ``names``."""
+
+    __slots__ = ("terms", "names")
+    __hash__ = None
+
+    def __init__(self, terms: dict, names: tuple):
+        self.terms, self.names = terms, names
+
+    def _lift(self, other):
+        """``other`` as a polynomial, or None if it is no exact scalar."""
+        if isinstance(other, (int, Fraction)):
+            zero = (0,) * len(self.names)
+            return Poly({zero: Fraction(other)} if other else {}, self.names)
+        return other if isinstance(other, Poly) else None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for alpha, coeff in other.terms.items():
+            terms[alpha] = terms.get(alpha, 0) + coeff
+        return Poly({a: c for a, c in terms.items() if c}, self.names)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        terms = {}
+        for alpha, a in self.terms.items():
+            for beta, b in other.terms.items():
+                gamma = tuple(map(add, alpha, beta))
+                terms[gamma] = terms.get(gamma, 0) + a * b
+        return Poly({g: c for g, c in terms.items() if c}, self.names)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def evaluate(self, point) -> Fraction:
+        """The value at ``point``, one scalar per variable."""
+        total = Fraction(0)
+        for alpha, coeff in self.terms.items():
+            for value, power in zip(point, alpha):
+                if power:
+                    coeff *= value ** power
+            total += coeff
+        return total
+
+    def __str__(self) -> str:
+        text = ""
+        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
+            coeff, name = self.terms[alpha], monomial_name(alpha, self.names)
+            body = (str(abs(coeff)) if name == "1" else name if abs(coeff) == 1
+                    else f"{abs(coeff)}*{name}")
+            text += (" - " if coeff < 0 else " + ") + body
+        return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+
+    __repr__ = __str__
+
+
+def indeterminates(names) -> tuple:
+    """One polynomial per name: the variables themselves."""
+    names = tuple(names)
+    return tuple(Poly({tuple(int(i == j) for j in range(len(names))):
+                       Fraction(1)}, names) for i in range(len(names)))

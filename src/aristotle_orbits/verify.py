@@ -1,9 +1,10 @@
 """Self-verification suite: every structural claim the package rests on.
 
-Each check draws its own samples from a shared counter-based generator,
-so a (seed, samples) pair fully determines the report.  All checks run in
-exact rational arithmetic; a failure is a genuine counterexample, not a
-tolerance artifact.
+The four group-law checks run the kernel on indeterminates and prove
+their identities for every input.  The others draw their own samples from
+a shared counter-based generator, so a (seed, samples) pair fully
+determines the report.  All arithmetic is exact; a failure is a genuine
+counterexample, not a tolerance artifact.
 
 ``MUTATIONS`` holds deliberately broken structure tensors for exercising
 the suite's teeth: running under a mutation must flip the algebra checks
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import product, repeat
+from operator import mul
 from typing import Callable, Optional
 
-from . import linalg
+from . import linalg, poly
 from .backend import rel_err
 from .dynamics import (
     IntegratorConfig, OrbitParams, SpaceState, TimeState,
@@ -86,70 +89,83 @@ def _check_nilpotency(ctx: _Context):
     return worst == 0, f"{DIM ** 4} nested 4-letter brackets, max norm {worst}"
 
 
-def _check_associativity(ctx: _Context):
-    failures = 0
-    for i in range(ctx.samples):
-        g, h, w = ctx.group(), ctx.group(), ctx.group()
-        if compose(compose(g, h), w) != compose(g, compose(h, w)):
-            failures += 1
-        elif i < ctx.heavy and compose(g, h) != compose_bch(g, h):
-            failures += 1
-    return failures == 0, f"{ctx.samples} random triples, {failures} failures"
+def _symbols() -> tuple:
+    """g, h, w and mu whose coordinates are 20 indeterminates."""
+    v = poly.indeterminates([name + prime for prime in ("", "'", "''")
+                             for name in ("x", "t", "zeta", "a", "b")]
+                            + ["p", "e", "f", "k", "y"])
+    return (GroupElement.from_seq(v[:5]), GroupElement.from_seq(v[5:10]),
+            GroupElement.from_seq(v[10:15]), DualElement.from_seq(v[15:]))
 
 
-def _check_group_axioms(ctx: _Context):
-    e = GroupElement.identity()
-    failures = 0
-    for _ in range(ctx.samples):
-        g = ctx.group()
-        if compose(e, g) != g or compose(g, e) != g:
-            failures += 1
-            continue
-        gi = inverse(g)
-        if compose(g, gi) != e or compose(gi, g) != e:
-            failures += 1
-    return failures == 0, f"{ctx.samples} elements, {failures} failures"
+def _components(side) -> tuple:
+    """Coordinates of a group or dual element; other sides are sequences."""
+    is_element = isinstance(side, (GroupElement, DualElement))
+    return side.as_tuple() if is_element else side
 
 
-def _check_adjoint(ctx: _Context):
-    failures = 0
-    for _ in range(ctx.heavy):
-        g, h = ctx.group(), ctx.group()
-        if adjoint_of_group(compose(g, h)) != adjoint_of_group(g) @ adjoint_of_group(h):
-            failures += 1
-            continue
-        m = adjoint_of_group(g)
-        if m.unipotence_defect() != 0 or m.det() != 1:
-            failures += 1
-    return failures == 0, (f"{ctx.heavy} homomorphism/unipotence/det checks, "
-                           f"{failures} failures")
+def _prove(*identities) -> tuple:
+    """Pass iff each (name, lhs, rhs) has a zero residual in every component.
+
+    On the indeterminates of ``_symbols`` a zero residual proves the
+    identity for all inputs; a nonzero one is the counterexample itself.
+    """
+    for name, lhs, rhs in identities:
+        for index, (left, right) in enumerate(zip(_components(lhs),
+                                                  _components(rhs))):
+            if left - right != 0:
+                return False, (f"{name} fails: component {index} has "
+                               f"residual {left - right}")
+    return True, "proved on indeterminates: " + "; ".join(
+        name for name, _lhs, _rhs in identities)
 
 
-def _check_coadjoint_action(ctx: _Context):
-    failures = 0
-    # printed closed form: left action over the first-extension law
-    for _ in range(ctx.samples):
-        mu = ctx.dual()
-        x1, t1, z1, x2, t2, z2 = ctx.rng.rationals(6)
-        stepwise = coadjoint_printed(x2, t2, z2,
-                                     coadjoint_printed(x1, t1, z1, mu))
-        merged = coadjoint_printed(x1 + x2, t1 + t2, z1 + z2 + x2 * t1, mu)
-        if stepwise != merged:
-            failures += 1
-    # derived action: homomorphism, center-triviality, printed agreement
-    for _ in range(ctx.heavy):
-        g, h, mu = ctx.group(), ctx.group(), ctx.dual()
-        if coadjoint(compose(g, h), mu) != coadjoint(g, coadjoint(h, mu)):
-            failures += 1
-            continue
-        central = GroupElement(0, 0, 0, ctx.rng.rational(), ctx.rng.rational())
-        if coadjoint(central, mu) != mu:
-            failures += 1
-            continue
-        if coadjoint(g, mu) != coadjoint_printed(g.x, g.t, g.zeta, mu):
-            failures += 1
-    return failures == 0, (f"{ctx.samples} printed-law + {ctx.heavy} derived "
-                           f"checks, {failures} failures")
+def _check_associativity(_ctx: _Context):
+    g, h, w, _mu = _symbols()
+    return _prove(
+        ("(g*h)*w = g*(h*w)", compose(compose(g, h), w),
+         compose(g, compose(h, w))),
+        ("compose = compose_bch", compose(g, h), compose_bch(g, h)))
+
+
+def _check_group_axioms(_ctx: _Context):
+    g = _symbols()[0]
+    e, gi = GroupElement.identity(), inverse(g)
+    return _prove(("e*g = g", compose(e, g), g), ("g*e = g", compose(g, e), g),
+                  ("g*g^-1 = e", compose(g, gi), e),
+                  ("g^-1*g = e", compose(gi, g), e))
+
+
+def _check_adjoint(_ctx: _Context):
+    g, h, _w, _mu = _symbols()
+    m = adjoint_of_group(g).rows
+    cube = linalg.mat_pow(linalg.mat_sub(m, linalg.identity(DIM)), 3)
+    # Ad(g) is lower triangular: det = 1 is a zero upper triangle and a
+    # diagonal product of 1
+    upper = [m[i][j] for i in range(DIM) for j in range(i + 1, DIM)]
+    return _prove(
+        ("Ad(g*h) = Ad(g) Ad(h)", sum(adjoint_of_group(compose(g, h)).rows, ()),
+         sum((adjoint_of_group(g) @ adjoint_of_group(h)).rows, ())),
+        ("(Ad(g) - I)^3 = 0", sum(cube, ()), repeat(0)),
+        ("det Ad(g) = 1", upper + [reduce(mul, (m[i][i] for i in range(DIM)))],
+         [0] * len(upper) + [1]))
+
+
+def _check_coadjoint_action(_ctx: _Context):
+    g, h, _w, mu = _symbols()
+    return _prove(
+        # a left action over the first-extension law on (x, t, zeta)
+        ("coadjoint_printed is a left action",
+         coadjoint_printed(h.x, h.t, h.zeta,
+                           coadjoint_printed(g.x, g.t, g.zeta, mu)),
+         coadjoint_printed(g.x + h.x, g.t + h.t, g.zeta + h.zeta + h.x * g.t,
+                           mu)),
+        ("coadjoint is a left action", coadjoint(compose(g, h), mu),
+         coadjoint(g, coadjoint(h, mu))),
+        ("the center acts trivially",
+         coadjoint(GroupElement(0, 0, 0, g.a, g.b), mu), mu),
+        ("coadjoint = coadjoint_printed", coadjoint(g, mu),
+         coadjoint_printed(g.x, g.t, g.zeta, mu)))
 
 
 def _check_invariant_preservation(ctx: _Context):

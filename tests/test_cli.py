@@ -157,6 +157,30 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend,
     assert "entry 1" in err
 
 
+NON_FINITE_JSON = [
+    ("classify", "--backend", "float", "1e200,1e200,1e200,1e200,1e200"),
+    ("simulate", "--picture", "time", "--backend", "float", "--state", "1,1",
+     "--k", "1e-170", "--y", "1e170", "--range", "0:1", "--step", "0.5",
+     "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_JSON)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_non_finite_result_is_input_error_not_json(tmp_path, capsys, argv,
+                                                   to_file):
+    # finite input whose computed values overflow to inf/nan: JSON has no
+    # spelling for them, so nothing is written
+    out_path = tmp_path / "result.json"
+    extra = ("--out", str(out_path)) if to_file else ()
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aristotle-orbits: error: ")
+    assert err.count("\n") == 1 and "not finite" in err
+    assert not out_path.exists()
+
+
 def test_missing_input_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
@@ -434,6 +458,7 @@ def test_verify_mutation_exits_2(capsys):
     assert code == 2
     payload = json.loads(out)
     validate("verify.schema.json", payload)
+    assert len(payload["checks"]) == 12
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["jacobi"]["passed"] is False
 
@@ -496,6 +521,15 @@ def test_derive_law_text_flags_b(capsys):
     code, out, _ = run(capsys, "derive-law", "--samples", "20")
     assert code == 0
     assert "b''   [DISAGREES with printed form]" in out
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "derive-law.txt"),
+                                       ("json", "derive-law.json")])
+def test_derive_law_matches_golden(capsys, fmt, name):
+    code, out, err = run(capsys, "derive-law", "--samples", "50",
+                         "--seed", "0", "--format", fmt)
+    assert code == 0, err
+    assert out == golden(name)
 
 
 # ------------------------------------------------- determinism and misc

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aristotle_orbits import derive_law
-from aristotle_orbits.lie_core import compose, compose_bch
+from aristotle_orbits.lie_core import compose, compose_bch, compose_printed
 from aristotle_orbits.derive_law import (
     comparison_table, evaluate_polynomial, monomial_name,
     printed_law_polynomials, reconstruct_law, verify_reconstruction,
@@ -75,6 +75,18 @@ def test_comparison_verdicts(derived):
 
 def test_verification_passes(derived):
     assert verify_reconstruction(derived, samples=200, seed=1) == 200
+
+
+@pytest.mark.parametrize("law", [compose, compose_bch, compose_printed])
+def test_read_off_table_reproduces_its_law(law):
+    assert verify_reconstruction(reconstruct_law(law), samples=200, seed=3,
+                                 law=law) == 200
+
+
+def test_read_off_coefficients_are_nonzero_fractions(derived):
+    for table in derived.values():
+        for alpha, coeff in table.items():
+            assert len(alpha) == 10 and isinstance(coeff, Fraction) and coeff
 
 
 def test_verification_catches_corruption(derived):

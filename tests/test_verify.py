@@ -4,6 +4,9 @@ import tracemalloc
 
 import pytest
 
+from aristotle_orbits import verify
+from aristotle_orbits.lie_core import compose_printed
+from aristotle_orbits.poly import monomial_name
 from aristotle_orbits.verify import (
     CHECKS, MUTATIONS, hash_name, render_text, run_suite,
 )
@@ -103,3 +106,32 @@ def test_integrator_check_streams_its_rows():
         tracemalloc.stop()
     assert passed
     assert peak < 0.5 * 2 ** 20, peak
+
+
+PROVED = ("associativity", "group-axioms", "adjoint-homomorphism",
+          "coadjoint-action-laws")
+
+
+def test_group_law_checks_are_proofs_independent_of_samples():
+    few = {c["name"]: c for c in run_suite(seed=1, samples=1)["checks"]}
+    many = {c["name"]: c for c in run_suite(seed=2, samples=80)["checks"]}
+    for name in PROVED:
+        assert few[name]["passed"]
+        assert few[name]["detail"].startswith("proved on indeterminates: ")
+        assert few[name] == many[name]
+
+
+def test_failed_proof_prints_its_residual_polynomial(monkeypatch):
+    # the printed law is not associative; its b'' residual is the witness
+    monkeypatch.setattr(verify, "compose", compose_printed)
+    g, h, w, _mu = verify._symbols()
+    residual = (compose_printed(compose_printed(g, h), w).b
+                - compose_printed(g, compose_printed(h, w)).b)
+    assert residual != 0
+    check = {c["name"]: c for c in run_suite(seed=0, samples=5)["checks"]}
+    assert not check["associativity"]["passed"]
+    detail = check["associativity"]["detail"]
+    assert detail.startswith("(g*h)*w = g*(h*w) fails: component 4")
+    assert detail.endswith(f"residual {residual}")
+    for alpha in residual.terms:
+        assert monomial_name(alpha, residual.names) in detail
