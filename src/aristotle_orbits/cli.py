@@ -14,9 +14,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -27,7 +26,7 @@ from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, RATIONAL, InputFormatError,
-    format_scalar, json_scalar, parse_scalar,
+    json_scalar, parse_scalar,
 )
 from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams, Trajectory,
@@ -46,6 +45,7 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
 CSV_CHUNK_ROWS = 256
+NOT_FINITE = "a computed value is not finite"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +143,16 @@ def _dump_json(payload: dict) -> str:
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise InputFormatError(f"a computed value is not finite: {exc}") from exc
+        raise InputFormatError(f"{NOT_FINITE}: {exc}") from exc
+
+
+def _require_finite(rows: list) -> list:
+    """``rows``; a NaN or infinity in any cell is refused as _dump_json does."""
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise InputFormatError(f"{NOT_FINITE}: {cell!r}")
+    return rows
 
 
 @contextmanager
@@ -161,15 +170,19 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-def _emit_csv(header, rows, out_path: Optional[str]):
-    """Write CSV as ``rows`` produces it, in chunks: a write per row is slow."""
-    rows, chunk = iter(rows), [header]
+def _emit_csv(header: tuple, rows, out_path: Optional[str]):
+    """Write CSV as ``rows`` produces it, in chunks: a write per row is slow.
+
+    A row is a tuple of scalars and fixed identifiers.  ``str`` of each is
+    its ``format_scalar`` text, and none holds a comma, quote or line
+    break, so no field is quoted (RFC 4180) and one template formats a row.
+    """
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = iter(rows)
     with _output(out_path) as handle:
-        while chunk:
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\r\n").writerows(chunk)
-            handle.write(buffer.getvalue())
-            chunk = list(islice(rows, CSV_CHUNK_ROWS))
+        handle.write(line % header)
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            handle.write("".join(map(line.__mod__, chunk)))
 
 
 # ------------------------------------------------------------- commands
@@ -184,9 +197,9 @@ def _point_records(args):
     return records
 
 
-def _invariant_cells(inv) -> list:
-    return [format_scalar(getattr(inv, name)) if getattr(inv, name) is not None
-            else "" for name in INVARIANT_COLUMNS]
+def _invariant_cells(inv) -> tuple:
+    values = (getattr(inv, name) for name in INVARIANT_COLUMNS)
+    return tuple("" if value is None else value for value in values)
 
 
 def _cmd_classify(args) -> int:
@@ -205,10 +218,9 @@ def _cmd_classify(args) -> int:
         _emit(_dump_json(payload), args.out)
     else:
         header = POINT_FIELDS + ("class", "dimension") + INVARIANT_HEADERS
-        rows = [[format_scalar(c) for c in mu.as_tuple()]
-                + [cls.value, str(dim)] + _invariant_cells(inv)
+        rows = [mu.as_tuple() + (cls.value, dim) + _invariant_cells(inv)
                 for mu, cls, dim, inv in records]
-        _emit_csv(header, rows, args.out)
+        _emit_csv(header, _require_finite(rows), args.out)
     return EXIT_OK
 
 
@@ -226,9 +238,9 @@ def _cmd_invariants(args) -> int:
         _emit(_dump_json(payload), args.out)
     else:
         header = POINT_FIELDS + INVARIANT_HEADERS
-        rows = [[format_scalar(c) for c in mu.as_tuple()]
-                + _invariant_cells(inv) for mu, _cls, _dim, inv in records]
-        _emit_csv(header, rows, args.out)
+        rows = [mu.as_tuple() + _invariant_cells(inv)
+                for mu, _cls, _dim, inv in records]
+        _emit_csv(header, _require_finite(rows), args.out)
     return EXIT_OK
 
 
@@ -296,9 +308,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "json":
         _emit(_dump_json(_trajectory_payload(trajectory)), args.out)
     else:
-        rows = ([format_scalar(c) for c in row]
-                for row in trajectory.row_factory())
-        _emit_csv(trajectory.columns, rows, args.out)
+        _emit_csv(trajectory.columns, trajectory.row_factory(), args.out)
     return EXIT_OK
 
 

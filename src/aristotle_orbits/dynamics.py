@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .backend import InputFormatError, Scalar, exact_div, is_float_backed
 from .orbits import DualElement
@@ -58,8 +57,7 @@ class ChartUndefinedError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class OrbitParams:
+class OrbitParams(NamedTuple):
     """Orbit labels k (Hooke constant) and y (yank)."""
 
     k: Scalar
@@ -80,8 +78,7 @@ class OrbitParams:
         return exact_div(self.k, self.y)
 
 
-@dataclass(frozen=True)
-class TimeState:
+class TimeState(NamedTuple):
     """Position q, momentum p, elapsed time t."""
 
     q: Scalar
@@ -89,8 +86,7 @@ class TimeState:
     t: Scalar = 0
 
 
-@dataclass(frozen=True)
-class SpaceState:
+class SpaceState(NamedTuple):
     """Travel-time tau, energy e, traversed space x."""
 
     tau: Scalar
@@ -98,25 +94,34 @@ class SpaceState:
     x: Scalar = 0
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step classical Runge-Kutta configuration."""
-
+class _IntegratorFields(NamedTuple):
     step: float = 1e-3
     start: Scalar = 0
     stop: Scalar = 10
     method: str = "rk4"
 
-    def __post_init__(self):
+
+class IntegratorConfig(_IntegratorFields):
+    """Fixed-step classical Runge-Kutta configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.method != "rk4":
             raise ValueError(f"unsupported method {self.method!r}")
         if not self.step > 0:
             raise ValueError("step must be positive")
         if self.stop < self.start:
             raise ValueError("empty parameter range")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution: rows of (param, *coords, invariant, drift).
 
@@ -124,15 +129,18 @@ class Trajectory:
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
     ``row_factory()`` produces the rows one at a time, afresh on each call;
-    ``rows`` holds them all, built on first use.
+    ``rows`` holds them all, built on first use.  Fields are read-only.
     """
 
-    picture: str
-    columns: tuple
-    invariant_name: str
-    method: str
-    params: dict
-    row_factory: Callable[[], Iterator[tuple]]
+    def __init__(self, picture: str, columns: tuple, invariant_name: str,
+                 method: str, params: dict,
+                 row_factory: Callable[[], Iterator[tuple]]):
+        vars(self).update(picture=picture, columns=columns,
+                          invariant_name=invariant_name, method=method,
+                          params=params, row_factory=row_factory)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
 
     @cached_property
     def rows(self) -> tuple:
@@ -252,18 +260,6 @@ def realization_space(x: Scalar, t: Scalar, zeta: Scalar, state: tuple,
     return (e + params.y * tau * x + params.y * (zeta - x * t)
             + HALF * params.k * x * x,
             tau - t + params.s * x)
-
-
-# --------------------------------------------------------------- invariants
-
-def chart_invariant_time(q: Scalar, p: Scalar, params: OrbitParams) -> Scalar:
-    """U up to the inert energy offset: p v - k q^2/2 (e0 taken as 0)."""
-    return p * params.v - HALF * params.k * q * q
-
-
-def chart_invariant_space(tau: Scalar, e: Scalar, params: OrbitParams) -> Scalar:
-    """pi up to the inert momentum offset: e s - y tau^2/2 (p0 taken as 0)."""
-    return e * params.s - HALF * params.y * tau * tau
 
 
 # -------------------------------------------------------------- integration
@@ -387,7 +383,12 @@ def _rk4(state0: Sequence[float], rate: float, gain: float) -> Callable:
 
 
 def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
-    """chart_invariant_time/space with the chart's constants taken once."""
+    """The chart invariant of a state (a, b), with its constants taken once.
+
+    Time: U up to the inert energy offset, p v - k q^2/2 (e0 taken as 0).
+    Space: pi up to the inert momentum offset, e s - y tau^2/2 (p0 taken
+    as 0).
+    """
     slope, half_force = ((params.v, HALF * params.k) if picture == "time"
                          else (params.s, HALF * params.y))
     return lambda a, b: b * slope - half_force * a * a

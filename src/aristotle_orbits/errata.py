@@ -15,9 +15,8 @@ fixed points instead of seeded ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backend import format_scalar
 from .dynamics import (
@@ -44,8 +43,7 @@ CONFIRMS = "CONFIRMS"
 CONTRADICTS = "CONTRADICTS"
 
 
-@dataclass(frozen=True)
-class ErrataFinding:
+class ErrataFinding(NamedTuple):
     """One audited display: printed text, derived text, evaluated sample."""
 
     id: str
@@ -57,15 +55,7 @@ class ErrataFinding:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "verdict": self.verdict,
-            "printed": self.printed,
-            "derived": self.derived,
-            "sample": self.sample,
-            "residual": self.residual,
-            "note": self.note,
-        }
+        return self._asdict()
 
 
 def _fmt(values) -> list:

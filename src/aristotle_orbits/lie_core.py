@@ -29,10 +29,9 @@ the source text's non-associative law verbatim, for the errata engine only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .backend import Scalar
@@ -92,20 +91,34 @@ class StructureTensor:
 DEFAULT_TENSOR = StructureTensor.default()
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """Coefficient vector over the (P, E, F, Lambda, Y) basis.
+    """Coefficient vector over the (P, E, F, Lambda, Y) basis; immutable.
 
     Units are documented, not enforced: the pairing of a dual element with
     an algebra element has the dimension of action.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != DIM:
+    def __init__(self, coeffs: Iterable[Scalar]):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != DIM:
             raise ValueError("algebra elements have exactly five coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgebraElement is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"AlgebraElement(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "AlgebraElement":
@@ -173,8 +186,7 @@ def jacobi_residual(tensor: StructureTensor = DEFAULT_TENSOR) -> Scalar:
     return worst
 
 
-@dataclass(frozen=True)
-class AdjointMatrix:
+class AdjointMatrix(NamedTuple):
     """5x5 matrix acting on algebra coefficient vectors.
 
     For any group element the matrix is unipotent: (M - I)^3 = 0, and
@@ -228,8 +240,7 @@ def bch(a: AlgebraElement, b: AlgebraElement,
             + bracket(b, bracket(b, a, tensor), tensor).scaled(TWELFTH))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Second-kind coordinates (x, t, zeta, a, b); see the module docstring."""
 
     x: Scalar

@@ -15,10 +15,9 @@ matrices, so it is correct by construction for the derived group law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .backend import EPS_CLASS, Scalar, exact_div, is_float_backed, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
@@ -32,8 +31,7 @@ HALF = Fraction(1, 2)
 PRINTED_ACTION_CONVENTION = "identity"
 
 
-@dataclass(frozen=True)
-class DualElement:
+class DualElement(NamedTuple):
     """Point of the dual space in pairing order (p, e, f, k, y)."""
 
     p: Scalar
@@ -59,8 +57,7 @@ class OrbitClass(Enum):
     FIXED_POINT = "FIXED_POINT"
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     """Orbit invariants; entries whose defining division fails are None.
 
     v = y/k and s = k/y are the invariant velocity and slowness; q = f/k

@@ -13,7 +13,6 @@ to failure (and is how the CLI's ``--mutate`` mode is wired).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product, repeat
@@ -51,11 +50,11 @@ def _mutated_eq24() -> StructureTensor:
 MUTATIONS = {"Eq2.4": _mutated_eq24}
 
 
-@dataclass
 class _Context:
-    rng: SplitMix64
-    samples: int
-    tensor: StructureTensor
+    def __init__(self, rng: SplitMix64, samples: int, tensor: StructureTensor):
+        self.rng = rng
+        self.samples = samples
+        self.tensor = tensor
 
     @property
     def heavy(self) -> int:

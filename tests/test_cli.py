@@ -1,5 +1,7 @@
 """CLI contract: exit codes, schemas, goldens, byte determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,13 +15,17 @@ from jsonschema import Draft202012Validator
 
 import aristotle_orbits
 from aristotle_orbits import dynamics
-from aristotle_orbits.backend import format_scalar
-from aristotle_orbits.cli import main
+from aristotle_orbits.backend import format_scalar, parse_scalar
+from aristotle_orbits.cli import (
+    INVARIANT_COLUMNS, INVARIANT_HEADERS, POINT_FIELDS, main,
+)
 from aristotle_orbits.dynamics import (
     IntegratorConfig, OrbitParams, closed_form_trajectory,
     dual_flow_trajectory, integrate,
 )
-from aristotle_orbits.orbits import DualElement
+from aristotle_orbits.orbits import (
+    DualElement, classify, invariants, orbit_dimension,
+)
 
 HERE = Path(__file__).parent
 GOLDENS = HERE / "goldens"
@@ -84,6 +90,46 @@ def test_classify_csv_layout(capsys):
     assert lines[0] == ("p,e,f,k,y,class,dimension,"
                        "psi,v,s,q,tau,u,pi,f_invariant")
     assert lines[1] == "1,1,1,1,1,GENERIC,2,3,1,1,1,1,3/2,3/2,"
+
+
+# empty invariant cells, signed zero, tiny and huge inputs, FIXED_POINT rows
+CSV_ORACLE_POINTS = ("1,1,1,1,1", "1,2,3,0,0", "1,2,0,0,0", "0,0,0,0,0",
+                     "5,-3,0,0,0", "3/7,-2,1/9,0,4", "-0.0,1,-0.0,1,1",
+                     "0,-0.0,0,-0.0,0", "1e-300,1e-300,1e-300,1e-300,1e-300",
+                     "1e-300,1,1,1e-300,1", "1e300,1,1e-300,1,1",
+                     "0.1,0.2,0.3,0.4,0.5")
+
+
+def _reference_csv(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_point_csv_equals_csv_module_over_formatted_cells(capsys, backend,
+                                                          command):
+    header = list(POINT_FIELDS) + (["class", "dimension"]
+                                   if command == "classify" else [])
+    rows = [header + list(INVARIANT_HEADERS)]
+    for text in CSV_ORACLE_POINTS:
+        mu = DualElement.from_seq([parse_scalar(c, backend)
+                                   for c in text.split(",")])
+        inv = invariants(mu)
+        cells = [format_scalar(c) for c in mu.as_tuple()]
+        if command == "classify":
+            cells += [classify(mu).value, str(orbit_dimension(mu))]
+        cells += ["" if getattr(inv, name) is None
+                  else format_scalar(getattr(inv, name))
+                  for name in INVARIANT_COLUMNS]
+        rows.append(cells)
+    code, out, err = run(capsys, command, "--backend", backend,
+                         "--format", "csv", "--", *CSV_ORACLE_POINTS)
+    assert code == 0, err
+    assert out == _reference_csv(rows)
+    if command == "classify":
+        assert ",FIXED_POINT,0," in out and ",," in out
 
 
 def test_classify_float_backend_schema(capsys):
@@ -157,20 +203,25 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend,
     assert "entry 1" in err
 
 
-NON_FINITE_JSON = [
-    ("classify", "--backend", "float", "1e200,1e200,1e200,1e200,1e200"),
+OVERFLOWING_POINT = "1e200,1e200,1e200,1e200,1e200"  # psi is inf - inf
+NON_FINITE_RESULTS = [
+    ("classify", "--backend", "float", OVERFLOWING_POINT),
     ("simulate", "--picture", "time", "--backend", "float", "--state", "1,1",
      "--k", "1e-170", "--y", "1e170", "--range", "0:1", "--step", "0.5",
      "--format", "json"),
+    ("classify", "--backend", "float", "--format", "csv", OVERFLOWING_POINT),
+    ("invariants", "--backend", "float", "--format", "csv", OVERFLOWING_POINT),
+    ("invariants", "--backend", "float", OVERFLOWING_POINT),
 ]
 
 
-@pytest.mark.parametrize("argv", NON_FINITE_JSON)
+@pytest.mark.parametrize("argv", NON_FINITE_RESULTS)
 @pytest.mark.parametrize("to_file", [False, True])
 def test_non_finite_result_is_input_error_not_json(tmp_path, capsys, argv,
                                                    to_file):
     # finite input whose computed values overflow to inf/nan: JSON has no
-    # spelling for them, so nothing is written
+    # spelling for them, and classify/invariants CSV refuses them alike, so
+    # nothing is written
     out_path = tmp_path / "result.json"
     extra = ("--out", str(out_path)) if to_file else ()
     code, out, err = run(capsys, *argv, *extra)
@@ -344,21 +395,37 @@ def test_simulate_non_advancing_grid_is_input_error(tmp_path, capsys, mode):
     assert not out_path.exists()
 
 
+def _fresh_interpreter(*argv, **kwargs):
+    """Run ``python *argv`` in a new process that imports this package."""
+    src = str(Path(aristotle_orbits.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60,
+                          **kwargs)
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--backend", "float", "nan,1,1,1,1"),
     NON_ADVANCING,
 ])
 def test_input_checks_survive_optimized_mode(argv):
     # validation must not rely on ``assert``, which ``python -O`` strips
-    src = str(Path(aristotle_orbits.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "aristotle_orbits", *argv],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=path),
-        timeout=60)
+    result = _fresh_interpreter("-O", "-m", "aristotle_orbits", *argv)
     assert result.returncode == 1, result.stderr
     assert result.stdout == b""
     assert b"aristotle-orbits: error:" in result.stderr
+
+
+def test_cli_import_leaves_out_code_generating_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, and its decorator
+    # execs fresh source on every start; csv is not needed for unquoted cells
+    absent = ("dataclasses", "inspect", "ast", "dis", "tokenize", "csv")
+    result = _fresh_interpreter(
+        "-c", "import sys, aristotle_orbits.cli; "
+        "print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))",
+        *absent, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
 
 
 # every simulate mode: (argv, the same trajectory built by the library)
