@@ -46,16 +46,26 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
         raise ValueError(f"unknown backend {backend!r}")
     try:
         if backend == FLOAT:
-            value = float(Fraction(text) if isinstance(text, str) and "/" in text else text)
+            value = float(_fraction(text) if isinstance(text, str) and "/" in text else text)
             if not math.isfinite(value):
                 raise ValueError("not a finite number")
             return value
         if isinstance(text, float):
             # exact decimal meaning, not the binary expansion
             return Fraction(repr(text))
-        return Fraction(text)
+        return _fraction(text) if isinstance(text, str) else Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``; canonical ``[-]digits/digits`` text with a nonzero
+    denominator is read by two ``int`` calls instead of the literal regex."""
+    num, slash, den = text.partition("/")
+    if (slash and text.isascii() and den.isdigit() and den.strip("0")
+            and (num[1:] if num[:1] == "-" else num).isdigit()):
+        return Fraction(int(num), int(den))
+    return Fraction(text)
 
 
 def format_scalar(value: Scalar) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -33,7 +34,7 @@ from .dynamics import (
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
 from .lie_core import compose_bch
-from .orbits import DualElement, classify, invariants, orbit_dimension
+from .orbits import DualElement, classify, invariants
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,7 +50,16 @@ NOT_FINITE = "a computed value is not finite"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract is 1."""
+    """argparse exits with status 2 on usage errors; the contract is 1.
+
+    A token of ``-`` followed by a digit or ``.digit`` is a value, not an
+    option (no option is spelled that way), so ``classify -1,2,3,4,5`` and
+    ``simulate --k -3/2`` parse.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -191,9 +201,8 @@ def _point_records(args):
     points = _gather_points(args)
     records = []
     for mu in points:
-        inv = invariants(mu, tol=args.tol)
-        records.append((mu, classify(mu, tol=args.tol),
-                        orbit_dimension(mu, tol=args.tol), inv))
+        cls = classify(mu, tol=args.tol)
+        records.append((mu, cls, cls.dimension, invariants(mu, tol=args.tol)))
     return records
 
 

@@ -11,6 +11,10 @@ matrices, so it is correct by construction for the derived group law.
 ``coadjoint_printed`` transcribes the closed formulas of the source text.
 ``verify`` proves on indeterminates that they are one polynomial map, as
 ``PRINTED_ACTION_CONVENTION`` records.
+
+``invariants`` evaluates rational points on integer numerators and
+denominators, one reduction per reported value; a point with a float
+coordinate takes the float formulas, whose output is unchanged.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ class OrbitClass(Enum):
     YANK_ONLY = "YANK_ONLY"
     FORCE_ONLY = "FORCE_ONLY"
     FIXED_POINT = "FIXED_POINT"
+
+    @property
+    def dimension(self) -> int:
+        """Orbit dimension of the family: 0 for a fixed point, else 2."""
+        return 0 if self is OrbitClass.FIXED_POINT else 2
 
 
 class InvariantSet(NamedTuple):
@@ -145,9 +154,49 @@ def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
 
 
 def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
-    """All invariants defined at mu; see InvariantSet for the presence rules."""
-    p, e, f, k, y = mu.as_tuple()
-    scale = _zero_scale(mu)
+    """All invariants defined at mu; see InvariantSet for the presence rules.
+
+    Each rational value is one integer numerator over one integer
+    denominator, reduced by a single ``Fraction(num, den)``.  U and pi keep
+    their chart formulas e - kq^2/2 + pv and p - y tau^2/2 + es, so
+    U = pi v stays a check between two computations.
+    """
+    if is_float_backed(*mu):
+        return _float_invariants(mu, tol)
+    (pn, pd), (en, ed), (fn, fd), (kn, kd), (yn, yd) = [
+        (c.numerator, c.denominator) for c in mu]
+    v = s = q = tau = u = pi = f_echo = None
+    if kn:
+        q_pair, v_pair = (fn * kd, fd * kn), (yn * kd, yd * kn)
+        q, v = Fraction(*q_pair), Fraction(*v_pair)
+        u = _chart_value((en, ed), (kn, kd), q_pair, (pn, pd), v_pair)
+    if yn:
+        tau_pair, s_pair = (fn * yd, fd * yn), (kn * yd, kd * yn)
+        tau, s = Fraction(*tau_pair), Fraction(*s_pair)
+        pi = _chart_value((pn, pd), (yn, yd), tau_pair, (en, ed), s_pair)
+    if not kn and not yn:
+        f_echo = mu.f
+    ke_d, ff_d, py_d = kd * ed, fd * fd, pd * yd
+    psi = Fraction((2 * kn * en * ff_d - fn * fn * ke_d) * py_d
+                   + 2 * pn * yn * ke_d * ff_d, ke_d * ff_d * py_d)
+    return InvariantSet(k=mu.k, y=mu.y, psi=psi, v=v, s=s, q=q, tau=tau,
+                        u=u, pi=pi, f=f_echo)
+
+
+def _chart_value(a: tuple, c: tuple, x: tuple, w: tuple, z: tuple) -> Fraction:
+    """a - c x^2/2 + w z for (numerator, denominator) pairs, reduced once."""
+    (an, ad), (cn, cd), (xn, xd), (wn, wd), (zn, zd) = a, c, x, w, z
+    sq_n, sq_d = cn * xn * xn, 2 * cd * xd * xd
+    lin_n, lin_d = wn * zn, wd * zd
+    return Fraction((an * sq_d - sq_n * ad) * lin_d + lin_n * ad * sq_d,
+                    ad * sq_d * lin_d)
+
+
+def _float_invariants(mu: DualElement, tol: float) -> InvariantSet:
+    """invariants of a float-backed point: the formulas as written, with
+    classify's relative zero test."""
+    p, e, f, k, y = mu
+    scale = max(1, *map(abs, mu))
     k_zero = is_zero(k, tol, scale)
     y_zero = is_zero(y, tol, scale)
 
@@ -189,4 +238,4 @@ def orbit_dimension(mu: DualElement, tol: float = EPS_CLASS) -> int:
     """Rank of the generator rows: their nonzero block is the antisymmetric
     [[0, -f, -k], [f, 0, y], [k, -y, 0]], so 2 unless classify's zero test
     finds f = k = y = 0, then 0."""
-    return 0 if classify(mu, tol) is OrbitClass.FIXED_POINT else 2
+    return classify(mu, tol).dimension

@@ -1,0 +1,68 @@
+"""Scalar parsing: the canonical-fraction fast read against Fraction(text)."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aristotle_orbits.backend import (
+    BACKENDS, FLOAT, InputFormatError, parse_scalar,
+)
+
+
+def _reference_parse(text, backend):
+    # every string through Fraction(text), kept as the oracle
+    try:
+        if backend == FLOAT:
+            value = float(Fraction(text) if isinstance(text, str)
+                          and "/" in text else text)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
+        if isinstance(text, float):
+            return Fraction(repr(text))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
+
+
+def _outcome(parse, text, backend):
+    """(type name, value), or ("error", the message); a float by its repr,
+    so that -0.0 and 0.0 differ."""
+    try:
+        value = parse(text, backend)
+    except InputFormatError as exc:
+        return "error", str(exc)
+    return (type(value).__name__,
+            repr(value) if isinstance(value, float) else value)
+
+
+EDGE_TEXTS = ["1/0", "0/0", "+1/2", "1/-2", " 1/2 ", "1 / 2", "1_000/3",
+              "--1/2", "-0/7", "007/010", "-12/8", "1/", "/2", "-/2", "1//2",
+              "1/2/3", "١/2", "²/2", "1e3/2", "0.5/2", "10", "-3",
+              "1" * 5000 + "/3", "-" + "1" * 5000 + "/3", "3/" + "1" * 5000,
+              "1" * 400 + "/3"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("text", EDGE_TEXTS,
+                         ids=[t if len(t) < 20 else f"{len(t)}-chars"
+                              for t in EDGE_TEXTS])
+def test_parse_scalar_matches_fraction_text_on_edge_cases(text, backend):
+    assert (_outcome(parse_scalar, text, backend)
+            == _outcome(_reference_parse, text, backend))
+
+
+scalar_texts = st.one_of(
+    st.text(alphabet="0123456789-+/._eE \t١²", max_size=12),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**40, 10**40),
+              st.integers(0, 10**40)))
+
+
+@given(scalar_texts, st.sampled_from(BACKENDS))
+@settings(max_examples=500)
+def test_parse_scalar_matches_fraction_text(text, backend):
+    assert (_outcome(parse_scalar, text, backend)
+            == _outcome(_reference_parse, text, backend))

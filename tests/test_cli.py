@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import aristotle_orbits
-from aristotle_orbits import dynamics
+from aristotle_orbits import cli, dynamics, orbits
 from aristotle_orbits.backend import format_scalar, parse_scalar
 from aristotle_orbits.cli import (
     INVARIANT_COLUMNS, INVARIANT_HEADERS, POINT_FIELDS, main,
@@ -26,6 +26,7 @@ from aristotle_orbits.dynamics import (
 from aristotle_orbits.orbits import (
     DualElement, classify, invariants, orbit_dimension,
 )
+from aristotle_orbits.rng import SplitMix64
 
 HERE = Path(__file__).parent
 GOLDENS = HERE / "goldens"
@@ -83,6 +84,48 @@ def test_classify_golden(capsys):
                        "FIXED_POINT", "FIXED_POINT"]
 
 
+def seeded_points_csv(seed: int = 8, per_class: int = 40) -> str:
+    """A point file of ``per_class`` points for each of the five classes.
+
+    Numerators reach 10^6 and denominators 10^3; one coordinate in four
+    is an integer.  The generator is the package's own splitmix64, so
+    the file is the same on every platform.
+    """
+    rng = SplitMix64(seed)
+
+    def coordinate(zero: bool) -> Fraction:
+        if zero:
+            return Fraction(0)
+        den = 1 if rng.randint(0, 3) == 0 else rng.randint(1, 10**3)
+        while True:
+            num = rng.randint(-10**6, 10**6)
+            if num:
+                return Fraction(num, den)
+
+    # zero pattern of (f, k, y): GENERIC, HOOKE_ONLY, YANK_ONLY,
+    # FORCE_ONLY, FIXED_POINT
+    patterns = [(False, False, False), (False, False, True),
+                (False, True, False), (False, True, True),
+                (True, True, True)]
+    lines = ["p,e,f,k,y"]
+    for index in range(per_class * len(patterns)):
+        zeros = (False, False) + patterns[index % len(patterns)]
+        lines.append(",".join(str(coordinate(zero)) for zero in zeros))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("classify-seeded.json", ()),
+    ("classify-seeded.csv", ("--backend", "float", "--format", "csv")),
+])
+def test_classify_seeded_goldens(tmp_path, capsys, name, argv):
+    path = tmp_path / "points.csv"
+    path.write_text(seeded_points_csv(), encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--in", str(path), *argv)
+    assert code == 0, err
+    assert out == golden(name)
+
+
 def test_classify_csv_layout(capsys):
     code, out, _ = run(capsys, "classify", "1,1,1,1,1", "--format", "csv")
     assert code == 0
@@ -125,7 +168,7 @@ def test_point_csv_equals_csv_module_over_formatted_cells(capsys, backend,
                   for name in INVARIANT_COLUMNS]
         rows.append(cells)
     code, out, err = run(capsys, command, "--backend", backend,
-                         "--format", "csv", "--", *CSV_ORACLE_POINTS)
+                         "--format", "csv", *CSV_ORACLE_POINTS)
     assert code == 0, err
     assert out == _reference_csv(rows)
     if command == "classify":
@@ -139,6 +182,45 @@ def test_classify_float_backend_schema(capsys):
     validate("classify.schema.json", payload)
     # float backend serializes as JSON numbers, not strings
     assert payload["points"][0]["invariants"]["u"] == 1.5
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("point", ["-1,2,3,4,5", "-0.0,1,1,1,1",
+                                   "-.5,1,-1,1,1", "-3/2,0,0,0,0"])
+def test_negative_first_coordinate_is_a_point(capsys, backend, command,
+                                              point):
+    code, out, err = run(capsys, command, "--backend", backend, point,
+                         "1,1,1,1,1")
+    assert code == 0, err
+    assert (out, err) == run(capsys, command, "--backend", backend, "--",
+                             point, "1,1,1,1,1")[1:]
+
+
+def test_negative_flag_value_is_a_value(capsys):
+    argv = ("simulate", "--picture", "time", "--state", "-1,1", "--y", "1",
+            "--range", "-1:1", "--step", "1/2", "--closed-form")
+    code, out, err = run(capsys, *argv, "--k", "-3/2")
+    assert code == 0, err
+    assert out.splitlines()[1] == "-1,-5/3,3,1/12,0"
+    assert (code, out, err) == run(capsys, *argv, "--k=-3/2")
+
+
+def test_each_point_is_classified_once(capsys, monkeypatch):
+    calls = []
+    original = orbits.classify
+
+    def counting_classify(mu, tol=orbits.EPS_CLASS):
+        calls.append(mu)
+        return original(mu, tol)
+
+    # orbit_dimension reaches classify through the orbits module
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    monkeypatch.setattr(orbits, "classify", counting_classify)
+    code, out, _ = run(capsys, "classify", "1,1,1,1,1", "0,0,0,0,0")
+    assert code == 0
+    assert len(calls) == 2
+    assert [p["orbit_dimension"] for p in json.loads(out)["points"]] == [2, 0]
 
 
 def test_malformed_inline_point(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits import linalg
-from aristotle_orbits.backend import parse_scalar, rel_err
+from aristotle_orbits.backend import (
+    EPS_CLASS, exact_div, format_scalar, is_zero, parse_scalar, rel_err,
+)
 from aristotle_orbits.lie_core import (
     AlgebraElement, GroupElement, E, F, LAMBDA, P, Y, compose,
 )
@@ -187,6 +189,67 @@ def test_invariants_float_backend_small_relative_error():
         assert rel_err(after.psi, before.psi) <= 1e-12
         if before.u is not None and after.u is not None:
             assert rel_err(after.u, before.u) <= 1e-12
+
+
+def _oracle_invariants(mu):
+    # the Fraction-by-Fraction formulas, kept as the oracle for the integer
+    # numerator/denominator evaluation of rational input
+    p, e, f, k, y = mu
+    floats = any(isinstance(c, float) for c in mu)
+    scale = max(1, *map(abs, mu)) if floats else 1
+    k_zero = is_zero(k, EPS_CLASS, scale)
+    y_zero = is_zero(y, EPS_CLASS, scale)
+    v = s = q = tau = u = pi = f_echo = None
+    if not k_zero:
+        v = exact_div(y, k)
+        q = exact_div(f, k)
+        u = e - HALF * k * q * q + p * v
+    if not y_zero:
+        s = exact_div(k, y)
+        tau = exact_div(f, y)
+        pi = p - HALF * y * tau * tau + e * s
+    if k_zero and y_zero:
+        f_echo = f
+    psi = 2 * k * e - f * f + 2 * p * y
+    return (k, y, psi, v, s, q, tau, u, pi, f_echo)
+
+
+BIG = 10**30
+big_rationals = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# which of (f, k, y) are zero; all eight patterns are drawn
+zero_patterns = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+
+def _patterned(coords, zeros, zero):
+    """coords with ``zero`` put in the slots of (f, k, y) that ``zeros`` marks."""
+    tail = (zero if is_zero_slot else c
+            for c, is_zero_slot in zip(coords[2:], zeros))
+    return DualElement.from_seq(coords[:2] + tuple(tail))
+
+
+@given(st.tuples(*([big_rationals] * 5)), zero_patterns,
+       st.sampled_from([0, Fraction(0)]))
+@settings(max_examples=300)
+def test_rational_invariants_equal_the_fraction_formulas(coords, zeros, zero):
+    mu = _patterned(coords, zeros, zero)
+    got, want = tuple(invariants(mu)), _oracle_invariants(mu)
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g == w and format_scalar(g) == format_scalar(w)
+
+
+@given(st.tuples(*([st.one_of(finite_floats, big_rationals)] * 4)),
+       finite_floats, zero_patterns, st.sampled_from([0, 0.0, -0.0]))
+@settings(max_examples=300)
+def test_float_invariants_keep_the_float_formulas(coords, one_float, zeros,
+                                                  zero):
+    # at least one coordinate is a float, so the whole point is float-backed
+    mu = _patterned((one_float,) + coords, zeros, zero)
+    assert repr(tuple(invariants(mu))) == repr(_oracle_invariants(mu))
 
 
 # ----------------------------------------------------------- classification
