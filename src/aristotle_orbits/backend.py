@@ -46,7 +46,8 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
         raise ValueError(f"unknown backend {backend!r}")
     try:
         if backend == FLOAT:
-            value = float(_fraction(text) if isinstance(text, str) and "/" in text else text)
+            value = (_fraction(text, to_float=True)
+                     if isinstance(text, str) and "/" in text else float(text))
             if not math.isfinite(value):
                 raise ValueError("not a finite number")
             return value
@@ -58,14 +59,18 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 
-def _fraction(text: str) -> Fraction:
-    """``Fraction(text)``; canonical ``[-]digits/digits`` text with a nonzero
-    denominator is read by two ``int`` calls instead of the literal regex."""
+def _fraction(text: str, to_float: bool = False) -> Scalar:
+    """``Fraction(text)``, or its float.  Canonical ``[-]digits/digits`` text
+    with a nonzero denominator is read by two ``int`` calls instead of the
+    literal regex, and its float is their quotient, correctly rounded
+    without the reduction."""
     num, slash, den = text.partition("/")
     if (slash and text.isascii() and den.isdigit() and den.strip("0")
             and (num[1:] if num[:1] == "-" else num).isdigit()):
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+        num, den = int(num), int(den)
+        return num / den if to_float else Fraction(num, den)
+    value = Fraction(text)
+    return float(value) if to_float else value
 
 
 def format_scalar(value: Scalar) -> str:

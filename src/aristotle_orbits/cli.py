@@ -84,7 +84,7 @@ def _parse_fields(text: str, count: int, backend: str, where: str) -> list:
 
 
 def _parse_point(text: str, backend: str, where: str) -> DualElement:
-    return DualElement.from_seq(_parse_fields(text, 5, backend, where))
+    return DualElement._make(_parse_fields(text, 5, backend, where))
 
 
 def _load_points_json(path: str, text: str, backend: str) -> list:
@@ -106,7 +106,7 @@ def _load_points_json(path: str, text: str, backend: str) -> list:
             raise InputFormatError(
                 f"{path}: entry {index}: expected 5 values, got {len(row)}")
         try:
-            points.append(DualElement.from_seq(
+            points.append(DualElement._make(
                 [parse_scalar(c, backend) for c in row]))
         except InputFormatError as exc:
             raise InputFormatError(f"{path}: entry {index}: {exc}") from exc
@@ -217,7 +217,7 @@ def _cmd_classify(args) -> int:
         payload = {
             "backend": args.backend,
             "points": [{
-                "input": [json_scalar(c) for c in mu.as_tuple()],
+                "input": [json_scalar(c) for c in mu],
                 "class": cls.value,
                 "orbit_dimension": dim,
                 "invariants": {name: json_scalar(value)
@@ -227,7 +227,7 @@ def _cmd_classify(args) -> int:
         _emit(_dump_json(payload), args.out)
     else:
         header = POINT_FIELDS + ("class", "dimension") + INVARIANT_HEADERS
-        rows = [mu.as_tuple() + (cls.value, dim) + _invariant_cells(inv)
+        rows = [mu + (cls.value, dim) + _invariant_cells(inv)
                 for mu, cls, dim, inv in records]
         _emit_csv(header, _require_finite(rows), args.out)
     return EXIT_OK
@@ -239,7 +239,7 @@ def _cmd_invariants(args) -> int:
         payload = {
             "backend": args.backend,
             "points": [{
-                "input": [json_scalar(c) for c in mu.as_tuple()],
+                "input": [json_scalar(c) for c in mu],
                 "invariants": {name: json_scalar(value)
                                for name, value in inv.as_dict().items()},
             } for mu, _cls, _dim, inv in records],
@@ -247,7 +247,7 @@ def _cmd_invariants(args) -> int:
         _emit(_dump_json(payload), args.out)
     else:
         header = POINT_FIELDS + INVARIANT_HEADERS
-        rows = [mu.as_tuple() + _invariant_cells(inv)
+        rows = [mu + _invariant_cells(inv)
                 for mu, _cls, _dim, inv in records]
         _emit_csv(header, _require_finite(rows), args.out)
     return EXIT_OK

@@ -32,8 +32,7 @@ def monomial_name(alpha: tuple) -> str:
 
 
 def _evaluate_law(law, point) -> tuple:
-    return law(GroupElement.from_seq(point[:5]),
-               GroupElement.from_seq(point[5:])).as_tuple()
+    return law(GroupElement._make(point[:5]), GroupElement._make(point[5:]))
 
 
 def reconstruct_law(law=compose) -> dict:

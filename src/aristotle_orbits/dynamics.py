@@ -98,7 +98,6 @@ class _IntegratorFields(NamedTuple):
     step: float = 1e-3
     start: Scalar = 0
     stop: Scalar = 10
-    method: str = "rk4"
 
 
 class IntegratorConfig(_IntegratorFields):
@@ -108,8 +107,6 @@ class IntegratorConfig(_IntegratorFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
         if not self.step > 0:
             raise ValueError("step must be positive")
         if self.stop < self.start:
@@ -146,24 +143,18 @@ class Trajectory:
     def rows(self) -> tuple:
         return tuple(self.row_factory())
 
-    def final_state(self) -> tuple:
-        return tuple(self.rows[-1][1:-2])
-
-    def max_drift(self) -> Scalar:
-        return max(row[-1] for row in self.rows)
-
 
 # ------------------------------------------------------------- dual flows
 
 def time_flow(mu0: DualElement, t: Scalar) -> DualElement:
     """Flow of exp(-t E), coadjoint_printed(0, -t, 0, mu0) without zeros."""
-    p, e, f, k, y = mu0.as_tuple()
+    p, e, f, k, y = mu0
     return DualElement(p - f * t + HALF * y * t * t, e, f - y * t, k, y)
 
 
 def space_flow(mu0: DualElement, x: Scalar) -> DualElement:
     """Flow of exp(-x P), coadjoint_printed(-x, 0, 0, mu0) without zeros."""
-    p, e, f, k, y = mu0.as_tuple()
+    p, e, f, k, y = mu0
     return DualElement(p, e + f * x + HALF * k * x * x, f + k * x, k, y)
 
 
@@ -483,13 +474,12 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
     """
     _check_picture(picture)
     config = config or IntegratorConfig()
-    coords = mu0.as_tuple()
-    if is_float_backed(*coords):
-        coords = tuple(float(c) for c in coords)
+    p0, e0, f0, k, y = mu0
+    if is_float_backed(*mu0):
+        p0, e0, f0, k, y = map(float, mu0)
         grid = _float_grid(config)
     else:
         grid = None
-    p0, e0, f0, k, y = coords
     if picture == "time":
         half_y, ke = HALF * y, 2 * k * e0
 

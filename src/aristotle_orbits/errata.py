@@ -54,58 +54,44 @@ class ErrataFinding(NamedTuple):
     residual: Optional[list]
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return self._asdict()
 
-
-def _fmt(values) -> list:
-    return [format_scalar(v) for v in values]
+def _finding(id: str, residual: list, printed: str, derived: str,
+             sample: dict, note: str = "") -> ErrataFinding:
+    """A finding whose verdict is read off its residual: CONFIRMS iff all zero."""
+    verdict = CONFIRMS if all(r == 0 for r in residual) else CONTRADICTS
+    return ErrataFinding(id, verdict, printed, derived, sample,
+                         [format_scalar(r) for r in residual], note)
 
 
 def _fmt_point(values) -> str:
     return "(" + ", ".join(format_scalar(v) for v in values) + ")"
 
 
-def _verdict(residual) -> str:
-    return CONFIRMS if all(r == 0 for r in residual) else CONTRADICTS
-
-
-def _random_group(rng: SplitMix64) -> GroupElement:
-    return GroupElement.from_seq(rng.rationals(5))
-
-
-def _random_dual(rng: SplitMix64) -> DualElement:
-    return DualElement.from_seq(rng.rationals(5))
-
-
 def _finding_quotient_law(rng: SplitMix64) -> ErrataFinding:
-    g, h = _random_group(rng), _random_group(rng)
-    got = compose(g, h).quotient()
+    g = GroupElement._make(rng.rationals(5))
+    h = GroupElement._make(rng.rationals(5))
+    got = compose(g, h)[:3]
     expected = (g.x + h.x, g.t + h.t, g.zeta + h.zeta + g.x * h.t)
     residual = [a - b for a, b in zip(got, expected)]
-    return ErrataFinding(
-        id="Eq2.3-quotient-law",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq2.3-quotient-law", residual,
         printed="first-extension law (x+x', t+t', zeta+zeta'+x t')",
         derived="center quotient of the BCH-derived product",
-        sample={"g": _fmt_point(g.as_tuple()), "h": _fmt_point(h.as_tuple()),
+        sample={"g": _fmt_point(g), "h": _fmt_point(h),
                 "quotient": _fmt_point(got)},
-        residual=_fmt(residual),
     )
 
 
 def _finding_exp_xk(rng: SplitMix64) -> ErrataFinding:
-    g = _random_group(rng)
+    g = GroupElement._make(rng.rationals(5))
     back = from_single_exponential(to_single_exponential(g))
-    residual = [a - b for a, b in zip(back.as_tuple(), g.as_tuple())]
-    return ErrataFinding(
-        id="Eq2.5-exp-xK",
-        verdict=_verdict(residual),
+    residual = [a - b for a, b in zip(back, g)]
+    return _finding(
+        "Eq2.5-exp-xK", residual,
         printed='factorization exp(a L + b Y) exp(t E + zeta F) exp(x K), K undefined',
         derived="K = P: coordinates of the second kind, exact exp/log round trip",
-        sample={"g": _fmt_point(g.as_tuple()),
+        sample={"g": _fmt_point(g),
                 "single_exponential": _fmt_point(to_single_exponential(g).coeffs)},
-        residual=_fmt(residual),
         note="K = P is the only undefined-symbol reading that leaves a "
              "generator for space translations and reproduces the "
              "first-extension law in the center quotient",
@@ -115,18 +101,16 @@ def _finding_exp_xk(rng: SplitMix64) -> ErrataFinding:
 def _finding_b_component(_rng: SplitMix64) -> ErrataFinding:
     g = GroupElement(1, 0, 0, 0, 0)
     h = GroupElement(0, 1, 0, 0, 0)
-    printed = compose_printed(g, h).as_tuple()
-    derived = compose(g, h).as_tuple()
+    printed = compose_printed(g, h)
+    derived = compose(g, h)
     residual = [a - b for a, b in zip(printed, derived)]
-    return ErrataFinding(
-        id="Eq2.6-b-component",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq2.6-b-component", residual,
         printed="b'' = b + b' + zeta' t' + x t'^2 / 2",
         derived="b'' = b + b' + (zeta t' - t zeta' - x t t') / 2",
-        sample={"g": _fmt_point(g.as_tuple()), "h": _fmt_point(h.as_tuple()),
+        sample={"g": _fmt_point(g), "h": _fmt_point(h),
                 "printed_product": _fmt_point(printed),
                 "derived_product": _fmt_point(derived)},
-        residual=_fmt(residual),
         note="the printed term depends only on the second factor",
     )
 
@@ -135,22 +119,20 @@ def _finding_associativity(_rng: SplitMix64) -> ErrataFinding:
     g1 = GroupElement(1, 0, 0, 0, 0)
     g2 = GroupElement(0, 0, 1, 0, 0)
     g3 = GroupElement(0, 1, 0, 0, 0)
-    left = compose_printed(compose_printed(g1, g2), g3).as_tuple()
-    right = compose_printed(g1, compose_printed(g2, g3)).as_tuple()
+    left = compose_printed(compose_printed(g1, g2), g3)
+    right = compose_printed(g1, compose_printed(g2, g3))
     residual = [a - b for a, b in zip(left, right)]
     derived_left = compose(compose(g1, g2), g3)
     derived_right = compose(g1, compose(g2, g3))
-    return ErrataFinding(
-        id="Eq2.6-associativity",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq2.6-associativity", residual,
         printed="printed multiplication law, both associations",
         derived="BCH-derived law is associative on the same triple",
-        sample={"g1": _fmt_point(g1.as_tuple()), "g2": _fmt_point(g2.as_tuple()),
-                "g3": _fmt_point(g3.as_tuple()),
+        sample={"g1": _fmt_point(g1), "g2": _fmt_point(g2),
+                "g3": _fmt_point(g3),
                 "printed_left": _fmt_point(left),
                 "printed_right": _fmt_point(right),
-                "derived_both": _fmt_point(derived_left.as_tuple())},
-        residual=_fmt(residual),
+                "derived_both": _fmt_point(derived_left)},
         note="derived law agrees on both associations: "
              + ("yes" if derived_left == derived_right else "no"),
     )
@@ -160,54 +142,48 @@ def _finding_pairing_labels(_rng: SplitMix64) -> ErrataFinding:
     mu = DualElement(1, 2, 3, 4, 5)
     basis = [AlgebraElement.basis(BasisIndex(i)) for i in range(5)]
     got = tuple(pair(mu, b) for b in basis)
-    residual = [a - b for a, b in zip(got, mu.as_tuple())]
-    return ErrataFinding(
-        id="Eq2.7-pairing-labels",
-        verdict=_verdict(residual),
+    residual = [a - b for a, b in zip(got, mu)]
+    return _finding(
+        "Eq2.7-pairing-labels", residual,
         printed='displacement labelled "(dv, dt, dx, dzeta, dzeta)" (garbled)',
         derived="pairing reads (p, e, f, k, y) against the (x, t, zeta, a, b) "
                 "directions",
-        sample={"mu": _fmt_point(mu.as_tuple()),
+        sample={"mu": _fmt_point(mu),
                 "pair_with_basis": _fmt_point(got)},
-        residual=_fmt(residual),
         note="labels inferred from the right-hand side; no further "
              "interpretation attempted",
     )
 
 
 def _finding_action_law(rng: SplitMix64) -> ErrataFinding:
-    mu = _random_dual(rng)
+    mu = DualElement._make(rng.rationals(5))
     x1, t1, z1, x2, t2, z2 = rng.rationals(6)
     stepwise = coadjoint_printed(x2, t2, z2, coadjoint_printed(x1, t1, z1, mu))
     merged = coadjoint_printed(x1 + x2, t1 + t2, z1 + z2 + x2 * t1, mu)
-    residual = [a - b for a, b in zip(stepwise.as_tuple(), merged.as_tuple())]
-    return ErrataFinding(
-        id="Eq2.8-action-law",
-        verdict=_verdict(residual),
+    residual = [a - b for a, b in zip(stepwise, merged)]
+    return _finding(
+        "Eq2.8-action-law", residual,
         printed="closed-form action p' = p + ft + k(zeta - xt) + y t^2/2, ...",
         derived="left-action law over the first-extension composition",
-        sample={"mu": _fmt_point(mu.as_tuple()),
+        sample={"mu": _fmt_point(mu),
                 "first": _fmt_point((x1, t1, z1)),
                 "second": _fmt_point((x2, t2, z2)),
-                "result": _fmt_point(stepwise.as_tuple())},
-        residual=_fmt(residual),
+                "result": _fmt_point(stepwise)},
     )
 
 
 def _finding_action_agreement(rng: SplitMix64) -> ErrataFinding:
-    g = _random_group(rng)
-    mu = _random_dual(rng)
+    g = GroupElement._make(rng.rationals(5))
+    mu = DualElement._make(rng.rationals(5))
     derived = coadjoint(g, mu)
     printed = coadjoint_printed(g.x, g.t, g.zeta, mu)
-    residual = [a - b for a, b in zip(printed.as_tuple(), derived.as_tuple())]
-    return ErrataFinding(
-        id="Eq2.8-derived-agreement",
-        verdict=_verdict(residual),
+    residual = [a - b for a, b in zip(printed, derived)]
+    return _finding(
+        "Eq2.8-derived-agreement", residual,
         printed="closed-form action at (x, t, zeta)",
         derived="mu . Ad_{g^-1} from the group adjoint matrices",
-        sample={"g": _fmt_point(g.as_tuple()), "mu": _fmt_point(mu.as_tuple()),
-                "image": _fmt_point(derived.as_tuple())},
-        residual=_fmt(residual),
+        sample={"g": _fmt_point(g), "mu": _fmt_point(mu),
+                "image": _fmt_point(derived)},
         note=f"convention map: {PRINTED_ACTION_CONVENTION}",
     )
 
@@ -215,21 +191,19 @@ def _finding_action_agreement(rng: SplitMix64) -> ErrataFinding:
 def _finding_action_invariants(rng: SplitMix64) -> ErrataFinding:
     mu = DualElement(rng.rational(), rng.rational(), rng.rational(),
                      rng.nonzero_rational(), rng.nonzero_rational())
-    g = _random_group(rng)
+    g = GroupElement._make(rng.rationals(5))
     before = invariants(mu)
     after = invariants(coadjoint_printed(g.x, g.t, g.zeta, mu))
     residual = [after.k - before.k, after.y - before.y, after.psi - before.psi,
                 after.u - before.u, after.pi - before.pi,
                 before.u - before.pi * before.v]
-    return ErrataFinding(
-        id="Eq2.8-invariants",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq2.8-invariants", residual,
         printed="k, y invariant; 2ke - f^2 + 2py invariant; U = pi v",
         derived="same quantities transported along the printed action",
-        sample={"mu": _fmt_point(mu.as_tuple()), "g": _fmt_point(g.as_tuple()),
+        sample={"mu": _fmt_point(mu), "g": _fmt_point(g),
                 "U": format_scalar(before.u), "pi": format_scalar(before.pi),
                 "psi": format_scalar(before.psi)},
-        residual=_fmt(residual),
         note="residual components: delta k, delta y, delta psi, delta U, "
              "delta pi, U - pi v",
     )
@@ -241,15 +215,13 @@ def _finding_time_realization(rng: SplitMix64) -> ErrataFinding:
     realized = realization_time(0, t, 0, (p0, q0), params)
     q, p = time_closed_form(q0, p0, params, t)
     residual = [realized[0] - p, realized[1] - q]
-    return ErrataFinding(
-        id="Eq3.1-realization",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.1-realization", residual,
         printed="realization p -> p - kqt - k zeta + y t^2/2, q -> q + x - vt",
         derived="restriction to (0, t, 0) is the time-evolution closed form",
         sample={"params": _fmt_point((params.k, params.y)),
                 "state": _fmt_point((p0, q0)), "t": format_scalar(t),
                 "image": _fmt_point(realized)},
-        residual=_fmt(residual),
     )
 
 
@@ -260,15 +232,13 @@ def _finding_time_closed_form(rng: SplitMix64) -> ErrataFinding:
     mu = time_flow(mu0, t)
     q, p = time_closed_form(q0, p0, params, t)
     residual = [mu.f / params.k - q, mu.p - p]
-    return ErrataFinding(
-        id="Eq3.3-closed-form",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.3-closed-form", residual,
         printed="q(t) = q0 - vt, p(t) = p0 - f0 t + y t^2/2",
         derived="dual-space flow of exp(-tE), read out through q = f/k",
         sample={"params": _fmt_point((params.k, params.y)),
                 "state": _fmt_point((q0, p0)), "t": format_scalar(t),
                 "q_p": _fmt_point((q, p))},
-        residual=_fmt(residual),
         note="negated-parameter convention: the flow parameter enters the "
              "action as -t",
     )
@@ -280,15 +250,13 @@ def _finding_time_rhs(_rng: SplitMix64) -> ErrataFinding:
     printed = time_rhs_printed(state, params)
     derived = time_rhs(state, params)
     residual = [printed[1] - derived[1]]
-    return ErrataFinding(
-        id="Eq3.5b-rhs",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.5b-rhs", residual,
         printed="dp/dt = -kq + c(t) dq/dt with c(t) = kt   (= -kq - yt)",
         derived="dp/dt = -kq (derivative of the verified flow)",
         sample={"state": "(q=0, t=1)", "params": "(k=1, y=1)",
                 "printed_dp": format_scalar(printed[1]),
                 "derived_dp": format_scalar(derived[1])},
-        residual=_fmt(residual),
         note="the printed damping term -yt survives at t > 0; dq/dt = -v "
              "agrees on both sides",
     )
@@ -306,16 +274,14 @@ def _finding_time_hamilton(_rng: SplitMix64) -> ErrataFinding:
     derived = time_rhs(state, params)
     printed_variant = time_rhs_printed(state, params)
     residual = [dq_hamilton - derived[0], dp_hamilton - derived[1]]
-    return ErrataFinding(
-        id="Eq3.6-hamilton-residual",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.6-hamilton-residual", residual,
         printed="H = k q^2/2 - (p + c(t) q) v; Hamilton gives dp/dt = -kq + yt",
         derived="flow rhs dp/dt = -kq",
         sample={"state": "(q=0, p=0, t=1)", "params": "(k=1, y=1)",
                 "hamilton_rhs": _fmt_point((dq_hamilton, dp_hamilton)),
                 "flow_rhs": _fmt_point(derived),
                 "printed_3_5b_rhs": _fmt_point(printed_variant)},
-        residual=_fmt(residual),
         note="three candidate momentum equations disagree pairwise: "
              "flow -kq, damping form -kq - yt, Hamilton -kq + yt",
     )
@@ -326,16 +292,14 @@ def _finding_space_realization(rng: SplitMix64) -> ErrataFinding:
     tau0, e0, t = rng.rationals(3)
     realized = realization_space(0, t, 0, (e0, tau0), params)
     residual = [realized[0] - e0, realized[1] - (tau0 - t)]
-    return ErrataFinding(
-        id="Eq3.8-realization",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.8-realization", residual,
         printed="realization e -> e + y tau x + y(zeta - xt) + k x^2/2, "
                 "tau -> tau - t + sx",
         derived="restriction to (0, t, 0) shifts tau by -t and fixes e",
         sample={"params": _fmt_point((params.k, params.y)),
                 "state": _fmt_point((e0, tau0)), "t": format_scalar(t),
                 "image": _fmt_point(realized)},
-        residual=_fmt(residual),
     )
 
 
@@ -346,15 +310,13 @@ def _finding_space_closed_form(rng: SplitMix64) -> ErrataFinding:
     mu = space_flow(mu0, x)
     tau, e = space_closed_form(tau0, e0, params.y * tau0, params, x)
     residual = [mu.f / params.y - tau, mu.e - e]
-    return ErrataFinding(
-        id="Eq3.11-closed-form",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.11-closed-form", residual,
         printed="e(x) = e0 + f0 x + k x^2/2, tau(x) = tau0 + sx",
         derived="dual-space flow of exp(-xP), read out through tau = f/y",
         sample={"params": _fmt_point((params.k, params.y)),
                 "state": _fmt_point((tau0, e0)), "x": format_scalar(x),
                 "tau_e": _fmt_point((tau, e))},
-        residual=_fmt(residual),
         note="negated-parameter convention: the flow parameter enters the "
              "action as -x",
     )
@@ -366,16 +328,14 @@ def _finding_space_vector_field(_rng: SplitMix64) -> ErrataFinding:
     printed_coeff = k * (q + x)
     derived_coeff = f0 + k * x
     residual = [printed_coeff - derived_coeff]
-    return ErrataFinding(
-        id="Eq3.12-vector-field",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.12-vector-field", residual,
         printed='P vector field with energy coefficient "k(q + x)"',
         derived="de/dx along the flow is f0 + kx",
         sample={"k": format_scalar(k), "q": format_scalar(q),
                 "x": format_scalar(x),
                 "printed_coefficient": format_scalar(printed_coeff),
                 "derived_coefficient": format_scalar(derived_coeff)},
-        residual=_fmt(residual),
         note="q is the time-chart symbol; the display only makes sense "
              "through f = kq, and then it matches",
     )
@@ -387,15 +347,13 @@ def _finding_space_rhs(_rng: SplitMix64) -> ErrataFinding:
     printed = space_rhs_printed(state, params)
     derived = space_rhs(state, params)
     residual = [printed[1] - derived[1]]
-    return ErrataFinding(
-        id="Eq3.13b-rhs",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.13b-rhs", residual,
         printed="de/dx = y tau + W(x) dtau/dx with W(x) = yx   (= y tau + kx)",
         derived="de/dx = y tau (derivative of the verified flow)",
         sample={"state": "(tau=0, x=1)", "params": "(k=1, y=1)",
                 "printed_de": format_scalar(printed[1]),
                 "derived_de": format_scalar(derived[1])},
-        residual=_fmt(residual),
         note="the printed power term W(x) s = kx survives at x > 0; "
              "dtau/dx = s agrees on both sides",
     )
@@ -412,9 +370,8 @@ def _finding_space_hamilton(_rng: SplitMix64) -> ErrataFinding:
     derived = space_rhs(state, params)
     printed_variant = space_rhs_printed(state, params)
     residual = [dtau_hamilton - derived[0], de_hamilton - derived[1]]
-    return ErrataFinding(
-        id="Eq3.17-hamilton-residual",
-        verdict=_verdict(residual),
+    return _finding(
+        "Eq3.17-hamilton-residual", residual,
         printed="Pi = y tau^2/2 - (e - W(x) tau) s; Hamilton gives "
                 "de/dx = y tau + kx",
         derived="flow rhs de/dx = y tau",
@@ -422,7 +379,6 @@ def _finding_space_hamilton(_rng: SplitMix64) -> ErrataFinding:
                 "hamilton_rhs": _fmt_point((dtau_hamilton, de_hamilton)),
                 "flow_rhs": _fmt_point(derived),
                 "printed_3_13b_rhs": _fmt_point(printed_variant)},
-        residual=_fmt(residual),
         note="Hamilton equations taken as dtau/dx = -dPi/de, de/dx = "
              "dPi/dtau; under this sign choice the Hamilton rhs equals the "
              "printed power form, and both disagree with the flow",
@@ -437,9 +393,8 @@ def _finding_table_tau_sign(_rng: SplitMix64) -> ErrataFinding:
                                        params, x)
     mu = space_flow(DualElement(0, 0, params.y * tau0, params.k, params.y), x)
     residual = [table_tau - derived_tau]
-    return ErrataFinding(
-        id="Table-tau-sign",
-        verdict=_verdict(residual),
+    return _finding(
+        "Table-tau-sign", residual,
         printed="summary table: tau(x) = tau0 - sx",
         derived="tau(x) = tau0 + sx (travel time grows with distance; "
                 "matches the flow readout f/y)",
@@ -448,7 +403,6 @@ def _finding_table_tau_sign(_rng: SplitMix64) -> ErrataFinding:
                 "table_tau": format_scalar(table_tau),
                 "derived_tau": format_scalar(derived_tau),
                 "flow_readout": format_scalar(mu.f / params.y)},
-        residual=_fmt(residual),
     )
 
 
@@ -461,7 +415,7 @@ def _finding_table_header(_rng: SplitMix64) -> ErrataFinding:
         verdict=CONTRADICTS if contradicted else CONFIRMS,
         printed='summary table column headed "O_(y,U)"',
         derived="the k = 0, y != 0 family carries pi, not U (U needs k != 0)",
-        sample={"mu": _fmt_point(mu.as_tuple()),
+        sample={"mu": _fmt_point(mu),
                 "pi": format_scalar(inv.pi),
                 "U": "undefined (k = 0)"},
         residual=None,
@@ -506,7 +460,7 @@ def build_report(seed: int = 0) -> dict:
             "contradicts": contradicts,
             "confirms": len(findings) - contradicts,
         },
-        "findings": [f.as_dict() for f in findings],
+        "findings": [f._asdict() for f in findings],
     }
 
 

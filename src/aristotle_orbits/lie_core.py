@@ -121,18 +121,11 @@ class AlgebraElement:
         return f"AlgebraElement(coeffs={self.coeffs!r})"
 
     @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls((0, 0, 0, 0, 0))
-
-    @classmethod
     def basis(cls, index: BasisIndex) -> "AlgebraElement":
         return cls(tuple(1 if i == index else 0 for i in range(DIM)))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(tuple(-a for a in self.coeffs))
@@ -142,9 +135,6 @@ class AlgebraElement:
 
     def __getitem__(self, index: BasisIndex) -> Scalar:
         return self.coeffs[index]
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
 
     def max_abs(self) -> Scalar:
         return max(abs(a) for a in self.coeffs)
@@ -194,10 +184,6 @@ class AdjointMatrix(NamedTuple):
     """
 
     rows: tuple
-
-    @classmethod
-    def identity(cls) -> "AdjointMatrix":
-        return cls(linalg.identity(DIM))
 
     def apply(self, element: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(linalg.mat_vec(self.rows, element.coeffs))
@@ -252,21 +238,6 @@ class GroupElement(NamedTuple):
     @classmethod
     def identity(cls) -> "GroupElement":
         return cls(0, 0, 0, 0, 0)
-
-    @classmethod
-    def from_seq(cls, seq: Sequence[Scalar]) -> "GroupElement":
-        x, t, zeta, a, b = seq
-        return cls(x, t, zeta, a, b)
-
-    def as_tuple(self) -> tuple:
-        return (self.x, self.t, self.zeta, self.a, self.b)
-
-    def quotient(self) -> tuple:
-        """Image (x, t, zeta) in the quotient by the center."""
-        return (self.x, self.t, self.zeta)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:

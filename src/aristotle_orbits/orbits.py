@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .backend import EPS_CLASS, Scalar, exact_div, is_float_backed, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
@@ -43,14 +43,6 @@ class DualElement(NamedTuple):
     f: Scalar
     k: Scalar
     y: Scalar
-
-    @classmethod
-    def from_seq(cls, seq: Sequence[Scalar]) -> "DualElement":
-        p, e, f, k, y = seq
-        return cls(p, e, f, k, y)
-
-    def as_tuple(self) -> tuple:
-        return (self.p, self.e, self.f, self.k, self.y)
 
 
 class OrbitClass(Enum):
@@ -97,7 +89,7 @@ class InvariantSet(NamedTuple):
 
 def pair(mu: DualElement, element: AlgebraElement) -> Scalar:
     """Natural pairing; the result has the dimension of action."""
-    return sum(c * a for c, a in zip(mu.as_tuple(), element.coeffs))
+    return sum(c * a for c, a in zip(mu, element.coeffs))
 
 
 def coadjoint(g: GroupElement, mu: DualElement) -> DualElement:
@@ -107,7 +99,7 @@ def coadjoint(g: GroupElement, mu: DualElement) -> DualElement:
     The central coordinates (a, b) of g act trivially.
     """
     matrix = adjoint_of_group(inverse(g))
-    return DualElement.from_seq(matrix.transpose_apply(mu.as_tuple()))
+    return DualElement._make(matrix.transpose_apply(mu))
 
 
 def coadjoint_printed(x: Scalar, t: Scalar, zeta: Scalar, mu: DualElement) -> DualElement:
@@ -116,7 +108,7 @@ def coadjoint_printed(x: Scalar, t: Scalar, zeta: Scalar, mu: DualElement) -> Du
     A genuine left action for the first-extension law on (x, t, zeta)
     with zeta'' = zeta + zeta' + x t'; k and y are untouched.
     """
-    p, e, f, k, y = mu.as_tuple()
+    p, e, f, k, y = mu
     return DualElement(
         p + f * t + k * (zeta - x * t) + HALF * y * t * t,
         e - f * x + HALF * k * x * x - y * zeta,
@@ -128,8 +120,7 @@ def coadjoint_printed(x: Scalar, t: Scalar, zeta: Scalar, mu: DualElement) -> Du
 
 def _zero_scale(mu: DualElement) -> Scalar:
     """The largest |component| (at least 1) on floats, 1 on rationals."""
-    values = mu.as_tuple()
-    return max(1, *map(abs, values)) if is_float_backed(*values) else 1
+    return max(1, *map(abs, mu)) if is_float_backed(*mu) else 1
 
 
 def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
@@ -228,8 +219,8 @@ def coadjoint_generators(mu: DualElement) -> tuple:
         minus = [0, 0, 0]
         plus[slot] = 1
         minus[slot] = -1
-        forward = coadjoint_printed(*plus, mu).as_tuple()
-        backward = coadjoint_printed(*minus, mu).as_tuple()
+        forward = coadjoint_printed(*plus, mu)
+        backward = coadjoint_printed(*minus, mu)
         rows.append(tuple(HALF * (a - b) for a, b in zip(forward, backward)))
     return tuple(rows)
 

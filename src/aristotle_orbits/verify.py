@@ -62,10 +62,10 @@ class _Context:
         return max(20, self.samples // 5)
 
     def group(self) -> GroupElement:
-        return GroupElement.from_seq(self.rng.rationals(5))
+        return GroupElement._make(self.rng.rationals(5))
 
     def dual(self) -> DualElement:
-        return DualElement.from_seq(self.rng.rationals(5))
+        return DualElement._make(self.rng.rationals(5))
 
     def generic_dual(self) -> DualElement:
         return DualElement(self.rng.rational(), self.rng.rational(),
@@ -88,19 +88,16 @@ def _check_nilpotency(ctx: _Context):
     return worst == 0, f"{DIM ** 4} nested 4-letter brackets, max norm {worst}"
 
 
-def _symbols() -> tuple:
-    """g, h, w and mu whose coordinates are 20 indeterminates."""
-    v = poly.indeterminates([name + prime for prime in ("", "'", "''")
-                             for name in ("x", "t", "zeta", "a", "b")]
-                            + ["p", "e", "f", "k", "y"])
-    return (GroupElement.from_seq(v[:5]), GroupElement.from_seq(v[5:10]),
-            GroupElement.from_seq(v[10:15]), DualElement.from_seq(v[15:]))
-
-
-def _components(side) -> tuple:
-    """Coordinates of a group or dual element; other sides are sequences."""
-    is_element = isinstance(side, (GroupElement, DualElement))
-    return side.as_tuple() if is_element else side
+def _symbols(groups: int, dual: bool = False) -> tuple:
+    """The first ``groups`` of g, h, w, then mu if ``dual``, whose
+    coordinates are indeterminates over exactly those elements."""
+    names = [name + prime for prime in ("", "'", "''")[:groups]
+             for name in ("x", "t", "zeta", "a", "b")]
+    v = poly.indeterminates(names + (["p", "e", "f", "k", "y"] if dual else []))
+    elements = [GroupElement._make(v[i:i + 5]) for i in range(0, 5 * groups, 5)]
+    if dual:
+        elements.append(DualElement._make(v[-5:]))
+    return tuple(elements)
 
 
 def _prove(*identities) -> tuple:
@@ -110,8 +107,7 @@ def _prove(*identities) -> tuple:
     identity for all inputs; a nonzero one is the counterexample itself.
     """
     for name, lhs, rhs in identities:
-        for index, (left, right) in enumerate(zip(_components(lhs),
-                                                  _components(rhs))):
+        for index, (left, right) in enumerate(zip(lhs, rhs)):
             if left - right != 0:
                 return False, (f"{name} fails: component {index} has "
                                f"residual {left - right}")
@@ -120,7 +116,7 @@ def _prove(*identities) -> tuple:
 
 
 def _check_associativity(_ctx: _Context):
-    g, h, w, _mu = _symbols()
+    g, h, w = _symbols(3)
     return _prove(
         ("(g*h)*w = g*(h*w)", compose(compose(g, h), w),
          compose(g, compose(h, w))),
@@ -128,7 +124,7 @@ def _check_associativity(_ctx: _Context):
 
 
 def _check_group_axioms(_ctx: _Context):
-    g = _symbols()[0]
+    (g,) = _symbols(1)
     e, gi = GroupElement.identity(), inverse(g)
     return _prove(("e*g = g", compose(e, g), g), ("g*e = g", compose(g, e), g),
                   ("g*g^-1 = e", compose(g, gi), e),
@@ -136,7 +132,7 @@ def _check_group_axioms(_ctx: _Context):
 
 
 def _check_adjoint(_ctx: _Context):
-    g, h, _w, _mu = _symbols()
+    g, h = _symbols(2)
     m = adjoint_of_group(g).rows
     cube = linalg.mat_pow(linalg.mat_sub(m, linalg.identity(DIM)), 3)
     # Ad(g) is lower triangular: det = 1 is a zero upper triangle and a
@@ -151,7 +147,7 @@ def _check_adjoint(_ctx: _Context):
 
 
 def _check_coadjoint_action(_ctx: _Context):
-    g, h, _w, mu = _symbols()
+    g, h, mu = _symbols(2, dual=True)
     return _prove(
         # a left action over the first-extension law on (x, t, zeta)
         ("coadjoint_printed is a left action",

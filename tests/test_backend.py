@@ -43,7 +43,11 @@ EDGE_TEXTS = ["1/0", "0/0", "+1/2", "1/-2", " 1/2 ", "1 / 2", "1_000/3",
               "--1/2", "-0/7", "007/010", "-12/8", "1/", "/2", "-/2", "1//2",
               "1/2/3", "١/2", "²/2", "1e3/2", "0.5/2", "10", "-3",
               "1" * 5000 + "/3", "-" + "1" * 5000 + "/3", "3/" + "1" * 5000,
-              "1" * 400 + "/3"]
+              "1" * 400 + "/3",
+              # unreduced: the quotient fits a double only after cancelling
+              "1" + "0" * 400 + "/1" + "0" * 100,
+              "1" + "0" * 400 + "/1" + "0" * 80, "1/1" + "0" * 330,
+              "9007199254740993/1", "-6/4", "4503599627370497/2"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

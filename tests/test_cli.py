@@ -157,10 +157,10 @@ def test_point_csv_equals_csv_module_over_formatted_cells(capsys, backend,
                                    if command == "classify" else [])
     rows = [header + list(INVARIANT_HEADERS)]
     for text in CSV_ORACLE_POINTS:
-        mu = DualElement.from_seq([parse_scalar(c, backend)
-                                   for c in text.split(",")])
+        mu = DualElement._make([parse_scalar(c, backend)
+                                for c in text.split(",")])
         inv = invariants(mu)
-        cells = [format_scalar(c) for c in mu.as_tuple()]
+        cells = [format_scalar(c) for c in mu]
         if command == "classify":
             cells += [classify(mu).value, str(orbit_dimension(mu))]
         cells += ["" if getattr(inv, name) is None
@@ -599,6 +599,15 @@ def test_verify_passes_and_validates(capsys):
     validate("verify.schema.json", payload)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 12
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "verify.txt"),
+                                       ("json", "verify.json")])
+def test_verify_matches_golden(capsys, fmt, name):
+    code, out, err = run(capsys, "verify", "--samples", "50", "--seed", "0",
+                         "--format", fmt)
+    assert code == 0, err
+    assert out == golden(name)
 
 
 def test_verify_mutation_exits_2(capsys):

@@ -21,7 +21,7 @@ from aristotle_orbits.orbits import DualElement, coadjoint_printed, invariants
 HALF = Fraction(1, 2)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-dual_points = st.tuples(*([small_fractions] * 5)).map(DualElement.from_seq)
+dual_points = st.tuples(*([small_fractions] * 5)).map(DualElement._make)
 nonzero_fractions = small_fractions.filter(lambda f: f != 0)
 
 
@@ -291,8 +291,6 @@ def test_integrator_config_validation():
         IntegratorConfig(step=-1e-3)
     with pytest.raises(ValueError):
         IntegratorConfig(start=1, stop=0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
 
 
 def test_trajectory_rejects_non_increasing_parameter():
@@ -316,27 +314,27 @@ def test_integrate_zero_length_range():
     traj = integrate("time", (3, 4), OrbitParams(1, 1), config)
     assert len(traj.rows) == 1
     assert traj.rows[0][0] == 0.0
-    assert traj.final_state() == (3.0, 4.0)
+    assert traj.rows[-1][1:-2] == (3.0, 4.0)
     assert traj.rows[0][-1] == 0.0
 
 
 def test_integrate_time_picture_matches_closed_form():
     config = IntegratorConfig(step=1e-3, start=0, stop=2)
     traj = integrate("time", (0, 0), OrbitParams(1, 1), config)
-    q, p = traj.final_state()
+    q, p = traj.rows[-1][1:-2]
     assert traj.rows[-1][0] == 2.0
     assert abs(q - (-2)) <= 1e-10
     assert abs(p - 2) <= 1e-10
-    assert traj.max_drift() <= 1e-8
+    assert max(row[-1] for row in traj.rows) <= 1e-8
 
 
 def test_integrate_space_picture_matches_closed_form():
     config = IntegratorConfig(step=1e-3, start=0, stop=2)
     traj = integrate("space", (0, 0), OrbitParams(1, 1), config)
-    tau, e = traj.final_state()
+    tau, e = traj.rows[-1][1:-2]
     assert abs(tau - 2) <= 1e-10
     assert abs(e - 2) <= 1e-10
-    assert traj.max_drift() <= 1e-8
+    assert max(row[-1] for row in traj.rows) <= 1e-8
 
 
 def test_integrate_chart_errors():
@@ -373,7 +371,7 @@ def test_closed_form_trajectory_off_orbit_f0_drifts():
     traj = closed_form_trajectory("space", (Fraction(0), Fraction(0)),
                                   OrbitParams(Fraction(1), Fraction(1)), config,
                                   f0=Fraction(1))
-    assert traj.max_drift() > 0
+    assert max(row[-1] for row in traj.rows) > 0
 
 
 def test_dual_flow_trajectory_handles_chartless_points():
@@ -384,7 +382,7 @@ def test_dual_flow_trajectory_handles_chartless_points():
     assert traj.columns == ("t", "p", "e", "f", "psi", "drift")
     assert all(row[-1] == 0 for row in traj.rows)
     final = time_flow(mu, 3)
-    assert traj.final_state() == (final.p, final.e, final.f)
+    assert traj.rows[-1][1:-2] == (final.p, final.e, final.f)
 
 
 def test_trajectory_params_strictly_increasing():

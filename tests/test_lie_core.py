@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aristotle_orbits import lie_core
+from aristotle_orbits import lie_core, linalg
 from aristotle_orbits.lie_core import (
     E, F, LAMBDA, P, Y,
     AlgebraElement, BasisIndex, GroupElement, StructureTensor,
@@ -26,14 +26,15 @@ from aristotle_orbits.lie_core import (
 import free_nilpotent_oracle as oracle
 
 HALF = Fraction(1, 2)
+ZERO = AlgebraElement((0, 0, 0, 0, 0))
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 algebra_elements = st.tuples(*([small_fractions] * 5)).map(AlgebraElement)
-group_elements = st.tuples(*([small_fractions] * 5)).map(GroupElement.from_seq)
+group_elements = st.tuples(*([small_fractions] * 5)).map(GroupElement._make)
 
 
 def random_group(rng, bound=9):
-    return GroupElement.from_seq(
+    return GroupElement._make(
         tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
               for _ in range(5)))
 
@@ -46,14 +47,14 @@ def test_bracket_table():
     assert bracket(F, E) == Y
     assert bracket(E, P) == -F
     # everything else vanishes
-    assert bracket(P, LAMBDA).is_zero()
+    assert bracket(P, LAMBDA) == ZERO
     assert bracket(E, F) == -Y
-    assert bracket(Y, P).is_zero()
-    assert bracket(LAMBDA, Y).is_zero()
+    assert bracket(Y, P) == ZERO
+    assert bracket(LAMBDA, Y) == ZERO
 
 
 def test_bracket_bilinearity_example():
-    assert bracket(P + E, F) == LAMBDA - Y
+    assert bracket(P + E, F) == LAMBDA + -Y
 
 
 @given(algebra_elements, algebra_elements)
@@ -94,7 +95,7 @@ def test_step_three_nilpotency_exhaustive():
             for c in basis:
                 abc = bracket(ab, c)
                 for d in basis:
-                    assert bracket(abc, d).is_zero()
+                    assert bracket(abc, d) == ZERO
 
 
 # --------------------------------------------------------------------- ad
@@ -103,9 +104,9 @@ def test_ad_p_columns():
     m = ad(P)
     assert m.apply(E) == F
     assert m.apply(F) == LAMBDA
-    assert m.apply(P).is_zero()
-    assert m.apply(LAMBDA).is_zero()
-    assert m.apply(Y).is_zero()
+    assert m.apply(P) == ZERO
+    assert m.apply(LAMBDA) == ZERO
+    assert m.apply(Y) == ZERO
 
 
 def test_ad_central_is_zero():
@@ -114,7 +115,6 @@ def test_ad_central_is_zero():
 
 
 def test_ad_p_cubed_is_zero():
-    import aristotle_orbits.linalg as linalg
     cubed = linalg.mat_pow(ad(P).rows, 3)
     assert all(x == 0 for row in cubed for x in row)
 
@@ -127,7 +127,7 @@ def test_ad_represents_bracket(a, b):
 # -------------------------------------------------------------------- bch
 
 def test_bch_identity_case():
-    assert bch(P.scaled(3), AlgebraElement.zero()) == P.scaled(3)
+    assert bch(P.scaled(3), ZERO) == P.scaled(3)
 
 
 def test_bch_ef_case():
@@ -178,7 +178,7 @@ def test_compose_frozen_examples():
 @given(group_elements, group_elements)
 @settings(max_examples=60)
 def test_compose_matches_oracle(g, h):
-    assert compose(g, h).as_tuple() == oracle.oracle_compose(g, h)
+    assert compose(g, h) == oracle.oracle_compose(g, h)
 
 
 @given(group_elements, group_elements)
@@ -214,15 +214,15 @@ def test_inverse_equals_bch_derivation(g):
 @settings(max_examples=60)
 def test_inverse_matches_oracle(g, h):
     del h
-    assert inverse(g).as_tuple() == oracle.oracle_inverse(g)
+    assert inverse(g) == oracle.oracle_inverse(g)
 
 
 @given(group_elements, group_elements)
 def test_quotient_reproduces_first_extension(g, h):
     """Modding out (a, b) leaves the familiar one-extension law."""
-    x1, t1, z1 = g.quotient()
-    x2, t2, z2 = h.quotient()
-    assert compose(g, h).quotient() == (x1 + x2, t1 + t2, z1 + z2 + x1 * t2)
+    x1, t1, z1 = g[:3]
+    x2, t2, z2 = h[:3]
+    assert compose(g, h)[:3] == (x1 + x2, t1 + t2, z1 + z2 + x1 * t2)
 
 
 # -------------------------------------------------------- printed variant
@@ -259,8 +259,8 @@ def test_compose_printed_b_ignores_first_factor():
 # ----------------------------------------------------- coordinate changes
 
 def test_single_exponential_trivial_cases():
-    assert to_single_exponential(GroupElement.identity()).is_zero()
-    assert from_single_exponential(AlgebraElement.zero()) == GroupElement.identity()
+    assert to_single_exponential(GroupElement.identity()) == ZERO
+    assert from_single_exponential(ZERO) == GroupElement.identity()
     assert to_single_exponential(GroupElement(2, 0, 0, 0, 0)) == P.scaled(2)
     assert from_single_exponential(P.scaled(2)) == GroupElement(2, 0, 0, 0, 0)
 
@@ -292,7 +292,7 @@ def test_round_trip_many_random_points():
 
 def test_adjoint_identity():
     assert adjoint_of_group(GroupElement.identity()).rows == \
-        lie_core.AdjointMatrix.identity().rows
+        linalg.identity(lie_core.DIM)
 
 
 def test_adjoint_of_pure_translation():
@@ -327,7 +327,6 @@ def test_adjoint_homomorphism(g, h):
 
 @given(group_elements)
 def test_adjoint_unipotent_and_unimodular(g):
-    import aristotle_orbits.linalg as linalg
     m = adjoint_of_group(g).rows
     cubed = linalg.mat_pow(linalg.mat_sub(m, linalg.identity(5)), 3)
     assert all(x == 0 for row in cubed for x in row)

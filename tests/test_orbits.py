@@ -23,29 +23,29 @@ from aristotle_orbits.orbits import (
 HALF = Fraction(1, 2)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-dual_points = st.tuples(*([small_fractions] * 5)).map(DualElement.from_seq)
-group_elements = st.tuples(*([small_fractions] * 5)).map(GroupElement.from_seq)
+dual_points = st.tuples(*([small_fractions] * 5)).map(DualElement._make)
+group_elements = st.tuples(*([small_fractions] * 5)).map(GroupElement._make)
 # every zero pattern of (f, k, y) is drawn often, so all five classes occur
 maybe_zero = st.one_of(st.just(Fraction(0)), small_fractions)
 patterned_duals = st.tuples(small_fractions, small_fractions, maybe_zero,
-                            maybe_zero, maybe_zero).map(DualElement.from_seq)
+                            maybe_zero, maybe_zero).map(DualElement._make)
 # well scaled: numerators up to 10^6, denominators up to 10^3
 well_scaled = st.builds(Fraction, st.integers(-10**6, 10**6),
                         st.integers(1, 10**3))
 well_scaled_duals = st.tuples(
     well_scaled, well_scaled, st.one_of(st.just(Fraction(0)), well_scaled),
     st.one_of(st.just(Fraction(0)), well_scaled),
-    st.one_of(st.just(Fraction(0)), well_scaled)).map(DualElement.from_seq)
+    st.one_of(st.just(Fraction(0)), well_scaled)).map(DualElement._make)
 
 
 def random_dual(rng, bound=9):
-    return DualElement.from_seq(
+    return DualElement._make(
         tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
               for _ in range(5)))
 
 
 def random_group(rng, bound=9):
-    return GroupElement.from_seq(
+    return GroupElement._make(
         tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
               for _ in range(5)))
 
@@ -55,7 +55,7 @@ def random_group(rng, bound=9):
 def test_pair_reads_coefficients():
     mu = DualElement(7, 0, 0, 0, 0)
     assert pair(mu, P) == 7
-    assert pair(mu, AlgebraElement.zero()) == 0
+    assert pair(mu, AlgebraElement((0, 0, 0, 0, 0))) == 0
 
 
 def test_pair_full_sum():
@@ -182,8 +182,8 @@ def test_invariants_float_backend_small_relative_error():
     for _ in range(100):
         mu_exact = random_dual(rng)
         g = random_group(rng)
-        mu_float = DualElement.from_seq(tuple(float(c) for c in mu_exact.as_tuple()))
-        g_float = GroupElement.from_seq(tuple(float(c) for c in g.as_tuple()))
+        mu_float = DualElement._make(float(c) for c in mu_exact)
+        g_float = GroupElement._make(float(c) for c in g)
         before = invariants(mu_float)
         after = invariants(coadjoint(g_float, mu_float))
         assert rel_err(after.psi, before.psi) <= 1e-12
@@ -227,7 +227,7 @@ def _patterned(coords, zeros, zero):
     """coords with ``zero`` put in the slots of (f, k, y) that ``zeros`` marks."""
     tail = (zero if is_zero_slot else c
             for c, is_zero_slot in zip(coords[2:], zeros))
-    return DualElement.from_seq(coords[:2] + tuple(tail))
+    return DualElement._make(coords[:2] + tuple(tail))
 
 
 @given(st.tuples(*([big_rationals] * 5)), zero_patterns,
@@ -319,7 +319,7 @@ def test_orbit_dimension_float_backend():
     # a float rank of the generator rows reported 3 on these points
     for text in ("885257/42,-230255/388,31/695,977256/767,-658533/572",
                  "36965/277,697601/4,271/114,187276/595,-88129/170"):
-        mu = DualElement.from_seq(
+        mu = DualElement._make(
             [parse_scalar(c, "float") for c in text.split(",")])
         assert orbit_dimension(mu) == 2
 
@@ -333,5 +333,5 @@ def test_orbit_dimension_equals_exact_generator_rank(mu):
 def test_orbit_dimension_zero_or_two_on_both_backends(mu):
     exact = orbit_dimension(mu)
     assert exact in (0, 2)
-    as_float = DualElement.from_seq(tuple(float(c) for c in mu.as_tuple()))
+    as_float = DualElement._make(float(c) for c in mu)
     assert orbit_dimension(as_float) == exact

@@ -26,7 +26,7 @@ RECORDS = [
     (OrbitParams, dict(k=HALF, y=-3), {}),
     (TimeState, dict(q=1, p=2), dict(t=0)),
     (SpaceState, dict(tau=1, e=2), dict(x=0)),
-    (IntegratorConfig, dict(step=HALF), dict(start=0, stop=10, method="rk4")),
+    (IntegratorConfig, dict(step=HALF), dict(start=0, stop=10)),
     (ErrataFinding, dict(id="E1", verdict="CONFIRMS", printed="a", derived="a",
                          sample={"x": "1"}, residual=None), dict(note="")),
 ]
@@ -72,7 +72,6 @@ def test_trajectory_is_read_only_and_compares_by_identity():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: IntegratorConfig(method="euler"),
     lambda: IntegratorConfig(step=0),
     lambda: IntegratorConfig(step=-HALF),
     lambda: IntegratorConfig(start=1, stop=0),
@@ -80,7 +79,7 @@ def test_trajectory_is_read_only_and_compares_by_identity():
     lambda: IntegratorConfig()._replace(step=0),
     lambda: AlgebraElement((1, 2, 3, 4)),
     lambda: AlgebraElement((1, 2, 3, 4, 5, 6)),
-], ids=["method", "zero-step", "negative-step", "reversed-range",
+], ids=["zero-step", "negative-step", "reversed-range",
         "reversed-positional", "replaced-step", "four-coefficients",
         "six-coefficients"])
 def test_invalid_records_raise_value_error(build):

@@ -124,7 +124,7 @@ def test_group_law_checks_are_proofs_independent_of_samples():
 def test_failed_proof_prints_its_residual_polynomial(monkeypatch):
     # the printed law is not associative; its b'' residual is the witness
     monkeypatch.setattr(verify, "compose", compose_printed)
-    g, h, w, _mu = verify._symbols()
+    g, h, w = verify._symbols(3)
     residual = (compose_printed(compose_printed(g, h), w).b
                 - compose_printed(g, compose_printed(h, w)).b)
     assert residual != 0
