@@ -25,6 +25,9 @@ RATIONAL = "rational"
 FLOAT = "float"
 BACKENDS = (RATIONAL, FLOAT)
 
+#: Message of the input error for a computed NaN or infinity.
+NOT_FINITE = "a computed value is not finite"
+
 #: Relative tolerance used for zero tests in orbit classification on the
 #: float backend (overridable via the CLI ``--tol`` flag).
 EPS_CLASS = 1e-12

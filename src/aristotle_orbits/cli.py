@@ -26,7 +26,7 @@ from . import derive_law as derive_law_mod
 from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
-    BACKENDS, EPS_CLASS, RATIONAL, InputFormatError,
+    BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
     json_scalar, parse_scalar,
 )
 from .dynamics import (
@@ -46,7 +46,6 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
 CSV_CHUNK_ROWS = 256
-NOT_FINITE = "a computed value is not finite"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,9 +182,10 @@ def _emit(text: str, out_path: Optional[str]):
 def _emit_csv(header: tuple, rows, out_path: Optional[str]):
     """Write CSV as ``rows`` produces it, in chunks: a write per row is slow.
 
-    A row is a tuple of scalars and fixed identifiers.  ``str`` of each is
-    its ``format_scalar`` text, and none holds a comma, quote or line
-    break, so no field is quoted (RFC 4180) and one template formats a row.
+    A row is a tuple of scalars, their ``format_scalar`` text and fixed
+    identifiers.  ``str`` of each is its ``format_scalar`` text, and none
+    holds a comma, quote or line break, so no field is quoted (RFC 4180)
+    and one template formats a row.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
     rows = iter(rows)
@@ -276,7 +276,7 @@ def _trajectory_payload(trajectory: Trajectory) -> dict:
         "method": trajectory.method,
         "params": {name: json_scalar(value)
                    for name, value in trajectory.params.items()},
-        "rows": [[json_scalar(c) for c in row] for row in trajectory.rows],
+        "rows": list(trajectory.cell_factory()),
     }
 
 
@@ -313,11 +313,11 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
-    # every check above ran before the first byte; CSV rows stream out
+    # every check above ran before the first byte; CSV cells stream out
     if args.format == "json":
         _emit(_dump_json(_trajectory_payload(trajectory)), args.out)
     else:
-        _emit_csv(trajectory.columns, trajectory.row_factory(), args.out)
+        _emit_csv(trajectory.columns, trajectory.cell_factory(), args.out)
     return EXIT_OK
 
 

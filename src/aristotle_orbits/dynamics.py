@@ -16,11 +16,14 @@ directly; ChartUndefinedError says exactly that.  The flows are closed
 polynomials in the parameter, checked against the printed coadjoint
 action ``coadjoint_printed`` by the tests and by ``verify``.
 
-Every trajectory (RK4, closed form, dual flow) comes from one row
-generator over a lazy grid, so rows can be written as they are produced.
-Exact rows past the first three are tabulated by integer forward
-differences, every column being quadratic in the grid index, and the
-tabulation is checked against the sampler before any row is produced.
+Every trajectory is a lazy stream of rows, so rows can be written as
+they are produced: RK4 rows from one fused stepping loop, sampled rows
+from one row generator over the grid.  Exact rows past the first three
+are tabulated by integer forward differences, every column being
+quadratic in the grid index, and the tabulation is checked against the
+sampler before any row is produced; their output cells are read off the
+same integer numerators as text.  A float trajectory with a non-finite
+value anywhere in its range is refused when it is built.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -37,7 +40,9 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .backend import InputFormatError, Scalar, exact_div, is_float_backed
+from .backend import (
+    NOT_FINITE, InputFormatError, Scalar, exact_div, is_float_backed,
+)
 from .orbits import DualElement
 
 HALF = Fraction(1, 2)
@@ -126,15 +131,20 @@ class Trajectory:
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
     ``row_factory()`` produces the rows one at a time, afresh on each call;
-    ``rows`` holds them all, built on first use.  Fields are read-only.
+    ``rows`` holds them all, built on first use.  ``cell_factory()``
+    produces the same rows as output cells: on an exact trajectory each
+    cell is the canonical text of its value (``format_scalar``), and
+    otherwise it is ``row_factory``.  Fields are read-only.
     """
 
     def __init__(self, picture: str, columns: tuple, invariant_name: str,
                  method: str, params: dict,
-                 row_factory: Callable[[], Iterator[tuple]]):
+                 row_factory: Callable[[], Iterator[tuple]],
+                 cell_factory: Optional[Callable[[], Iterator[tuple]]] = None):
         vars(self).update(picture=picture, columns=columns,
                           invariant_name=invariant_name, method=method,
-                          params=params, row_factory=row_factory)
+                          params=params, row_factory=row_factory,
+                          cell_factory=cell_factory or row_factory)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
@@ -278,14 +288,16 @@ def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
 
 
 def _exact_rows(config: IntegratorConfig, sample: Callable,
-                invariant: Callable) -> Callable[[], Iterator]:
-    """Exact rows on start + i*step for i < n = ceil((stop - start)/step),
-    then stop; decimal steps are read exactly.
+                invariant: Callable) -> tuple:
+    """Row and cell factories for exact rows on start + i*step for
+    i < n = ceil((stop - start)/step), then stop; decimal steps are read
+    exactly.
 
     The first three rows and the last come from ``sample``.  Every column
     is a polynomial of degree <= 2 in i, so the others are tabulated by
     forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator per
-    column, numerators advanced by two integer additions per row.  The
+    column, numerators advanced by two integer additions per row, each
+    numerator read as a ``Fraction`` for a row and as text for a cell.  The
     tabulation is checked against ``sample`` at i = n-1 before any row.
     """
     step = Fraction(repr(config.step)) if isinstance(config.step, float) \
@@ -294,8 +306,10 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
     n = math.ceil((stop - start) / step)
     *head, last = _rows([start + i * step for i in range(min(n, 3))] + [stop],
                         sample, invariant)
+    *head_text, last_text = (tuple(map(str, row)) for row in (*head, last))
     if n <= 3:
-        return lambda: iter((*head, last))
+        return (lambda: iter((*head, last)),
+                lambda: iter((*head_text, last_text)))
     # per column (param, coords, invariant): denominator, N0, dN, d2N
     tables = []
     for values in list(zip(*head))[:-1]:
@@ -312,10 +326,13 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
     den, _, d1, d2 = tables[-1]
     tables.append((den, 0, d1, d2, abs))  # drift |N - N0| / den
 
-    def rows():
-        columns = (_column(*table) for table in tables)
-        return chain(head, islice(zip(*columns), n - 3), (last,))
-    return rows
+    def factory(column: Callable, head: list, last: tuple) -> Callable:
+        def produce():
+            columns = (column(*table) for table in tables)
+            return chain(head, islice(zip(*columns), n - 3), (last,))
+        return produce
+    return (factory(_column, head, last),
+            factory(_text_column, head_text, last_text))
 
 
 def _newton(n0: int, d1: int, d2: int, i: int) -> Iterator[int]:
@@ -332,6 +349,23 @@ def _column(den: int, n0: int, d1: int, d2: int,
     return map(Fraction, map(op, _newton(n0, d1, d2, 3)), repeat(den))
 
 
+def _text_column(den: int, n0: int, d1: int, d2: int,
+                 op: Callable = operator.pos) -> Iterator[str]:
+    """str(Fraction(N, den)) for each numerator N of ``_column``, without
+    the Fraction: N/den reduced by their gcd, "/den" left out at 1."""
+    if d1 == d2 == 0:
+        return repeat(str(Fraction(op(n0), den)))
+    return _texts(map(op, _newton(n0, d1, d2, 3)), den)
+
+
+def _texts(numerators: Iterator[int], den: int) -> Iterator[str]:
+    """The text of each numerator over ``den``, as ``_text_column`` says."""
+    gcd = math.gcd
+    for num in numerators:
+        g = gcd(num, den)
+        yield str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
     """(param, *coords, invariant, drift) for each parameter of the grid."""
     inv0 = None
@@ -343,34 +377,72 @@ def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
         yield (param, *coords, inv, abs(inv - inv0))
 
 
-def _sampled_rows(grid: Optional[Callable], config: IntegratorConfig,
-                  sample: Callable, invariant: Callable) -> Callable:
-    """Row factory over a checked float grid, or exact when grid is None."""
-    if grid is None:
+def _require_finite(config: IntegratorConfig, sample: Callable,
+                    invariant: Callable, forces: tuple, slope: float = 0.0):
+    """Refuse a float trajectory holding a NaN or an infinity, before any row.
+
+    Each column, and each product inside the invariant, is a polynomial of
+    degree <= 2 in the parameter whose quadratic part is the square of a
+    force line f0 + rate*param, or the integral of one.  Its extremes over
+    the range lie at the ends or where a line of ``forces`` (pairs
+    (f0, rate)) vanishes, so the rows there, with the chart ``slope``,
+    bound every row; RK4 follows the closed form to roundoff.
+    """
+    if not math.isfinite(slope):
+        raise InputFormatError(f"{NOT_FINITE}: the chart slope is {slope!r}")
+    start, stop = float(config.start), float(config.stop)
+    roots = (-f0 / rate for f0, rate in forces if rate)
+    probes = [start, stop, *(root for root in roots if start < root < stop)]
+    for row in _rows(probes, sample, invariant):
+        if not all(map(math.isfinite, row)):
+            raise InputFormatError(
+                f"{NOT_FINITE}: the row at {row[0]!r} is {row[1:]!r}")
+
+
+def _sampled_rows(float_backed: bool, config: IntegratorConfig,
+                  sample: Callable, invariant: Callable, forces: tuple,
+                  slope: Scalar = 0.0) -> tuple:
+    """Row and cell factories: over a checked float grid whose rows are
+    finite (see _require_finite), or exact."""
+    if not float_backed:
         return _exact_rows(config, sample, invariant)
-    return lambda: _rows(grid(), sample, invariant)
+    grid = _float_grid(config)
+    _require_finite(config, sample, invariant, forces, slope)
+    rows = lambda: _rows(grid(), sample, invariant)  # noqa: E731
+    return rows, rows
 
 
-def _rk4(state0: Sequence[float], rate: float, gain: float) -> Callable:
-    """Sampler stepping (a, b)' = (rate, gain a) by classical RK4 to each
-    parameter in turn, with the generic scheme's float operations; the
-    field ignores b and a moves at a constant rate, so k3 equals k2."""
+def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
+              gain: float, slope: float, half_force: float) -> Iterator:
+    """Rows of classical RK4 on (a, b)' = (rate, gain a), stepped to each
+    parameter of ``grid`` in turn, with the chart invariant
+    b slope - half_force a^2 and its drift.
+
+    The float operations are the generic scheme's, in its order: the
+    field ignores b and a moves at a constant rate, so k3 equals k2.
+    """
     a, b = state0
     rate_sum = ((rate + 2 * rate) + 2 * rate) + rate
-    prev = None
-
-    def sample(param):
-        nonlocal a, b, prev
-        if prev is not None:
-            h = param - prev
-            half, sixth = h / 2, h / 6
-            k2 = gain * (a + half * rate)
-            b = b + sixth * (((gain * a + 2 * k2) + 2 * k2)
-                             + gain * (a + h * rate))
-            a = a + sixth * rate_sum
+    grid = iter(grid)
+    prev = next(grid)
+    inv0 = b * slope - half_force * a * a
+    yield prev, a, b, inv0, abs(inv0 - inv0)
+    for param in grid:
+        h = param - prev
+        half, sixth = h / 2, h / 6
+        k2 = gain * (a + half * rate)
+        b = b + sixth * (((gain * a + 2 * k2) + 2 * k2)
+                         + gain * (a + h * rate))
+        a = a + sixth * rate_sum
+        inv = b * slope - half_force * a * a
+        yield param, a, b, inv, abs(inv - inv0)
         prev = param
-        return a, b
-    return sample
+
+
+def _chart_constants(picture: str, params: OrbitParams) -> tuple:
+    """(slope, half_force) of the chart invariant: (v, k/2) or (s, y/2)."""
+    return ((params.v, HALF * params.k) if picture == "time"
+            else (params.s, HALF * params.y))
 
 
 def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
@@ -380,9 +452,31 @@ def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
     Space: pi up to the inert momentum offset, e s - y tau^2/2 (p0 taken
     as 0).
     """
-    slope, half_force = ((params.v, HALF * params.k) if picture == "time"
-                         else (params.s, HALF * params.y))
+    slope, half_force = _chart_constants(picture, params)
     return lambda a, b: b * slope - half_force * a * a
+
+
+def _chart_closed_form(picture: str, state0: Sequence[Scalar],
+                       params: OrbitParams, f0: Optional[Scalar]) -> tuple:
+    """(sample, force lines) of the chart's closed form from state0.
+
+    The force is f = k q = k q0 - y t in time and f0 + k x in space, where
+    off the orbit (f0 != y tau0) y tau = y tau0 + k x is a second line.
+    """
+    a0, b0 = state0
+    if picture == "time":
+        v, kq0, half_y = params.v, params.k * a0, HALF * params.y
+
+        def sample(t):
+            return a0 - v * t, b0 - kq0 * t + half_y * t * t
+        return sample, ((kq0, -params.y),)
+    s, half_k = params.s, HALF * params.k
+    if f0 is None:
+        f0 = params.y * a0
+
+    def sample(x):
+        return a0 + s * x, b0 + f0 * x + half_k * x * x
+    return sample, ((f0, params.k), (params.y * a0, params.k))
 
 
 # picture -> (coordinate columns, invariant name)
@@ -400,10 +494,11 @@ def _check_picture(picture: str):
 
 
 def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
-                row_factory: Callable) -> Trajectory:
+                row_factory: Callable,
+                cell_factory: Optional[Callable] = None) -> Trajectory:
     columns, invariant = _LAYOUTS[picture]
     return Trajectory(picture, columns + (invariant, "drift"), invariant,
-                      method, {"k": k, "y": y}, row_factory)
+                      method, {"k": k, "y": y}, row_factory, cell_factory)
 
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
@@ -418,13 +513,16 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
     config = config or IntegratorConfig()
     params = OrbitParams(float(params.k), float(params.y))
     state = tuple(float(c) for c in state0)
-    invariant = _chart_invariant(picture, params)
+    slope, half_force = _chart_constants(picture, params)
+    sample, forces = _chart_closed_form(picture, state, params, None)
     rate, gain = ((-params.v, -params.k) if picture == "time"
                   else (params.s, params.y))
     grid = _float_grid(config)
+    _require_finite(config, sample, _chart_invariant(picture, params), forces,
+                    slope)
     return _trajectory(
         picture, f"rk4 h={float(config.step)!r}", params.k, params.y,
-        lambda: _rows(grid(), _rk4(state, rate, gain), invariant))
+        lambda: _rk4_rows(grid(), state, rate, gain, slope, half_force))
 
 
 def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
@@ -438,30 +536,18 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
     """
     _check_picture(picture)
     config = config or IntegratorConfig()
-    if is_float_backed(*state0, params.k, params.y, f0):
+    float_backed = is_float_backed(*state0, params.k, params.y, f0)
+    if float_backed:
         params = OrbitParams(float(params.k), float(params.y))
         state0 = tuple(float(c) for c in state0)
-        grid = _float_grid(config)
         if f0 is not None:
             f0 = float(f0)
-    else:
-        grid = None
     invariant = _chart_invariant(picture, params)
-    a0, b0 = state0
-    if picture == "time":
-        v, kq0, half_y = params.v, params.k * a0, HALF * params.y
-
-        def sample(t):
-            return a0 - v * t, b0 - kq0 * t + half_y * t * t
-    else:
-        s, half_k = params.s, HALF * params.k
-        if f0 is None:
-            f0 = params.y * a0
-
-        def sample(x):
-            return a0 + s * x, b0 + f0 * x + half_k * x * x
-    return _trajectory(picture, "closed-form", params.k, params.y,
-                       _sampled_rows(grid, config, sample, invariant))
+    sample, forces = _chart_closed_form(picture, state0, params, f0)
+    return _trajectory(
+        picture, "closed-form", params.k, params.y,
+        *_sampled_rows(float_backed, config, sample, invariant, forces,
+                       _chart_constants(picture, params)[0]))
 
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
@@ -475,11 +561,9 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
     _check_picture(picture)
     config = config or IntegratorConfig()
     p0, e0, f0, k, y = mu0
-    if is_float_backed(*mu0):
+    float_backed = is_float_backed(*mu0)
+    if float_backed:
         p0, e0, f0, k, y = map(float, mu0)
-        grid = _float_grid(config)
-    else:
-        grid = None
     if picture == "time":
         half_y, ke = HALF * y, 2 * k * e0
 
@@ -488,6 +572,7 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
 
         def psi(p, e, f):
             return ke - f * f + 2 * p * y
+        force = (f0, -y)
     else:
         half_k, py = HALF * k, 2 * p0 * y
 
@@ -496,5 +581,7 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
 
         def psi(p, e, f):
             return 2 * k * e - f * f + py
+        force = (f0, k)
     return _trajectory(f"dual-{picture}", "closed-form", k, y,
-                       _sampled_rows(grid, config, sample, psi))
+                       *_sampled_rows(float_backed, config, sample, psi,
+                                      (force,)))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,11 +287,22 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend,
 
 
 OVERFLOWING_POINT = "1e200,1e200,1e200,1e200,1e200"  # psi is inf - inf
+# v = y/k overflows; s = k/y overflows; the dual's psi overflows only at
+# t = f0/y = 3.75e153, where f vanishes, strictly inside the range
+OVERFLOWING_SIMULATIONS = [
+    ("--picture", "time", "--backend", "float", "--state", "1,1",
+     "--k", "1e-170", "--y", "1e170", "--range", "0:1", "--step", "0.5"),
+    ("--picture", "space", "--backend", "float", "--state", "1,1",
+     "--k", "1e170", "--y", "1e-170", "--range", "0:1", "--step", "0.5",
+     "--closed-form"),
+    ("--picture", "time", "--backend", "float", "--dual",
+     "--mu=0,8e307,1.5e154,1,4", "--range", "1.75e153:5.75e153",
+     "--step", "2e153"),
+]
 NON_FINITE_RESULTS = [
     ("classify", "--backend", "float", OVERFLOWING_POINT),
-    ("simulate", "--picture", "time", "--backend", "float", "--state", "1,1",
-     "--k", "1e-170", "--y", "1e170", "--range", "0:1", "--step", "0.5",
-     "--format", "json"),
+    *(("simulate", *argv, "--format", output_format)
+      for argv in OVERFLOWING_SIMULATIONS for output_format in ("json", "csv")),
     ("classify", "--backend", "float", "--format", "csv", OVERFLOWING_POINT),
     ("invariants", "--backend", "float", "--format", "csv", OVERFLOWING_POINT),
     ("invariants", "--backend", "float", OVERFLOWING_POINT),
@@ -302,8 +314,7 @@ NON_FINITE_RESULTS = [
 def test_non_finite_result_is_input_error_not_json(tmp_path, capsys, argv,
                                                    to_file):
     # finite input whose computed values overflow to inf/nan: JSON has no
-    # spelling for them, and classify/invariants CSV refuses them alike, so
-    # nothing is written
+    # spelling for them, and CSV refuses them alike, so nothing is written
     out_path = tmp_path / "result.json"
     extra = ("--out", str(out_path)) if to_file else ()
     code, out, err = run(capsys, *argv, *extra)
@@ -312,6 +323,33 @@ def test_non_finite_result_is_input_error_not_json(tmp_path, capsys, argv,
     assert err.startswith("aristotle-orbits: error: ")
     assert err.count("\n") == 1 and "not finite" in err
     assert not out_path.exists()
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--picture", "time", "--state", "1,1", "--k", "1e-100", "--y", "1e100"),
+    ("--picture", "time", "--state", "1,1", "--k", "1e-100", "--y", "1e100",
+     "--closed-form"),
+    ("--picture", "space", "--state", "1,1", "--k", "1", "--y", "1",
+     "--closed-form", "--f0", "1e308"),
+    ("--picture", "time", "--dual", "--mu=1e150,1e150,1e150,1e-150,1e-150"),
+])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_huge_finite_simulation_is_written(capsys, argv, output_format):
+    code, out, err = run(capsys, "simulate", "--backend", "float", *argv,
+                         "--range", "0:1", "--step", "0.5",
+                         "--format", output_format)
+    assert code == 0, err
+    if output_format == "json":
+        rows = json.loads(out, parse_constant=_refuse)["rows"]
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+    cells = [float(cell) for row in rows for cell in row]
+    assert len(rows) == 3 and max(map(abs, cells)) >= 1e99
+    assert all(map(math.isfinite, cells))
 
 
 def test_missing_input_is_usage_error(capsys):
@@ -564,21 +602,60 @@ def test_streamed_csv_equals_formatted_rows(tmp_path, capsys, argv, build):
 
 
 def test_streamed_csv_memory_stays_below_its_size(tmp_path, capsys):
-    # 20001 RK4 rows: streaming must not hold them, nor their text
-    out_path = tmp_path / "rows.csv"
-    argv = ("simulate", "--picture", "time", "--backend", "float",
-            "--state=0.25,-1.75", "--k=1.5", "--y=-1.25", "--range", "0:2",
-            "--step", "0.0001", "--out", str(out_path))
-    tracemalloc.start()
-    try:
-        code = main(list(argv))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    size = out_path.stat().st_size
-    assert out_path.read_bytes().count(b"\r\n") == 1 + 20001
-    assert peak < size, (peak, size)
+    # 20001 rows of RK4, exact closed form and exact dual flow: streaming
+    # must not hold them, nor their text
+    modes = (
+        ("--picture", "time", "--backend", "float", "--state=0.25,-1.75",
+         "--k=1.5", "--y=-1.25"),
+        ("--picture", "space", "--closed-form", "--state=1/4,-7/4",
+         "--k=3/2", "--y=-5/4"),
+        ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
+    )
+    for mode in modes:
+        out_path = tmp_path / "rows.csv"
+        argv = ("simulate", *mode, "--range", "0:2", "--step", "0.0001",
+                "--out", str(out_path))
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = out_path.stat().st_size
+        assert out_path.read_bytes().count(b"\r\n") == 1 + 20001
+        assert peak < size, (mode, peak, size)
+
+
+@pytest.mark.parametrize("mode", [
+    ("--picture", "space", "--closed-form", "--state=1/4,-7/4", "--k=3/2",
+     "--y=-5/4"),
+    ("--picture", "space", "--closed-form", "--state=1/4,-7/4", "--k=3/2",
+     "--y=-5/4", "--f0=2/3"),
+    ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
+], ids=["closed-form", "off-orbit", "dual"])
+def test_exact_csv_builds_no_fraction_per_row(tmp_path, capsys, monkeypatch,
+                                              mode):
+    # exact cells are read off integer numerators: the Fractions built
+    # (parsing, the head rows, the difference check) do not grow with rows
+    calls = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    counts = {}
+    for rows, step in ((101, "1/100"), (5001, "1/5000")):
+        calls.clear()
+        out_path = tmp_path / f"rows-{rows}.csv"
+        code = main(["simulate", *mode, "--range", "0:1", "--step", step,
+                     "--out", str(out_path)])
+        assert code == 0
+        assert out_path.read_bytes().count(b"\r\n") == 1 + rows
+        counts[rows] = len(calls)
+    assert counts[101] == counts[5001], counts
 
 
 def test_simulate_bad_range(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aristotle_orbits.backend import InputFormatError, format_scalar
 from aristotle_orbits.dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams, SpaceState, TimeState,
     closed_form_trajectory, dual_flow_trajectory,
@@ -309,6 +310,25 @@ def test_trajectory_rejects_non_increasing_parameter():
             build()
 
 
+def test_float_trajectory_with_a_non_finite_value_is_refused():
+    # v = y/k overflows; e = e0 + f0 x + k x^2/2 overflows at x = 2; the
+    # dual's psi overflows only where f vanishes, at t = f0/y = 3.75e153,
+    # strictly inside the range
+    huge = IntegratorConfig(step=2e153, start=1.75e153, stop=5.75e153)
+    builds = (
+        lambda: integrate("time", (1, 1), OrbitParams(1e-170, 1e170),
+                          IntegratorConfig(step=0.5, start=0, stop=1)),
+        lambda: closed_form_trajectory(
+            "space", (1.0, 1.0), OrbitParams(1.0, 1.0),
+            IntegratorConfig(step=1.0, start=0, stop=2), f0=1e308),
+        lambda: dual_flow_trajectory(DualElement(0.0, 8e307, 1.5e154, 1, 4),
+                                     "time", huge),
+    )
+    for build in builds:
+        with pytest.raises(InputFormatError, match="not finite"):
+            build()
+
+
 def test_integrate_zero_length_range():
     config = IntegratorConfig(step=1e-3, start=0, stop=0)
     traj = integrate("time", (3, 4), OrbitParams(1, 1), config)
@@ -497,6 +517,13 @@ def _reference_exact_grid(start, stop, step):
     return grid + [stop]
 
 
+def _assert_cells_are_the_formatted_rows(traj):
+    rows = list(traj.rows)
+    assert list(traj.cell_factory()) == \
+        [tuple(map(format_scalar, row)) for row in rows]
+    return rows
+
+
 def _exact_cases(picture, start, stop, step, state0, params, f0, mu0):
     """(trajectory, expected rows) for the three exact trajectories."""
     config = IntegratorConfig(step=step, start=start, stop=stop)
@@ -532,7 +559,7 @@ def test_exact_rows_past_the_head_are_the_formulas(
     stop = start + (count + offset) * step
     for traj, expected in _exact_cases(picture, start, stop, step,
                                        (a0, b0), params, f0, mu0):
-        rows = list(traj.rows)
+        rows = _assert_cells_are_the_formatted_rows(traj)
         assert rows == expected
         assert all(type(c) is Fraction for row in rows for c in row)
 
@@ -550,7 +577,27 @@ def test_exact_rows_at_each_head_length(picture, count, offset):
                                        (Fraction(-3, 4), Fraction(5, 4)),
                                        params, Fraction(3, 7), mu0):
         assert len(expected) == count + (2 if offset else 1)
-        assert list(traj.rows) == expected
+        assert _assert_cells_are_the_formatted_rows(traj) == expected
+
+
+@pytest.mark.parametrize("picture", ("time", "space"))
+@pytest.mark.parametrize("count", (0, 2, 9))
+def test_exact_cells_of_integral_rows(picture, count):
+    # integral start, step, orbit and states: the time and dual columns
+    # are integers, negative ones among them; the dual's e (time) or p
+    # (space) column is constant, and tau = -3 - x/2 is not integral
+    start, step = Fraction(-3), Fraction(1)
+    params = OrbitParams(Fraction(2), Fraction(-4))
+    mu0 = DualElement(Fraction(1), Fraction(-3), Fraction(7), params.k,
+                      params.y)
+    cells = []
+    for traj, expected in _exact_cases(picture, start, start + count, step,
+                                       (Fraction(-3), Fraction(5)), params,
+                                       Fraction(3), mu0):
+        assert _assert_cells_are_the_formatted_rows(traj) == expected
+        cells += (cell for row in traj.cell_factory() for cell in row)
+    assert any(cell.startswith("-") and "/" not in cell for cell in cells)
+    assert any(cell.isdigit() and cell != "0" for cell in cells)
 
 
 def test_difference_guard_rejects_a_cubic_sampler():
@@ -561,9 +608,10 @@ def test_difference_guard_rejects_a_cubic_sampler():
         _exact_rows(config, lambda t: (t, t * t), lambda a, b: a * b)
     # three lattice points are sampled, not tabulated: nothing to check
     short = IntegratorConfig(step=1, start=0, stop=3)
-    rows = list(_exact_rows(short, lambda t: (t, t * t * t),
-                            lambda a, b: b)())
-    assert [row[2] for row in rows] == [0, 1, 8, 27]
+    rows, cells = _exact_rows(short, lambda t: (t, t * t * t),
+                              lambda a, b: b)
+    assert [row[2] for row in rows()] == [0, 1, 8, 27]
+    assert [row[2] for row in cells()] == ["0", "1", "8", "27"]
 
 
 float_cases = st.tuples(
