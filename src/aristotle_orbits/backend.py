@@ -90,6 +90,18 @@ def json_scalar(value: Scalar) -> "str | float":
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+def json_text(value: "Scalar | str") -> str:
+    """``json.dumps(json_scalar(value), allow_nan=False)``: ``"3/2"`` or a
+    float's repr.  A string is taken as ``json_scalar``'s text already (an
+    exact output cell); a NaN or infinity is an input error."""
+    cell = value if isinstance(value, str) else json_scalar(value)
+    if isinstance(cell, str):
+        return '"%s"' % cell
+    if math.isfinite(cell):
+        return repr(cell)
+    raise InputFormatError(f"{NOT_FINITE}: {cell!r}")
+
+
 def is_float_backed(*values: Scalar) -> bool:
     """True when any of ``values`` is a float, so arithmetic on them is float."""
     return any(isinstance(value, float) for value in values)

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -27,10 +28,10 @@ from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
-    json_scalar, parse_scalar,
+    json_scalar, json_text, parse_scalar,
 )
 from .dynamics import (
-    ChartUndefinedError, IntegratorConfig, OrbitParams, Trajectory,
+    ChartUndefinedError, IntegratorConfig, OrbitParams,
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
 from .lie_core import compose_bch
@@ -155,15 +156,6 @@ def _dump_json(payload: dict) -> str:
         raise InputFormatError(f"{NOT_FINITE}: {exc}") from exc
 
 
-def _require_finite(rows: list) -> list:
-    """``rows``; a NaN or infinity in any cell is refused as _dump_json does."""
-    for row in rows:
-        for cell in row:
-            if isinstance(cell, float) and not math.isfinite(cell):
-                raise InputFormatError(f"{NOT_FINITE}: {cell!r}")
-    return rows
-
-
 @contextmanager
 def _output(out_path: Optional[str]):
     """The --out file, or stdout without --out."""
@@ -195,14 +187,47 @@ def _emit_csv(header: tuple, rows, out_path: Optional[str]):
             handle.write("".join(map(line.__mod__, chunk)))
 
 
+def _emit_json(head: dict, key: str, items, out_path: Optional[str]):
+    """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
+    ``items`` produces the array's item texts (``_item_template``), in
+    chunks like ``_emit_csv``.  ``items`` is not empty.  The text around the
+    array is ``json.dumps``'s own, checked before the output is opened.
+    """
+    opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
+    separator = "," + opening[opening.rindex("\n"):]
+    items = iter(items)
+    with _output(out_path) as handle:
+        handle.write(opening)
+        lead = ""
+        while chunk := list(islice(items, CSV_CHUNK_ROWS)):
+            handle.write(lead)
+            handle.write(separator.join(chunk))
+            lead = separator
+        handle.write(closing)
+
+
+def _item_template(skeleton) -> str:
+    """``%`` template of ``skeleton`` as ``json.dumps(indent=2)`` lays out an
+    item of an array held by the top-level object, first line unindented.
+    Each ``"%s"`` string in ``skeleton`` is a slot for a JSON text."""
+    text = json.dumps([[skeleton]], indent=2)
+    return text[len("[\n  [\n    "):-len("\n  ]\n]")].replace(
+        "%", "%%").replace('"%%s"', "%s")
+
+
 # ------------------------------------------------------------- commands
 
-def _point_records(args):
-    points = _gather_points(args)
+def _point_records(args, classified: bool) -> list:
+    """(point, class or None, invariants) per input point; a NaN or
+    infinity among the invariants is refused here, in CSV and JSON alike."""
     records = []
-    for mu in points:
-        cls = classify(mu, tol=args.tol)
-        records.append((mu, cls, cls.dimension, invariants(mu, tol=args.tol)))
+    for mu in _gather_points(args):
+        cls = classify(mu, tol=args.tol) if classified else None
+        inv = invariants(mu, tol=args.tol)
+        for value in inv:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputFormatError(f"{NOT_FINITE}: {value!r}")
+        records.append((mu, cls, inv))
     return records
 
 
@@ -211,45 +236,35 @@ def _invariant_cells(inv) -> tuple:
     return tuple("" if value is None else value for value in values)
 
 
-def _cmd_classify(args) -> int:
-    records = _point_records(args)
-    if args.format == "json":
-        payload = {
-            "backend": args.backend,
-            "points": [{
-                "input": [json_scalar(c) for c in mu],
-                "class": cls.value,
-                "orbit_dimension": dim,
-                "invariants": {name: json_scalar(value)
-                               for name, value in inv.as_dict().items()},
-            } for mu, cls, dim, inv in records],
-        }
-        _emit(_dump_json(payload), args.out)
-    else:
-        header = POINT_FIELDS + ("class", "dimension") + INVARIANT_HEADERS
-        rows = [mu + (cls.value, dim) + _invariant_cells(inv)
-                for mu, cls, dim, inv in records]
-        _emit_csv(header, _require_finite(rows), args.out)
-    return EXIT_OK
+@lru_cache(maxsize=None)
+def _point_template(cls, names: tuple) -> str:
+    """One point's JSON item: its input, its class and orbit dimension
+    unless ``cls`` is None, and the invariants ``names``."""
+    labels = {} if cls is None else {"class": cls.value,
+                                     "orbit_dimension": cls.dimension}
+    return _item_template({"input": ["%s"] * 5, **labels,
+                           "invariants": dict.fromkeys(names, "%s")})
 
 
-def _cmd_invariants(args) -> int:
-    records = _point_records(args)
+def _point_item(record) -> str:
+    mu, cls, inv = record
+    present = inv.as_dict()
+    return _point_template(cls, tuple(present)) % tuple(
+        map(json_text, (*mu, *present.values())))
+
+
+def _cmd_points(args) -> int:
+    """``classify``, and ``invariants``: the same without class and dimension."""
+    classified = args.command == "classify"
+    records = _point_records(args, classified)
     if args.format == "json":
-        payload = {
-            "backend": args.backend,
-            "points": [{
-                "input": [json_scalar(c) for c in mu],
-                "invariants": {name: json_scalar(value)
-                               for name, value in inv.as_dict().items()},
-            } for mu, _cls, _dim, inv in records],
-        }
-        _emit(_dump_json(payload), args.out)
+        _emit_json({"backend": args.backend}, "points",
+                   map(_point_item, records), args.out)
     else:
-        header = POINT_FIELDS + INVARIANT_HEADERS
-        rows = [mu + _invariant_cells(inv)
-                for mu, _cls, _dim, inv in records]
-        _emit_csv(header, _require_finite(rows), args.out)
+        labels = ("class", "dimension") if classified else ()
+        rows = (mu + ((cls.value, cls.dimension) if classified else ())
+                + _invariant_cells(inv) for mu, cls, inv in records)
+        _emit_csv(POINT_FIELDS + labels + INVARIANT_HEADERS, rows, args.out)
     return EXIT_OK
 
 
@@ -266,18 +281,6 @@ def _parse_range(text: str, backend: str) -> tuple:
         raise InputFormatError(f"--range: expected A:B, got {text!r}")
     return tuple(_parse_flag(part.strip(), backend, "--range")
                  for part in parts)
-
-
-def _trajectory_payload(trajectory: Trajectory) -> dict:
-    return {
-        "picture": trajectory.picture,
-        "columns": list(trajectory.columns),
-        "invariant": trajectory.invariant_name,
-        "method": trajectory.method,
-        "params": {name: json_scalar(value)
-                   for name, value in trajectory.params.items()},
-        "rows": list(trajectory.cell_factory()),
-    }
 
 
 def _cmd_simulate(args) -> int:
@@ -313,9 +316,18 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
-    # every check above ran before the first byte; CSV cells stream out
+    # every check above ran before the first byte; cells stream out
     if args.format == "json":
-        _emit(_dump_json(_trajectory_payload(trajectory)), args.out)
+        head = {"picture": trajectory.picture,
+                "columns": list(trajectory.columns),
+                "invariant": trajectory.invariant_name,
+                "method": trajectory.method,
+                "params": {name: json_scalar(value)
+                           for name, value in trajectory.params.items()}}
+        row = _item_template(["%s"] * len(trajectory.columns))
+        _emit_json(head, "rows", (row % tuple(map(json_text, cells))
+                                  for cells in trajectory.cell_factory()),
+                   args.out)
     else:
         _emit_csv(trajectory.columns, trajectory.cell_factory(), args.out)
     return EXIT_OK
@@ -440,12 +452,12 @@ def build_parser() -> _Parser:
                        help="orbit class, dimension and invariants")
     _add_point_options(p)
     _add_output_options(p, ("json", "csv"), "json")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("invariants", help="orbit invariants only")
     _add_point_options(p)
     _add_output_options(p, ("json", "csv"), "json")
-    p.set_defaults(func=_cmd_invariants)
+    p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("simulate", help="evolve a state or a dual point")
     p.add_argument("--picture", choices=("time", "space"), required=True,

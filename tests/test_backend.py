@@ -1,5 +1,6 @@
-"""Scalar parsing: the canonical-fraction fast read against Fraction(text)."""
+"""Scalar parsing against Fraction(text); JSON text against json.dumps."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import (
-    BACKENDS, FLOAT, InputFormatError, parse_scalar,
+    BACKENDS, FLOAT, InputFormatError, format_scalar, json_scalar,
+    json_text, parse_scalar,
 )
 
 
@@ -70,3 +72,16 @@ scalar_texts = st.one_of(
 def test_parse_scalar_matches_fraction_text(text, backend):
     assert (_outcome(parse_scalar, text, backend)
             == _outcome(_reference_parse, text, backend))
+
+
+@given(st.one_of(st.floats(), st.fractions(), st.integers()))
+def test_json_text_is_json_dumps_of_json_scalar(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        with pytest.raises(InputFormatError, match="not finite"):
+            json_text(value)
+        return
+    text = json.dumps(json_scalar(value), allow_nan=False)
+    assert json_text(value) == text
+    if not isinstance(value, float):
+        # an exact output cell is its canonical text already
+        assert json_text(format_scalar(value)) == text

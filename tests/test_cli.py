@@ -8,15 +8,21 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import aristotle_orbits
 from aristotle_orbits import cli, dynamics, orbits
-from aristotle_orbits.backend import format_scalar, parse_scalar
+from aristotle_orbits.backend import (
+    format_scalar, json_scalar, parse_scalar,
+)
 from aristotle_orbits.cli import (
     INVARIANT_COLUMNS, INVARIANT_HEADERS, POINT_FIELDS, main,
 )
@@ -45,10 +51,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def validate(schema_name: str, payload: dict):
+@lru_cache(maxsize=None)
+def _validator(schema_name: str) -> Draft202012Validator:
     schema = json.loads((SCHEMAS / schema_name).read_text(encoding="utf-8"))
     Draft202012Validator.check_schema(schema)
-    Draft202012Validator(schema).validate(payload)
+    return Draft202012Validator(schema)
+
+
+def validate(schema_name: str, payload: dict):
+    _validator(schema_name).validate(payload)
 
 
 # ------------------------------------------------------------- classify
@@ -75,14 +86,23 @@ def test_classify_zero_point(capsys):
     assert point["invariants"] == {"k": "0", "y": "0", "psi": "0", "f": "0"}
 
 
+GOLDEN_POINTS = ("1,1,1,1,1", "0,1,0,2,0", "1,2,3,0,2", "0,0,5,0,0",
+                 "3,0,0,0,0", "0,0,0,0,0")
+
+
 def test_classify_golden(capsys):
-    code, out, _ = run(capsys, "classify", "1,1,1,1,1", "0,1,0,2,0",
-                       "1,2,3,0,2", "0,0,5,0,0", "3,0,0,0,0", "0,0,0,0,0")
+    code, out, _ = run(capsys, "classify", *GOLDEN_POINTS)
     assert code == 0
     assert out == golden("classify.json")
     classes = [p["class"] for p in json.loads(out)["points"]]
     assert classes == ["GENERIC", "HOOKE_ONLY", "YANK_ONLY", "FORCE_ONLY",
                        "FIXED_POINT", "FIXED_POINT"]
+
+
+def test_invariants_golden(capsys):
+    code, out, err = run(capsys, "invariants", *GOLDEN_POINTS)
+    assert code == 0, err
+    assert out == golden("invariants.json")
 
 
 def seeded_points_csv(seed: int = 8, per_class: int = 40) -> str:
@@ -118,6 +138,7 @@ def seeded_points_csv(seed: int = 8, per_class: int = 40) -> str:
 @pytest.mark.parametrize("name, argv", [
     ("classify-seeded.json", ()),
     ("classify-seeded.csv", ("--backend", "float", "--format", "csv")),
+    ("classify-seeded-float.json", ("--backend", "float")),
 ])
 def test_classify_seeded_goldens(tmp_path, capsys, name, argv):
     path = tmp_path / "points.csv"
@@ -352,6 +373,37 @@ def test_huge_finite_simulation_is_written(capsys, argv, output_format):
     assert all(map(math.isfinite, cells))
 
 
+# huge and tiny finite floats, signed zeros, doubles and exact fractions
+_coordinates = st.one_of(
+    st.sampled_from(["0", "-0.0", "1e300", "-1e300", "1e-300", "-1e-300",
+                     "1.7976931348623157e308", "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.fractions(max_denominator=10**6).map(str),
+)
+_points = st.lists(st.lists(_coordinates, min_size=5, max_size=5).map(
+    ",".join), min_size=1, max_size=4)
+
+
+@given(_points, st.sampled_from(["rational", "float"]),
+       st.sampled_from(["classify", "invariants"]))
+@settings(max_examples=150, deadline=None)
+def test_point_json_is_strict_or_refused(points, backend, command):
+    # every JSON the point commands write is RFC 8259 and matches its
+    # schema; a result JSON cannot spell is exit 1 with nothing written
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([command, "--backend", backend, "--", *points])
+    if code == 1:
+        event("refused")
+        assert stdout.getvalue() == ""
+        assert "not finite" in stderr.getvalue()
+        return
+    assert code == 0, stderr.getvalue()
+    payload = json.loads(stdout.getvalue(), parse_constant=_refuse)
+    validate(f"{command}.schema.json", payload)
+    assert len(payload["points"]) == len(points)
+
+
 def test_missing_input_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
@@ -380,6 +432,21 @@ def test_simulate_closed_form_golden(capsys):
     assert lines[0] == "t,q,p,U,drift"
     assert len(lines) == 6  # header + 5 samples
     assert lines[-1] == "2,-2,2,0,0"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("simulate.json", ("--picture", "time", "--state", "0,0", "--k", "1",
+                       "--y", "1", "--range", "0:2", "--step", "0.5",
+                       "--closed-form")),
+    ("simulate-rk4.json", ("--picture", "space", "--backend", "float",
+                           "--state", "0.25,-1.75", "--k", "1.5",
+                           "--y", "-1.25", "--range", "0:1",
+                           "--step", "0.125")),
+])
+def test_simulate_json_goldens(capsys, name, argv):
+    code, out, err = run(capsys, "simulate", *argv, "--format", "json")
+    assert code == 0, err
+    assert out == golden(name)
 
 
 def test_simulate_integrator_tracks_closed_form(capsys):
@@ -601,29 +668,105 @@ def test_streamed_csv_equals_formatted_rows(tmp_path, capsys, argv, build):
     assert out_path.read_bytes() == expected.encode("utf-8")
 
 
+def _trajectory_payload(trajectory) -> dict:
+    # the whole document, built before any of it is written
+    return {
+        "picture": trajectory.picture,
+        "columns": list(trajectory.columns),
+        "invariant": trajectory.invariant_name,
+        "method": trajectory.method,
+        "params": {name: json_scalar(value)
+                   for name, value in trajectory.params.items()},
+        "rows": [[json_scalar(c) for c in row] for row in trajectory.rows],
+    }
+
+
+def _points_payload(backend: str, points, classified: bool) -> dict:
+    entries = []
+    for mu in points:
+        entry = {"input": [json_scalar(c) for c in mu]}
+        if classified:
+            entry["class"] = classify(mu).value
+            entry["orbit_dimension"] = orbit_dimension(mu)
+        entry["invariants"] = {name: json_scalar(value) for name, value
+                               in invariants(mu).as_dict().items()}
+        entries.append(entry)
+    return {"backend": backend, "points": entries}
+
+
+def _assert_written(tmp_path, capsys, argv, expected: str):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+    out_path = tmp_path / "out.json"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, build", SIMULATE_MODES)
+def test_streamed_json_equals_dumped_payload(tmp_path, capsys, argv, build):
+    expected = json.dumps(_trajectory_payload(build()), indent=2,
+                          allow_nan=False) + "\n"
+    _assert_written(tmp_path, capsys,
+                    ("simulate", *argv, "--format", "json"), expected)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_point_json_equals_dumped_payload(tmp_path, capsys, backend,
+                                          command):
+    points = [DualElement._make([parse_scalar(c, backend)
+                                 for c in text.split(",")])
+              for text in CSV_ORACLE_POINTS]
+    payload = _points_payload(backend, points, command == "classify")
+    expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    _assert_written(tmp_path, capsys,
+                    (command, "--backend", backend, *CSV_ORACLE_POINTS),
+                    expected)
+
+
+# 20001 rows of RK4, exact closed form and exact dual flow
+STREAMED_MODES = (
+    ("--picture", "time", "--backend", "float", "--state=0.25,-1.75",
+     "--k=1.5", "--y=-1.25"),
+    ("--picture", "space", "--closed-form", "--state=1/4,-7/4",
+     "--k=3/2", "--y=-5/4"),
+    ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
+)
+
+
+def _streamed_peak(out_path, mode, output_format) -> int:
+    argv = ("simulate", *mode, "--range", "0:2", "--step", "0.0001",
+            "--format", output_format, "--out", str(out_path))
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
 def test_streamed_csv_memory_stays_below_its_size(tmp_path, capsys):
-    # 20001 rows of RK4, exact closed form and exact dual flow: streaming
-    # must not hold them, nor their text
-    modes = (
-        ("--picture", "time", "--backend", "float", "--state=0.25,-1.75",
-         "--k=1.5", "--y=-1.25"),
-        ("--picture", "space", "--closed-form", "--state=1/4,-7/4",
-         "--k=3/2", "--y=-5/4"),
-        ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
-    )
-    for mode in modes:
+    # streaming must not hold the rows, nor their text
+    for mode in STREAMED_MODES:
         out_path = tmp_path / "rows.csv"
-        argv = ("simulate", *mode, "--range", "0:2", "--step", "0.0001",
-                "--out", str(out_path))
-        tracemalloc.start()
-        try:
-            code = main(list(argv))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
+        peak = _streamed_peak(out_path, mode, "csv")
         size = out_path.stat().st_size
         assert out_path.read_bytes().count(b"\r\n") == 1 + 20001
+        assert peak < size, (mode, peak, size)
+
+
+def test_streamed_json_memory_stays_below_its_size(tmp_path, capsys):
+    for mode in STREAMED_MODES:
+        out_path = tmp_path / "rows.json"
+        peak = _streamed_peak(out_path, mode, "json")
+        size = out_path.stat().st_size
+        rows = json.loads(out_path.read_bytes(), parse_constant=_refuse)
+        assert len(rows["rows"]) == 20001
         assert peak < size, (mode, peak, size)
 
 
