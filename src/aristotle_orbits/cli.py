@@ -431,12 +431,20 @@ def _add_output_options(parser, formats, default_format):
                         help="write output to PATH instead of stdout")
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a zero tolerance, finite and at least 0."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r}: not a finite number >= 0")
+    return tol
+
+
 def _add_point_options(parser):
     parser.add_argument("points", nargs="*", metavar="POINT",
                         help='dual points as "p,e,f,k,y"')
     parser.add_argument("--in", dest="in_path", metavar="PATH",
                         help="read points from a JSON or CSV file")
-    parser.add_argument("--tol", type=float, default=EPS_CLASS,
+    parser.add_argument("--tol", type=_tolerance, default=EPS_CLASS,
                         help="zero tolerance for float classification")
 
 

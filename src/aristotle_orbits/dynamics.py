@@ -16,14 +16,14 @@ directly; ChartUndefinedError says exactly that.  The flows are closed
 polynomials in the parameter, checked against the printed coadjoint
 action ``coadjoint_printed`` by the tests and by ``verify``.
 
-Every trajectory is a lazy stream of rows, so rows can be written as
-they are produced: RK4 rows from one fused stepping loop, sampled rows
-from one row generator over the grid.  Exact rows past the first three
-are tabulated by integer forward differences, every column being
-quadratic in the grid index, and the tabulation is checked against the
-sampler before any row is produced; their output cells are read off the
-same integer numerators as text.  A float trajectory with a non-finite
-value anywhere in its range is refused when it is built.
+Each closed form and flow is stated once, as a solution factory that the
+public formulas and every trajectory evaluate.  Trajectories are lazy
+streams of rows: RK4 rows from one fused stepping loop, sampled rows
+from one row generator.  An exact trajectory runs its closures once on
+the polynomial parameter start + step*i; each column's coefficients give
+the integer forward differences that tabulate its rows and output cells.
+A float trajectory with a non-finite value in its range is refused when
+it is built, from its rows at the range ends and the columns' vertices.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -36,14 +36,16 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .backend import (
     NOT_FINITE, InputFormatError, Scalar, exact_div, is_float_backed,
+    parse_scalar,
 )
-from .orbits import DualElement
+from .orbits import DualElement, psi_value
+from .poly import Poly, indeterminates
 
 HALF = Fraction(1, 2)
 
@@ -156,27 +158,49 @@ class Trajectory:
 
 # ------------------------------------------------------------- dual flows
 
+def _time_path(mu0: Sequence[Scalar]) -> Callable:
+    """t -> (p, e, f) along the flow of exp(-t E); k and y stay."""
+    p, e, f, _, y = mu0
+    half_y = HALF * y
+    return lambda t: (p - f * t + half_y * t * t, e, f - y * t)
+
+
+def _space_path(mu0: Sequence[Scalar]) -> Callable:
+    """x -> (p, e, f) along the flow of exp(-x P); k and y stay."""
+    p, e, f, k, _ = mu0
+    half_k = HALF * k
+    return lambda x: (p, e + f * x + half_k * x * x, f + k * x)
+
+
 def time_flow(mu0: DualElement, t: Scalar) -> DualElement:
     """Flow of exp(-t E), coadjoint_printed(0, -t, 0, mu0) without zeros."""
-    p, e, f, k, y = mu0
-    return DualElement(p - f * t + HALF * y * t * t, e, f - y * t, k, y)
+    return DualElement(*_time_path(mu0)(t), *mu0[3:])
 
 
 def space_flow(mu0: DualElement, x: Scalar) -> DualElement:
     """Flow of exp(-x P), coadjoint_printed(-x, 0, 0, mu0) without zeros."""
-    p, e, f, k, y = mu0
-    return DualElement(p, e + f * x + HALF * k * x * x, f + k * x, k, y)
+    return DualElement(*_space_path(mu0)(x), *mu0[3:])
 
 
 # ------------------------------------------------------------ closed forms
 
+def _time_solution(q0: Scalar, p0: Scalar, params: OrbitParams) -> Callable:
+    """t -> (q, p) in the q-chart (k != 0)."""
+    v, kq0, half_y = params.v, params.k * q0, HALF * params.y
+    return lambda t: (q0 - v * t, p0 - kq0 * t + half_y * t * t)
+
+
+def _space_solution(tau0: Scalar, e0: Scalar, f0: Scalar,
+                    params: OrbitParams) -> Callable:
+    """x -> (tau, e) in the tau-chart (y != 0), from the initial force f0."""
+    s, half_k = params.s, HALF * params.k
+    return lambda x: (tau0 + s * x, e0 + f0 * x + half_k * x * x)
+
+
 def time_closed_form(q0: Scalar, p0: Scalar, params: OrbitParams,
                      t: Scalar) -> tuple:
     """(q, p) at time t; requires the q-chart (k != 0)."""
-    v = params.v
-    q = q0 - v * t
-    p = p0 - params.k * q0 * t + HALF * params.y * t * t
-    return (q, p)
+    return _time_solution(q0, p0, params)(t)
 
 
 def space_closed_form(tau0: Scalar, e0: Scalar, f0: Scalar,
@@ -187,10 +211,7 @@ def space_closed_form(tau0: Scalar, e0: Scalar, f0: Scalar,
     is evaluated literally for any f0, but only the on-orbit case makes
     the internal momentum exactly constant.
     """
-    s = params.s
-    tau = tau0 + s * x
-    e = e0 + f0 * x + HALF * params.k * x * x
-    return (tau, e)
+    return _space_solution(tau0, e0, f0, params)(x)
 
 
 # -------------------------------------------------------- right-hand sides
@@ -268,10 +289,13 @@ def realization_space(x: Scalar, t: Scalar, zeta: Scalar, state: tuple,
 def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
     """Floating grid start, start+h, ...; the final point lands on stop.
 
-    Rerunnable.  A step too small to advance the grid at its magnitude is
-    an input error, raised here, before any row exists.
+    Rerunnable.  A range and step that give no advancing float grid are an
+    input error, raised here, before any row exists.
     """
     start, stop, h = float(config.start), float(config.stop), float(config.step)
+    if not (h > 0 and math.isfinite(stop - start)):
+        raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
+                               f"by steps of {h!r}")
     count = int((stop - start) / h + 1e-9)
     if abs(start + count * h - stop) > 1e-9 * h:
         count += 1
@@ -287,79 +311,74 @@ def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
     return grid
 
 
+def _quadratic_columns(param: Poly, sample: Callable,
+                       invariant: Callable) -> list:
+    """(c0, c1, c2) of each column (param, *coords, invariant) of the row at
+    ``param``, a polynomial of one variable; a higher power is an error."""
+    coords = sample(param)
+    columns = []
+    for value in (param, *coords, invariant(*coords)):
+        terms = value.terms if isinstance(value, Poly) else {(0,): value}
+        if any(power > 2 for power, in terms):
+            raise ArithmeticError(f"a column is {value}, not quadratic")
+        columns.append(tuple(terms.get((power,), 0) for power in range(3)))
+    return columns
+
+
 def _exact_rows(config: IntegratorConfig, sample: Callable,
                 invariant: Callable) -> tuple:
     """Row and cell factories for exact rows on start + i*step for
-    i < n = ceil((stop - start)/step), then stop; decimal steps are read
-    exactly.
+    i < n = ceil((stop - start)/step), then stop; a float step is read as
+    its decimal text.
 
-    The first three rows and the last come from ``sample``.  Every column
-    is a polynomial of degree <= 2 in i, so the others are tabulated by
-    forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator per
-    column, numerators advanced by two integer additions per row, each
-    numerator read as a ``Fraction`` for a row and as text for a cell.  The
-    tabulation is checked against ``sample`` at i = n-1 before any row.
+    ``sample`` and ``invariant`` run once, on the polynomial parameter
+    start + step*i.  Each column is c0 + c1 i + c2 i^2, so its rows are
+    tabulated by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one
+    denominator per column, numerators advanced by two integer additions
+    per row, each read as a ``Fraction`` for a row and as text for a cell.
+    The row at stop is read off the coefficients.
     """
-    step = Fraction(repr(config.step)) if isinstance(config.step, float) \
-        else Fraction(config.step)
+    step = parse_scalar(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
-    n = math.ceil((stop - start) / step)
-    *head, last = _rows([start + i * step for i in range(min(n, 3))] + [stop],
-                        sample, invariant)
-    *head_text, last_text = (tuple(map(str, row)) for row in (*head, last))
-    if n <= 3:
-        return (lambda: iter((*head, last)),
-                lambda: iter((*head_text, last_text)))
-    # per column (param, coords, invariant): denominator, N0, dN, d2N
+    at = (stop - start) / step  # the index of stop
+    index, = indeterminates("i")
+    columns = _quadratic_columns(start + step * index, sample, invariant)
+    # per column (param, coords, invariant, drift): den, N0, dN, d2N, op
     tables = []
-    for values in list(zip(*head))[:-1]:
-        den = math.lcm(*(value.denominator for value in values))
-        n0, n1, n2 = (value.numerator * (den // value.denominator)
-                      for value in values)
-        tables.append((den, n0, n1 - n0, n2 - 2 * n1 + n0))
-    reference = next(_rows([start + (n - 1) * step], sample, invariant))
-    if any(next(_newton(n0, d1, d2, n - 1)) != value * den
-           for (den, n0, d1, d2), value in zip(tables, reference)):
-        raise ArithmeticError(
-            f"forward differences disagree with the sampler at "
-            f"{reference[0]}: the rows are not quadratic in the parameter")
-    den, _, d1, d2 = tables[-1]
+    for c0, c1, c2 in columns:
+        differences = (c0, c1 + c2, 2 * c2)
+        den = math.lcm(*(value.denominator for value in differences))
+        tables.append((den, *(int(value * den) for value in differences),
+                       operator.pos))
+    den, _, d1, d2, _ = tables[-1]
     tables.append((den, 0, d1, d2, abs))  # drift |N - N0| / den
+    last = [c0 + c1 * at + c2 * at * at for c0, c1, c2 in columns]
+    last.append(abs(last[-1] - columns[-1][0]))
 
-    def factory(column: Callable, head: list, last: tuple) -> Callable:
-        def produce():
-            columns = (column(*table) for table in tables)
-            return chain(head, islice(zip(*columns), n - 3), (last,))
-        return produce
-    return (factory(_column, head, last),
-            factory(_text_column, head_text, last_text))
-
-
-def _newton(n0: int, d1: int, d2: int, i: int) -> Iterator[int]:
-    """n0 + j*d1 + C(j, 2)*d2 for j = i, i+1, ..., two additions each."""
-    return accumulate(accumulate(repeat(d2), initial=d1 + i * d2),
-                      initial=n0 + i * d1 + i * (i - 1) // 2 * d2)
+    def produce(as_text: bool, stop_row: tuple) -> Iterator:
+        cells = (_column(*table, as_text) for table in tables)
+        return chain(islice(zip(*cells), math.ceil(at)), (stop_row,))
+    return (partial(produce, False, tuple(last)),
+            partial(produce, True, tuple(map(str, last))))
 
 
-def _column(den: int, n0: int, d1: int, d2: int,
-            op: Callable = operator.pos) -> Iterator[Fraction]:
-    """op(n0 + j*d1 + C(j, 2)*d2) / den for j = 3, 4, ..."""
+def _column(den: int, n0: int, d1: int, d2: int, op: Callable,
+            as_text: bool) -> Iterator:
+    """op(n0 + j*d1 + C(j, 2)*d2) / den for j = 0, 1, ..., two additions
+    each, as a ``Fraction`` or as its text (``_texts``)."""
     if d1 == d2 == 0:
-        return repeat(Fraction(op(n0), den))
-    return map(Fraction, map(op, _newton(n0, d1, d2, 3)), repeat(den))
-
-
-def _text_column(den: int, n0: int, d1: int, d2: int,
-                 op: Callable = operator.pos) -> Iterator[str]:
-    """str(Fraction(N, den)) for each numerator N of ``_column``, without
-    the Fraction: N/den reduced by their gcd, "/den" left out at 1."""
-    if d1 == d2 == 0:
-        return repeat(str(Fraction(op(n0), den)))
-    return _texts(map(op, _newton(n0, d1, d2, 3)), den)
+        value = Fraction(op(n0), den)
+        return repeat(str(value) if as_text else value)
+    numerators = map(op, accumulate(accumulate(repeat(d2), initial=d1),
+                                    initial=n0))
+    if as_text:
+        return _texts(numerators, den)
+    return map(Fraction, numerators, repeat(den))
 
 
 def _texts(numerators: Iterator[int], den: int) -> Iterator[str]:
-    """The text of each numerator over ``den``, as ``_text_column`` says."""
+    """str(Fraction(N, den)) for each numerator N, without the Fraction:
+    N/den reduced by their gcd, "/den" left out at 1."""
     gcd = math.gcd
     for num in numerators:
         g = gcd(num, den)
@@ -377,39 +396,47 @@ def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
         yield (param, *coords, inv, abs(inv - inv0))
 
 
-def _require_finite(config: IntegratorConfig, sample: Callable,
-                    invariant: Callable, forces: tuple, slope: float = 0.0):
-    """Refuse a float trajectory holding a NaN or an infinity, before any row.
+def _require_finite(config: IntegratorConfig, model: Callable,
+                    inputs: tuple) -> tuple:
+    """``model(*inputs)``, a (sample, invariant) pair on floats, refused
+    before any row if a row over the range holds a NaN or an infinity.
 
-    Each column, and each product inside the invariant, is a polynomial of
-    degree <= 2 in the parameter whose quadratic part is the square of a
-    force line f0 + rate*param, or the integral of one.  Its extremes over
-    the range lie at the ends or where a line of ``forces`` (pairs
-    (f0, rate)) vanishes, so the rows there, with the chart ``slope``,
-    bound every row; RK4 follows the closed form to roundoff.
+    Each column, and each product in the invariant (a column times a
+    constant, or the square of a line), has degree <= 2 in the parameter:
+    its largest magnitude lies at a range end or at a column's vertex
+    -c1/(2 c2), read off the model on the exact images of the inputs.  So
+    the rows there bound every row; RK4 follows the closed form to roundoff.
     """
-    if not math.isfinite(slope):
-        raise InputFormatError(f"{NOT_FINITE}: the chart slope is {slope!r}")
+    if not all(map(math.isfinite, inputs)):
+        raise InputFormatError(f"{NOT_FINITE}: the inputs are {inputs!r}")
+    sample, invariant = model(*inputs)
     start, stop = float(config.start), float(config.stop)
-    roots = (-f0 / rate for f0, rate in forces if rate)
-    probes = [start, stop, *(root for root in roots if start < root < stop)]
+    param, = indeterminates("t")
+    vertices = (-c1 / (2 * c2) for _, c1, c2 in _quadratic_columns(
+        param, *model(*map(Fraction, inputs))) if c2)
+    probes = [start, stop, *(float(vertex) for vertex in vertices
+                             if start < vertex < stop)]
     for row in _rows(probes, sample, invariant):
         if not all(map(math.isfinite, row)):
             raise InputFormatError(
                 f"{NOT_FINITE}: the row at {row[0]!r} is {row[1:]!r}")
+    return sample, invariant
 
 
-def _sampled_rows(float_backed: bool, config: IntegratorConfig,
-                  sample: Callable, invariant: Callable, forces: tuple,
-                  slope: Scalar = 0.0) -> tuple:
-    """Row and cell factories: over a checked float grid whose rows are
-    finite (see _require_finite), or exact."""
-    if not float_backed:
-        return _exact_rows(config, sample, invariant)
-    grid = _float_grid(config)
-    _require_finite(config, sample, invariant, forces, slope)
-    rows = lambda: _rows(grid(), sample, invariant)  # noqa: E731
-    return rows, rows
+def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
+                        model: Callable, inputs: tuple) -> Trajectory:
+    """The closed-form trajectory of ``model(*inputs)``, a (sample,
+    invariant) pair, with ``inputs`` led by the orbit labels k and y: exact
+    rows, or floats over a checked grid if an input is a float."""
+    config = config or IntegratorConfig()
+    if not is_float_backed(*inputs):
+        rows, cells = _exact_rows(config, *model(*inputs))
+    else:
+        inputs = tuple(map(float, inputs))
+        sample, invariant = _require_finite(config, model, inputs)
+        grid = _float_grid(config)
+        rows = cells = lambda: _rows(grid(), sample, invariant)  # noqa: E731
+    return _trajectory(picture, "closed-form", *inputs[:2], rows, cells)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -456,27 +483,24 @@ def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
     return lambda a, b: b * slope - half_force * a * a
 
 
-def _chart_closed_form(picture: str, state0: Sequence[Scalar],
-                       params: OrbitParams, f0: Optional[Scalar]) -> tuple:
-    """(sample, force lines) of the chart's closed form from state0.
-
-    The force is f = k q = k q0 - y t in time and f0 + k x in space, where
-    off the orbit (f0 != y tau0) y tau = y tau0 + k x is a second line.
-    """
-    a0, b0 = state0
+def _chart_model(picture: str, k: Scalar, y: Scalar, a0: Scalar, b0: Scalar,
+                 f0: Optional[Scalar] = None) -> tuple:
+    """(sample, invariant) of the chart's closed form from (a0, b0); f0,
+    the space picture's initial force, defaults to the on-orbit y*tau0."""
+    _check_picture(picture)
+    params = OrbitParams(k, y)
     if picture == "time":
-        v, kq0, half_y = params.v, params.k * a0, HALF * params.y
+        sample = _time_solution(a0, b0, params)
+    else:
+        sample = _space_solution(a0, b0, y * a0 if f0 is None else f0, params)
+    return sample, _chart_invariant(picture, params)
 
-        def sample(t):
-            return a0 - v * t, b0 - kq0 * t + half_y * t * t
-        return sample, ((kq0, -params.y),)
-    s, half_k = params.s, HALF * params.k
-    if f0 is None:
-        f0 = params.y * a0
 
-    def sample(x):
-        return a0 + s * x, b0 + f0 * x + half_k * x * x
-    return sample, ((f0, params.k), (params.y * a0, params.k))
+def _dual_model(picture: str, k: Scalar, y: Scalar, *state: Scalar) -> tuple:
+    """(sample, invariant) of the dual flow from (p, e, f): path and psi."""
+    _check_picture(picture)
+    path = _time_path if picture == "time" else _space_path
+    return path((*state, k, y)), lambda p, e, f: psi_value(p, e, f, k, y)
 
 
 # picture -> (coordinate columns, invariant name)
@@ -509,20 +533,17 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
     polynomial field, so at h = 1e-3 the scheme tracks the closed forms
     to roundoff.
     """
-    _check_picture(picture)
     config = config or IntegratorConfig()
-    params = OrbitParams(float(params.k), float(params.y))
-    state = tuple(float(c) for c in state0)
+    inputs = tuple(map(float, (params.k, params.y, *state0)))
+    _require_finite(config, partial(_chart_model, picture), inputs)
+    grid = _float_grid(config)
+    params = OrbitParams(*inputs[:2])
     slope, half_force = _chart_constants(picture, params)
-    sample, forces = _chart_closed_form(picture, state, params, None)
     rate, gain = ((-params.v, -params.k) if picture == "time"
                   else (params.s, params.y))
-    grid = _float_grid(config)
-    _require_finite(config, sample, _chart_invariant(picture, params), forces,
-                    slope)
     return _trajectory(
         picture, f"rk4 h={float(config.step)!r}", params.k, params.y,
-        lambda: _rk4_rows(grid(), state, rate, gain, slope, half_force))
+        lambda: _rk4_rows(grid(), inputs[2:], rate, gain, slope, half_force))
 
 
 def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
@@ -534,20 +555,9 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
     Backend-generic: rational inputs give exact rational rows.  For the
     space picture f0 defaults to the on-orbit value y*tau0.
     """
-    _check_picture(picture)
-    config = config or IntegratorConfig()
-    float_backed = is_float_backed(*state0, params.k, params.y, f0)
-    if float_backed:
-        params = OrbitParams(float(params.k), float(params.y))
-        state0 = tuple(float(c) for c in state0)
-        if f0 is not None:
-            f0 = float(f0)
-    invariant = _chart_invariant(picture, params)
-    sample, forces = _chart_closed_form(picture, state0, params, f0)
-    return _trajectory(
-        picture, "closed-form", params.k, params.y,
-        *_sampled_rows(float_backed, config, sample, invariant, forces,
-                       _chart_constants(picture, params)[0]))
+    inputs = (params.k, params.y, *state0, *(() if f0 is None else (f0,)))
+    return _sampled_trajectory(picture, config,
+                               partial(_chart_model, picture), inputs)
 
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
@@ -556,32 +566,8 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
 
     The carried invariant is psi = 2ke - f^2 + 2py, which is defined on
     every orbit, so this mode works where the charts do not.  Rows are
-    time_flow/space_flow with the constant terms taken once.
+    the paths of time_flow/space_flow.
     """
-    _check_picture(picture)
-    config = config or IntegratorConfig()
-    p0, e0, f0, k, y = mu0
-    float_backed = is_float_backed(*mu0)
-    if float_backed:
-        p0, e0, f0, k, y = map(float, mu0)
-    if picture == "time":
-        half_y, ke = HALF * y, 2 * k * e0
-
-        def sample(t):
-            return p0 - f0 * t + half_y * t * t, e0, f0 - y * t
-
-        def psi(p, e, f):
-            return ke - f * f + 2 * p * y
-        force = (f0, -y)
-    else:
-        half_k, py = HALF * k, 2 * p0 * y
-
-        def sample(x):
-            return p0, e0 + f0 * x + half_k * x * x, f0 + k * x
-
-        def psi(p, e, f):
-            return 2 * k * e - f * f + py
-        force = (f0, k)
-    return _trajectory(f"dual-{picture}", "closed-form", k, y,
-                       *_sampled_rows(float_backed, config, sample, psi,
-                                      (force,)))
+    return _sampled_trajectory(f"dual-{picture}", config,
+                               partial(_dual_model, picture),
+                               (*mu0[3:], *mu0[:3]))

@@ -183,6 +183,11 @@ def _chart_value(a: tuple, c: tuple, x: tuple, w: tuple, z: tuple) -> Fraction:
                     ad * sq_d * lin_d)
 
 
+def psi_value(p: Scalar, e: Scalar, f: Scalar, k: Scalar, y: Scalar) -> Scalar:
+    """psi = 2ke - f^2 + 2py, the invariant defined on every orbit."""
+    return 2 * k * e - f * f + 2 * p * y
+
+
 def _float_invariants(mu: DualElement, tol: float) -> InvariantSet:
     """invariants of a float-backed point: the formulas as written, with
     classify's relative zero test."""
@@ -202,7 +207,7 @@ def _float_invariants(mu: DualElement, tol: float) -> InvariantSet:
         pi = p - HALF * y * tau * tau + e * s
     if k_zero and y_zero:
         f_echo = f
-    psi = 2 * k * e - f * f + 2 * p * y
+    psi = psi_value(*mu)
     return InvariantSet(k=k, y=y, psi=psi, v=v, s=s, q=q, tau=tau, u=u, pi=pi, f=f_echo)
 
 

@@ -404,6 +404,70 @@ def test_point_json_is_strict_or_refused(points, backend, command):
     assert len(payload["points"]) == len(points)
 
 
+_simulate_modes = st.sampled_from(["rk4", "closed-form", "off-orbit", "dual"])
+
+
+@given(_simulate_modes, st.sampled_from(["time", "space"]),
+       st.sampled_from(["rational", "float"]),
+       st.lists(_coordinates, min_size=5, max_size=5),
+       st.lists(_coordinates, min_size=2, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_simulate_json_is_strict_or_refused(mode, picture, backend, values,
+                                            ends):
+    # every trajectory JSON is RFC 8259 and matches its schema, over huge,
+    # tiny and signed-zero states, orbits and ranges; a refused input (a
+    # value JSON cannot spell, a chart that does not exist, a grid that
+    # does not advance) is exit 1 with nothing written.  Each grid has at
+    # most five rows.
+    start, stop = sorted(ends, key=Fraction)
+    step = (Fraction(stop) - Fraction(start)) / 4 or 1
+    if mode == "dual":
+        inputs = ["--dual", "--mu=" + ",".join(values)]
+    else:
+        inputs = [f"--state={values[0]},{values[1]}", f"--k={values[2]}",
+                  f"--y={values[3]}"]
+        if mode != "rk4":
+            inputs.append("--closed-form")
+        if mode == "off-orbit" and picture == "space":
+            inputs.append(f"--f0={values[4]}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["simulate", "--picture", picture, "--backend", backend,
+                     *inputs, f"--range={start}:{stop}", f"--step={step}",
+                     "--format", "json"])
+    if code == 1:
+        event("refused")
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("aristotle-orbits: error: ")
+        return
+    assert code == 0, stderr.getvalue()
+    payload = json.loads(stdout.getvalue(), parse_constant=_refuse)
+    validate("trajectory.schema.json", payload)
+    assert 1 <= len(payload["rows"]) <= 5
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_tol_must_be_finite_and_non_negative(capsys, command, tol):
+    # a NaN tolerance would make every zero nonzero and divide by zero, and
+    # an infinite one would make every point a fixed point
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--backend", "float", f"--tol={tol}",
+              "1,1,1,1e-300,1"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --tol: " in captured.err
+    assert "not a finite number >= 0" in captured.err
+
+
+def test_tol_zero_is_accepted(capsys):
+    code, out, err = run(capsys, "classify", "--backend", "float",
+                         "--tol", "0", "1,1,1,1e-300,0")
+    assert code == 0, err
+    assert json.loads(out)["points"][0]["class"] == "HOOKE_ONLY"
+
+
 def test_missing_input_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
@@ -580,6 +644,20 @@ def test_simulate_non_advancing_grid_is_input_error(tmp_path, capsys, mode):
     code, _, _ = run(capsys, *NON_ADVANCING, *mode, "--out", str(out_path))
     assert code == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # the range is wider than the largest float; every row is finite
+    ("--backend", "float", "--state=0,1", "--k=1", "--y=1e-320",
+     "--range=-1e308:1e308", "--step=1e307"),
+    # a valid exact step that rounds to 0.0 for the float integrator
+    ("--state=1,1", "--k=1", "--y=1", "--range=0:1", "--step=1e-400"),
+])
+def test_simulate_without_a_float_grid_is_input_error(capsys, argv):
+    code, out, err = run(capsys, "simulate", "--picture", "time", *argv)
+    assert code == 1
+    assert out == ""
+    assert "no float grid spans" in err
 
 
 def _fresh_interpreter(*argv, **kwargs):
@@ -780,7 +858,8 @@ def test_streamed_json_memory_stays_below_its_size(tmp_path, capsys):
 def test_exact_csv_builds_no_fraction_per_row(tmp_path, capsys, monkeypatch,
                                               mode):
     # exact cells are read off integer numerators: the Fractions built
-    # (parsing, the head rows, the difference check) do not grow with rows
+    # (parsing, the column coefficients, the row at stop) do not grow with
+    # rows
     calls = []
     original = Fraction.__new__
 
