@@ -21,7 +21,7 @@ from .lie_core import (
 )
 from .orbits import (
     DualElement, InvariantSet, OrbitClass, classify, coadjoint,
-    coadjoint_printed, invariants, orbit_dimension, pair,
+    coadjoint_matrix, coadjoint_printed, invariants, orbit_dimension, pair,
 )
 
 __version__ = "0.1.0"
@@ -31,8 +31,8 @@ __all__ = [
     "FLOAT", "GroupElement", "InputFormatError", "IntegratorConfig",
     "InvariantSet", "OrbitClass", "OrbitParams", "RATIONAL", "Scalar",
     "SpaceState", "StructureTensor", "TimeState", "Trajectory", "bracket",
-    "classify", "closed_form_trajectory", "coadjoint", "coadjoint_printed",
-    "compose", "compose_printed", "dual_flow_trajectory", "integrate",
-    "inverse", "invariants", "jacobi_residual", "orbit_dimension", "pair",
-    "space_closed_form", "time_closed_form", "__version__",
+    "classify", "closed_form_trajectory", "coadjoint", "coadjoint_matrix",
+    "coadjoint_printed", "compose", "compose_printed", "dual_flow_trajectory",
+    "integrate", "inverse", "invariants", "jacobi_residual", "orbit_dimension",
+    "pair", "space_closed_form", "time_closed_form", "__version__",
 ]

@@ -11,6 +11,9 @@ backends:
 
 Plain ints count as exact scalars; mixing a Fraction constant into float
 arithmetic degrades to float, which is exactly the genericity we rely on.
+The proofs of ``verify`` run the same code on a third, symbolic kind of
+exact scalar: ``poly.Poly`` indeterminates, divided by ``exact_div`` into
+``poly.Ratio`` quotients.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+from .poly import Poly, Ratio
 
 Scalar = Union[Fraction, int, float]
 
@@ -108,9 +113,12 @@ def is_float_backed(*values: Scalar) -> bool:
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """a/b; stays rational unless either operand is a float."""
+    """a/b; stays rational unless either operand is a float, and is a
+    ``poly.Ratio`` if either is symbolic (a ``Poly`` or a ``Ratio``)."""
     if is_float_backed(a, b):
         return a / b
+    if isinstance(a, (Poly, Ratio)) or isinstance(b, (Poly, Ratio)):
+        return Ratio(1) * a / b
     return Fraction(a) / Fraction(b)
 
 

@@ -492,8 +492,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the structural self-check suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000,
-                   help="random samples per sampled check; the four "
-                        "group-law checks are proved (default 1000)")
+                   help="reported, read by no check: every rational check "
+                        "is a proof (default 1000)")
     p.add_argument("--mutate", metavar="ID",
                    help="run against a deliberately broken structure tensor")
     _add_output_options(p, ("text", "json"), "text")

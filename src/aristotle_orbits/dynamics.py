@@ -286,13 +286,24 @@ def realization_space(x: Scalar, t: Scalar, zeta: Scalar, state: tuple,
 
 # -------------------------------------------------------------- integration
 
-def _float_grid(config: IntegratorConfig) -> Callable[[], Iterator[float]]:
+def _float_images(config: IntegratorConfig, inputs: tuple) -> tuple:
+    """(start, stop, step) and ``inputs`` as floats, each taken once; a
+    value beyond the double range is an input error."""
+    try:
+        return (tuple(map(float, (config.start, config.stop, config.step))),
+                tuple(map(float, inputs)))
+    except OverflowError as exc:
+        raise InputFormatError(
+            f"a value is beyond the float range: {exc}") from exc
+
+
+def _float_grid(start: float, stop: float,
+                h: float) -> Callable[[], Iterator[float]]:
     """Floating grid start, start+h, ...; the final point lands on stop.
 
     Rerunnable.  A range and step that give no advancing float grid are an
     input error, raised here, before any row exists.
     """
-    start, stop, h = float(config.start), float(config.stop), float(config.step)
     if not (h > 0 and math.isfinite(stop - start)):
         raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
                                f"by steps of {h!r}")
@@ -396,10 +407,10 @@ def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
         yield (param, *coords, inv, abs(inv - inv0))
 
 
-def _require_finite(config: IntegratorConfig, model: Callable,
-                    inputs: tuple) -> tuple:
+def _require_finite(span: tuple, model: Callable, inputs: tuple) -> tuple:
     """``model(*inputs)``, a (sample, invariant) pair on floats, refused
-    before any row if a row over the range holds a NaN or an infinity.
+    before any row if a row over the range of ``span`` (start, stop, step)
+    holds a NaN or an infinity.
 
     Each column, and each product in the invariant (a column times a
     constant, or the square of a line), has degree <= 2 in the parameter:
@@ -410,7 +421,7 @@ def _require_finite(config: IntegratorConfig, model: Callable,
     if not all(map(math.isfinite, inputs)):
         raise InputFormatError(f"{NOT_FINITE}: the inputs are {inputs!r}")
     sample, invariant = model(*inputs)
-    start, stop = float(config.start), float(config.stop)
+    start, stop, _ = span
     param, = indeterminates("t")
     vertices = (-c1 / (2 * c2) for _, c1, c2 in _quadratic_columns(
         param, *model(*map(Fraction, inputs))) if c2)
@@ -432,9 +443,9 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
     if not is_float_backed(*inputs):
         rows, cells = _exact_rows(config, *model(*inputs))
     else:
-        inputs = tuple(map(float, inputs))
-        sample, invariant = _require_finite(config, model, inputs)
-        grid = _float_grid(config)
+        span, inputs = _float_images(config, inputs)
+        sample, invariant = _require_finite(span, model, inputs)
+        grid = _float_grid(*span)
         rows = cells = lambda: _rows(grid(), sample, invariant)  # noqa: E731
     return _trajectory(picture, "closed-form", *inputs[:2], rows, cells)
 
@@ -533,16 +544,16 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
     polynomial field, so at h = 1e-3 the scheme tracks the closed forms
     to roundoff.
     """
-    config = config or IntegratorConfig()
-    inputs = tuple(map(float, (params.k, params.y, *state0)))
-    _require_finite(config, partial(_chart_model, picture), inputs)
-    grid = _float_grid(config)
+    span, inputs = _float_images(config or IntegratorConfig(),
+                                 (params.k, params.y, *state0))
+    _require_finite(span, partial(_chart_model, picture), inputs)
+    grid = _float_grid(*span)
     params = OrbitParams(*inputs[:2])
     slope, half_force = _chart_constants(picture, params)
     rate, gain = ((-params.v, -params.k) if picture == "time"
                   else (params.s, params.y))
     return _trajectory(
-        picture, f"rk4 h={float(config.step)!r}", params.k, params.y,
+        picture, f"rk4 h={span[2]!r}", params.k, params.y,
         lambda: _rk4_rows(grid(), inputs[2:], rate, gain, slope, half_force))
 
 

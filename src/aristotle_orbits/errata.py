@@ -32,7 +32,7 @@ from .lie_core import (
 )
 from .orbits import (
     PRINTED_ACTION_CONVENTION, DualElement,
-    coadjoint, coadjoint_printed, invariants, pair,
+    coadjoint_matrix, coadjoint_printed, invariants, pair,
 )
 from .rng import SplitMix64
 
@@ -175,7 +175,7 @@ def _finding_action_law(rng: SplitMix64) -> ErrataFinding:
 def _finding_action_agreement(rng: SplitMix64) -> ErrataFinding:
     g = GroupElement._make(rng.rationals(5))
     mu = DualElement._make(rng.rationals(5))
-    derived = coadjoint(g, mu)
+    derived = coadjoint_matrix(g, mu)
     printed = coadjoint_printed(g.x, g.t, g.zeta, mu)
     residual = [a - b for a, b in zip(printed, derived)]
     return _finding(

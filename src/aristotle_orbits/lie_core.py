@@ -251,21 +251,23 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     )
 
 
-def compose_bch(g: GroupElement, h: GroupElement) -> GroupElement:
+def compose_bch(g: GroupElement, h: GroupElement,
+                tensor: StructureTensor = DEFAULT_TENSOR) -> GroupElement:
     """Product in second-kind coordinates, derived by BCH factor shuffling.
 
     Moves exp(x*P) rightward past exp(t'E + zeta'F) via conjugation by
     exp(ad), merges the E-F factors with ``bch``, and accumulates the
-    central Lambda/Y corrections.  Associative by construction.
+    central Lambda/Y corrections.  Associative by construction on the
+    shipped tensor; another tensor gives another law.
     """
     # conjugate the second factor's E-F block past exp(x*P)
     v = E.scaled(h.t) + F.scaled(h.zeta)
-    w = exp_ad(P.scaled(g.x)).apply(v)
+    w = exp_ad(P.scaled(g.x), tensor).apply(v)
     if w[BasisIndex.P] != 0:
         raise ArithmeticError("conjugation by exp(x*P) produced a P component")
     # merge the two E-F blocks; only a central Y term can appear
     m = bch(E.scaled(g.t) + F.scaled(g.zeta),
-            E.scaled(w[BasisIndex.E]) + F.scaled(w[BasisIndex.F]))
+            E.scaled(w[BasisIndex.E]) + F.scaled(w[BasisIndex.F]), tensor)
     return GroupElement(
         g.x + h.x,
         m[BasisIndex.E],

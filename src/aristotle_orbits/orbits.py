@@ -5,16 +5,17 @@ constant and yank, paired with algebra coefficients by
 
     <mu, X> = p X_P + e X_E + f X_F + k X_Lambda + y X_Y.
 
-Two implementations of the action are provided.  ``coadjoint`` is the
-canonical one, mu . Ad_{g^-1}, computed from the group-level adjoint
-matrices, so it is correct by construction for the derived group law.
-``coadjoint_printed`` transcribes the closed formulas of the source text.
-``verify`` proves on indeterminates that they are one polynomial map, as
+The action has a reference and a closed form.  ``coadjoint_matrix`` is
+mu . Ad_{g^-1}, computed from the group-level adjoint matrices, so it is
+correct by construction for the derived group law.  ``coadjoint_printed``
+transcribes the closed formulas of the source text, and ``coadjoint``
+evaluates them at g's (x, t, zeta).  ``verify`` proves on indeterminates
+that the closed form and the reference are one polynomial map, as
 ``PRINTED_ACTION_CONVENTION`` records.
 
 ``invariants`` evaluates rational points on integer numerators and
-denominators, one reduction per reported value; a point with a float
-coordinate takes the float formulas, whose output is unchanged.
+denominators, one reduction per reported value; any other point (a float
+coordinate, or a symbolic one in a proof) takes the formulas as written.
 """
 
 from __future__ import annotations
@@ -93,11 +94,17 @@ def pair(mu: DualElement, element: AlgebraElement) -> Scalar:
 
 
 def coadjoint(g: GroupElement, mu: DualElement) -> DualElement:
-    """mu . Ad_{g^-1}, via the transpose of the group adjoint matrix.
+    """mu . Ad_{g^-1} in closed form: ``coadjoint_printed`` at (x, t, zeta).
 
     Left action: coadjoint(compose(g, h), mu) = coadjoint(g, coadjoint(h, mu)).
     The central coordinates (a, b) of g act trivially.
     """
+    return coadjoint_printed(g.x, g.t, g.zeta, mu)
+
+
+def coadjoint_matrix(g: GroupElement, mu: DualElement) -> DualElement:
+    """mu . Ad_{g^-1}, via the transpose of the group adjoint matrix: the
+    reference that ``coadjoint`` is proved equal to."""
     matrix = adjoint_of_group(inverse(g))
     return DualElement._make(matrix.transpose_apply(mu))
 
@@ -152,8 +159,8 @@ def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
     their chart formulas e - kq^2/2 + pv and p - y tau^2/2 + es, so
     U = pi v stays a check between two computations.
     """
-    if is_float_backed(*mu):
-        return _float_invariants(mu, tol)
+    if not all(isinstance(c, (int, Fraction)) for c in mu):
+        return _formula_invariants(mu, tol)
     (pn, pd), (en, ed), (fn, fd), (kn, kd), (yn, yd) = [
         (c.numerator, c.denominator) for c in mu]
     v = s = q = tau = u = pi = f_echo = None
@@ -188,11 +195,11 @@ def psi_value(p: Scalar, e: Scalar, f: Scalar, k: Scalar, y: Scalar) -> Scalar:
     return 2 * k * e - f * f + 2 * p * y
 
 
-def _float_invariants(mu: DualElement, tol: float) -> InvariantSet:
-    """invariants of a float-backed point: the formulas as written, with
-    classify's relative zero test."""
+def _formula_invariants(mu: DualElement, tol: float) -> InvariantSet:
+    """invariants by the formulas as written, with classify's zero test:
+    relative on a float point, exact on a symbolic one."""
     p, e, f, k, y = mu
-    scale = max(1, *map(abs, mu))
+    scale = _zero_scale(mu)
     k_zero = is_zero(k, tol, scale)
     y_zero = is_zero(y, tol, scale)
 

@@ -4,6 +4,9 @@
 either side, so the group law, ``Ad`` and the coadjoint action run on it
 unchanged.  On indeterminates they return their own coefficients, and an
 identity holds for every input iff its residual is the zero polynomial.
+``Ratio``, a quotient of two such scalars, adds ``/`` for the formulas
+that divide (``backend.exact_div`` returns one), so identities through
+y/k or f/y are proved the same way: by a zero numerator.
 """
 
 from __future__ import annotations
@@ -70,14 +73,23 @@ class Poly:
         return NotImplemented if other is None else self.terms == other.terms
 
     def evaluate(self, point) -> Fraction:
-        """The value at ``point``, one scalar per variable."""
-        total = Fraction(0)
+        """The value at ``point``, one exact scalar per variable.
+
+        Each term is an integer numerator over an integer denominator, the
+        sum is kept as one such pair, and a single ``Fraction`` reduces it.
+        """
+        num, den = 0, 1
         for alpha, coeff in self.terms.items():
+            n, d = coeff.numerator, coeff.denominator
             for value, power in zip(point, alpha):
                 if power:
-                    coeff *= value ** power
-            total += coeff
-        return total
+                    n *= value.numerator ** power
+                    d *= value.denominator ** power
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def __str__(self) -> str:
         text = ""
@@ -87,6 +99,64 @@ class Poly:
                     else f"{abs(coeff)}*{name}")
             text += (" - " if coeff < 0 else " + ") + body
         return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+
+    __repr__ = __str__
+
+
+def _on_parts(method):
+    """``method(self, num, den)`` on the other operand's numerator and
+    denominator; NotImplemented if it is no exact scalar."""
+    def operation(self, other):
+        if isinstance(other, Ratio):
+            return method(self, other.num, other.den)
+        if isinstance(other, (int, Fraction, Poly)):
+            return method(self, other, 1)
+        return NotImplemented
+    return operation
+
+
+class Ratio:
+    """num/den for exact scalars or polynomials num and den != 0; floats
+    are refused, as by ``Poly``.  No gcd is taken: ``==`` cross-multiplies,
+    so a Ratio is zero exactly when its numerator is."""
+
+    __slots__ = ("num", "den")
+    __hash__ = None
+
+    def __init__(self, num, den=1):
+        if den == 0:
+            raise ZeroDivisionError(f"({num})/({den}) has a zero denominator")
+        self.num, self.den = num, den
+
+    @_on_parts
+    def __add__(self, num, den):
+        return Ratio(self.num * den + num * self.den, self.den * den)
+
+    @_on_parts
+    def __mul__(self, num, den):
+        return Ratio(self.num * num, self.den * den)
+
+    @_on_parts
+    def __truediv__(self, num, den):
+        return Ratio(self.num * den, self.den * num)
+
+    @_on_parts
+    def __eq__(self, num, den):
+        return self.num * den == num * self.den
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Ratio(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __str__(self) -> str:
+        return f"({self.num})/({self.den})"
 
     __repr__ = __str__
 

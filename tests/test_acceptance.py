@@ -28,7 +28,7 @@ from aristotle_orbits.lie_core import (
 )
 from aristotle_orbits.orbits import (
     PRINTED_ACTION_CONVENTION, DualElement, OrbitClass, classify, coadjoint,
-    coadjoint_printed, invariants, orbit_dimension,
+    coadjoint_matrix, coadjoint_printed, invariants, orbit_dimension,
 )
 from aristotle_orbits.rng import SplitMix64
 
@@ -110,7 +110,9 @@ def test_criterion_03_action_laws():
         assert coadjoint(compose(g, h), mu) == coadjoint(g, coadjoint(h, mu))
         central = GroupElement(0, 0, 0, rng.rational(), rng.rational())
         assert coadjoint(central, mu) == mu
-        assert coadjoint(g, mu) == coadjoint_printed(g.x, g.t, g.zeta, mu)
+        assert coadjoint(g, mu) == coadjoint_matrix(g, mu)
+        assert coadjoint_matrix(g, mu) == coadjoint_printed(g.x, g.t, g.zeta,
+                                                            mu)
     _finish(3, started, 5.0,
             "printed action is a left action on 1000 pairs; derived action "
             "is a center-trivial homomorphism matching it under the frozen "

@@ -20,6 +20,7 @@ from jsonschema import Draft202012Validator
 
 import aristotle_orbits
 from aristotle_orbits import cli, dynamics, orbits
+from aristotle_orbits import verify as verify_module
 from aristotle_orbits.backend import (
     format_scalar, json_scalar, parse_scalar,
 )
@@ -328,6 +329,25 @@ NON_FINITE_RESULTS = [
     ("invariants", "--backend", "float", "--format", "csv", OVERFLOWING_POINT),
     ("invariants", "--backend", "float", OVERFLOWING_POINT),
 ]
+
+
+# exact inputs whose float images lie beyond the double range: RK4 and its
+# grid run on floats, so these are input errors, not adjudication failures
+BEYOND_FLOAT = [
+    ("--state=1,1", "--k=1e400", "--y=1", "--range", "0:1", "--step", "0.5"),
+    ("--state=1,1", "--k=1", "--y=1", "--range", "0:1e400",
+     "--step", "1e399"),
+]
+
+
+@pytest.mark.parametrize("argv", BEYOND_FLOAT)
+def test_exact_input_beyond_the_float_range_is_input_error(capsys, argv):
+    code, out, err = run(capsys, "simulate", "--picture", "time", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("aristotle-orbits: error: a value is beyond the "
+                          "float range")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", NON_FINITE_RESULTS)
@@ -927,6 +947,30 @@ def test_samples_below_one_is_usage_error(capsys, command, samples):
     assert code == 1
     assert out == ""
     assert "--samples" in err
+
+
+def test_verify_mutation_fails_the_group_law_proof(capsys):
+    code, out, err = run(capsys, "verify", "--samples", "20",
+                         "--mutate", "Eq2.4")
+    assert code == 2, err
+    failed = [line.split(":")[0] for line in out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert failed == ["[FAIL] jacobi", "[FAIL] nilpotency",
+                      "[FAIL] associativity"]
+
+
+def test_verify_arithmetic_error_is_a_failed_check(capsys, monkeypatch):
+    def breaks_down(g, h, tensor):
+        raise ArithmeticError("peeling exp(x*P) left a P component")
+
+    monkeypatch.setattr(verify_module, "compose_bch", breaks_down)
+    code, out, err = run(capsys, "verify", "--samples", "3")
+    assert code == 2
+    assert err == ""
+    assert ("[FAIL] associativity: raised ArithmeticError: peeling exp(x*P) "
+            "left a P component\n") in out
+    assert out.count("[PASS]") == 11
+    assert out.endswith("FAILURES PRESENT\n")
 
 
 def test_verify_unknown_mutation_is_usage_error(capsys):

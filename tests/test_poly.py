@@ -1,5 +1,7 @@
-"""The polynomial scalar: evaluation is a ring homomorphism, and printing."""
+"""The polynomial scalar and its quotients: evaluation is a ring
+homomorphism, Ratio arithmetic and equality, and printing."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aristotle_orbits.backend import exact_div
 from aristotle_orbits.derive_law import VARIABLES, monomial_name
-from aristotle_orbits.poly import Poly, indeterminates
+from aristotle_orbits.poly import Poly, Ratio, indeterminates
 
 NAMES = ("u", "v", "w")
 
@@ -89,3 +92,123 @@ def test_oracle_stays_independent_of_the_package():
     imports = [line.strip() for line in source.splitlines()
                if line.strip().startswith(("import ", "from "))]
     assert imports == ["from fractions import Fraction"]
+
+
+# ---------------------------------------------------------------- Ratio
+
+def _old_evaluate(poly, point):
+    # the Fraction-by-Fraction evaluation, kept as the oracle for the
+    # integer numerator/denominator one
+    total = Fraction(0)
+    for alpha, coeff in poly.terms.items():
+        for value, power in zip(point, alpha):
+            coeff *= Fraction(value) ** power
+        total += coeff
+    return total
+
+
+@given(polys, points)
+@settings(max_examples=200)
+def test_integer_evaluate_matches_fraction_evaluation(a, point):
+    value = a.evaluate(point)
+    assert type(value) is Fraction
+    assert value == _old_evaluate(a, point)
+
+
+def test_integer_evaluate_on_random_points_and_int_coordinates():
+    rng = random.Random(1307)
+    u, v, w = indeterminates(NAMES)
+    cubic = Fraction(1, 12) * u * u * w - Fraction(5, 7) * v * w + u - 3
+    for _ in range(200):
+        point = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                      for _ in NAMES)
+        assert cubic.evaluate(point) == _old_evaluate(cubic, point)
+    assert cubic.evaluate((2, -1, 3)) == _old_evaluate(cubic, (2, -1, 3))
+    assert Poly({}, NAMES).evaluate((1, 2, 3)) == 0
+
+
+ratios = st.tuples(polys, polys.filter(lambda p: p != 0)).map(
+    lambda pair: Ratio(*pair))
+
+
+@given(ratios, ratios, points)
+@settings(max_examples=100)
+def test_ratio_evaluates_like_the_quotient_of_values(a, b, point):
+    def value(r):
+        den = r.den.evaluate(point)
+        return None if den == 0 else r.num.evaluate(point) / den
+
+    va, vb = value(a), value(b)
+    if va is None or vb is None:
+        return
+    for result, expected in ((a + b, va + vb), (a - b, va - vb),
+                             (a * b, va * vb), (-a, -va)):
+        assert value(result) == expected
+    if vb:
+        assert value(a / b) == va / vb
+
+
+@given(ratios, st.one_of(polys, scalars))
+@settings(max_examples=100)
+def test_ratio_mixes_with_polys_and_scalars_on_either_side(r, c):
+    for result in (r + c, c + r, r - c, c - r, r * c, c * r):
+        assert isinstance(result, Ratio)
+    assert r + c == c + r and r * c == c * r
+    assert (r - c) + c == r
+    assert c - r == -(r - c)
+    if c != 0:
+        assert (r / c) * c == r
+        assert isinstance(exact_div(c, r) if r != 0 else r, Ratio)
+
+
+def test_ratio_equality_cross_multiplies():
+    u, v, _ = indeterminates(NAMES)
+    assert Ratio(u * v, v) == u
+    assert u == Ratio(u * v, v)
+    assert Ratio(2 * u, 4) == Ratio(u, 2) == Fraction(1, 2) * u
+    assert Ratio(u, v) != Ratio(v, u)
+    assert Ratio(u - u, v) == 0 and 0 == Ratio(u - u, v)
+    assert Ratio(u, v) != 0
+    assert Ratio(3, 6) == Fraction(1, 2)
+    assert (Ratio(u, v) == 1.5) is False  # floats are refused, not compared
+
+
+def test_ratio_division_by_zero_raises():
+    u, v, _ = indeterminates(NAMES)
+    with pytest.raises(ZeroDivisionError):
+        Ratio(u, v - v)
+    with pytest.raises(ZeroDivisionError):
+        Ratio(u, v) / (u - u)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(v, u - u)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, Ratio(u - u, v))
+
+
+def test_ratio_refuses_floats():
+    u, v, _ = indeterminates(NAMES)
+    r = Ratio(u, v)
+    for operation in (lambda: r + 1.5, lambda: 1.5 + r, lambda: r - 1.5,
+                      lambda: 1.5 - r, lambda: r * 1.5, lambda: 1.5 * r,
+                      lambda: r / 1.5, lambda: 1.5 / r):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_exact_div_divides_symbols_and_keeps_numbers_unchanged():
+    u, v, _ = indeterminates(NAMES)
+    assert exact_div(u * v, v) == u
+    assert isinstance(exact_div(u, 2), Ratio)
+    assert isinstance(exact_div(3, v), Ratio)
+    nested = exact_div(exact_div(u, v), Ratio(v, u))
+    assert isinstance(nested, Ratio) and nested == Ratio(u * u, v * v)
+    assert exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert type(exact_div(1, 2)) is Fraction
+    assert exact_div(1.0, 4) == 0.25 and type(exact_div(1, 4.0)) is float
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_ratio_prints_numerator_over_denominator():
+    u, v, _ = indeterminates(NAMES)
+    assert str(Ratio(u - 1, 2 * v)) == "(-1 + u)/(2*v)"

@@ -5,7 +5,9 @@ import tracemalloc
 import pytest
 
 from aristotle_orbits import verify
+from aristotle_orbits.dynamics import time_rhs_printed
 from aristotle_orbits.lie_core import compose_printed
+from aristotle_orbits.orbits import invariants
 from aristotle_orbits.poly import monomial_name
 from aristotle_orbits.verify import (
     CHECKS, MUTATIONS, hash_name, render_text, run_suite,
@@ -60,8 +62,13 @@ def test_mutation_breaks_algebra_checks():
     assert "residual 1" in by_name["jacobi"]["detail"]
     assert not by_name["nilpotency"]["passed"]
     assert not report["all_passed"]
-    # the mutation targets the tensor, not the derived group law
-    assert by_name["associativity"]["passed"]
+    # the BCH derivation runs on the mutated tensor and leaves the closed law
+    detail = by_name["associativity"]["detail"]
+    assert not by_name["associativity"]["passed"]
+    assert detail.startswith("compose = compose_bch fails: component ")
+    # checks that never read the tensor still pass
+    assert by_name["group-axioms"]["passed"]
+    assert by_name["closed-form-flow"]["passed"]
 
 
 def test_mutation_registry():
@@ -109,7 +116,8 @@ def test_integrator_check_streams_its_rows():
 
 
 PROVED = ("associativity", "group-axioms", "adjoint-homomorphism",
-          "coadjoint-action-laws")
+          "coadjoint-action-laws", "invariant-preservation", "u-equals-pi-v",
+          "closed-form-flow", "rhs-consistency", "integrator-tolerance")
 
 
 def test_group_law_checks_are_proofs_independent_of_samples():
@@ -119,6 +127,34 @@ def test_group_law_checks_are_proofs_independent_of_samples():
         assert few[name]["passed"]
         assert few[name]["detail"].startswith("proved on indeterminates: ")
         assert few[name] == many[name]
+    strata = few["invariant-preservation"]["detail"]
+    for stratum in ("k, y != 0", "k = 0", "y = 0", "k = y = 0"):
+        assert f"kept where {stratum};" in strata + ";"
+
+
+def test_arithmetic_error_in_a_proof_fails_only_its_check(monkeypatch):
+    def breaks_down(g, h, tensor):
+        raise ArithmeticError("conjugation by exp(x*P) produced a P component")
+
+    monkeypatch.setattr(verify, "compose_bch", breaks_down)
+    report = run_suite(seed=0, samples=5)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["associativity"] == {
+        "name": "associativity", "passed": False,
+        "detail": "raised ArithmeticError: conjugation by exp(x*P) produced "
+                  "a P component"}
+    assert not report["all_passed"]
+    assert all(c["passed"] for c in report["checks"]
+               if c["name"] != "associativity")
+
+
+def test_invariant_preservation_fails_on_a_chart_coordinate(monkeypatch):
+    # q = f/k moves along the orbit; a check that kept it must say so
+    monkeypatch.setattr(verify, "_kept", lambda mu: invariants(mu).as_dict())
+    passed, detail = dict(CHECKS)["invariant-preservation"](None)
+    assert not passed
+    assert detail.startswith("k, y, psi, v, s, q, tau, u, pi kept where "
+                             "k, y != 0 fails: component 5 has residual ")
 
 
 def test_failed_proof_prints_its_residual_polynomial(monkeypatch):
@@ -135,3 +171,18 @@ def test_failed_proof_prints_its_residual_polynomial(monkeypatch):
     assert detail.endswith(f"residual {residual}")
     for alpha in residual.terms:
         assert monomial_name(alpha, residual.names) in detail
+
+
+def test_printed_damping_rhs_fails_the_flow_proofs(monkeypatch):
+    # dp/dt = -kq - yt is not the flow's derivative, and RK4 on it is not
+    # the flow; the proofs must see the parameter the rhs depends on
+    monkeypatch.setattr(verify, "time_rhs", time_rhs_printed)
+    checks = dict(CHECKS)
+    passed, detail = checks["rhs-consistency"](None)
+    assert not passed
+    assert detail.startswith("d/dt time_closed_form = time_rhs fails: "
+                             "component 1 has residual ")
+    passed, detail = checks["integrator-tolerance"](None)
+    assert not passed
+    assert detail.startswith("one RK4 step of time_rhs = time_closed_form "
+                             "fails: component 1 has residual ")
