@@ -45,13 +45,16 @@ class InputFormatError(ValueError):
 def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
     """Parse one scalar in the requested backend.
 
-    Accepts ints, floats, plain integer strings, ``"n/d"`` fractions and
-    decimal strings.  On the rational backend decimal text is read exactly
-    (``"0.1"`` becomes 1/10).  The float backend rejects NaN, infinities
-    and values that overflow a double.
+    Accepts numbers, plain integer strings, ``"n/d"`` fractions and
+    decimal strings; a bool, None or any other type is an input error.
+    On the rational backend decimal text is read exactly (``"0.1"``
+    becomes 1/10).  The float backend rejects NaN, infinities and values
+    that overflow a double.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
+    if isinstance(text, bool):  # JSON true and false are not 1 and 0
+        raise InputFormatError(f"cannot parse scalar {text!r}: not a number")
     try:
         if backend == FLOAT:
             value = (_fraction(text, to_float=True)
@@ -63,7 +66,7 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
             # exact decimal meaning, not the binary expansion
             return Fraction(repr(text))
         return _fraction(text) if isinstance(text, str) else Fraction(text)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from . import derive_law as derive_law_mod
 from . import errata as errata_mod
@@ -34,7 +34,6 @@ from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams,
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
-from .lie_core import compose_bch
 from .orbits import DualElement, classify, invariants
 
 EXIT_OK = 0
@@ -344,6 +343,12 @@ def _require_samples(args):
         raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
 
 
+def _emit_report(args, report: dict, render_text: Callable):
+    """An adjudication report as JSON, or as ``render_text`` lays it out."""
+    _emit(_dump_json(report) if args.format == "json"
+          else render_text(report) + "\n", args.out)
+
+
 def _cmd_verify(args) -> int:
     _require_rational(args, "verify")
     _require_samples(args)
@@ -353,70 +358,23 @@ def _cmd_verify(args) -> int:
             f"unknown mutation id {args.mutate!r}; known: {known}")
     report = verify_mod.run_suite(seed=args.seed, samples=args.samples,
                                   mutation=args.mutate)
-    if args.format == "json":
-        _emit(_dump_json(report), args.out)
-    else:
-        _emit(verify_mod.render_text(report) + "\n", args.out)
+    _emit_report(args, report, verify_mod.render_text)
     return EXIT_OK if report["all_passed"] else EXIT_FAILED
 
 
 def _cmd_errata(args) -> int:
     _require_rational(args, "errata")
-    report = errata_mod.build_report(seed=args.seed)
-    if args.format == "json":
-        _emit(_dump_json(report), args.out)
-    else:
-        _emit(errata_mod.render_text(report) + "\n", args.out)
+    _emit_report(args, errata_mod.build_report(seed=args.seed),
+                 errata_mod.render_text)
     return EXIT_OK
-
-
-def _render_law_table(table: list, verified: int) -> str:
-    lines = [
-        "derived group law, exact polynomial reconstruction",
-        "==================================================",
-        f"verified against the composition on {verified} fresh points",
-        "",
-    ]
-    for entry in table:
-        status = "agrees with printed form" if entry["agrees"] \
-            else "DISAGREES with printed form"
-        lines.append(f"{entry['coordinate']}   [{status}]")
-        width = max(len(row["monomial"]) for row in entry["monomials"])
-        for row in entry["monomials"]:
-            lines.append(
-                f"  {row['monomial']:<{width}}   derived {row['derived']!s:>6}"
-                f"   printed {row['printed']!s:>6}   {row['verdict']}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def _cmd_derive_law(args) -> int:
     _require_rational(args, "derive-law")
     _require_samples(args)
-    derived = derive_law_mod.reconstruct_law(law=compose_bch)
-    verified = derive_law_mod.verify_reconstruction(
-        derived, samples=args.samples, seed=args.seed)
-    printed = derive_law_mod.printed_law_polynomials()
-    table = derive_law_mod.comparison_table(derived, printed)
-    if args.format == "json":
-        payload = {
-            "backend": args.backend,
-            "seed": args.seed,
-            "samples_verified": verified,
-            "coordinates": [{
-                "coordinate": entry["coordinate"],
-                "agrees": entry["agrees"],
-                "monomials": [{
-                    "monomial": row["monomial"],
-                    "derived": json_scalar(row["derived"]),
-                    "printed": json_scalar(row["printed"]),
-                    "verdict": row["verdict"],
-                } for row in entry["monomials"]],
-            } for entry in table],
-        }
-        _emit(_dump_json(payload), args.out)
-    else:
-        _emit(_render_law_table(table, verified) + "\n", args.out)
+    _emit_report(args, derive_law_mod.build_report(seed=args.seed,
+                                                   samples=args.samples),
+                 derive_law_mod.render_text)
     return EXIT_OK
 
 

@@ -37,14 +37,14 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .backend import (
-    NOT_FINITE, InputFormatError, Scalar, exact_div, is_float_backed,
-    parse_scalar,
+    EPS_CLASS, NOT_FINITE, InputFormatError, Scalar, exact_div,
+    is_float_backed, is_zero, parse_scalar,
 )
-from .orbits import DualElement, psi_value
+from .orbits import DualElement, _zero_scale, psi_value
 from .poly import Poly, indeterminates
 
 HALF = Fraction(1, 2)
@@ -72,15 +72,16 @@ class OrbitParams(NamedTuple):
 
     @property
     def v(self) -> Scalar:
-        """Invariant velocity y/k; the time chart's slope."""
-        if self.k == 0:
+        """Invariant velocity y/k; the time chart's slope.  Whether k is
+        zero is ``classify``'s test: exact, or relative on floats."""
+        if is_zero(self.k, EPS_CLASS, _zero_scale(self)):
             raise ChartUndefinedError("time (q, p)", "k != 0")
         return exact_div(self.y, self.k)
 
     @property
     def s(self) -> Scalar:
-        """Invariant slowness k/y; the space chart's slope."""
-        if self.y == 0:
+        """Invariant slowness k/y; the space chart's slope (y != 0 as for v)."""
+        if is_zero(self.y, EPS_CLASS, _zero_scale(self)):
             raise ChartUndefinedError("space (tau, e)", "y != 0")
         return exact_div(self.k, self.y)
 
@@ -315,7 +316,7 @@ def _float_grid(start: float, stop: float,
     def grid():
         return chain((start + i * h for i in range(count)), (last,))
 
-    if not all(map(operator.lt, grid(), islice(grid(), 1, None))):
+    if not all(starmap(operator.lt, pairwise(grid()))):
         raise InputFormatError(
             f"step {h!r} does not advance the float grid from {start!r} to "
             f"{stop!r}; the trajectory parameter must be strictly increasing")

@@ -55,43 +55,48 @@ class ErrataFinding(NamedTuple):
     note: str = ""
 
 
-def _finding(id: str, residual: list, printed: str, derived: str,
+def _text(value) -> str:
+    """A sample value as text: text as is, a tuple as ``(a, b, ...)``, a
+    scalar by ``format_scalar``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(format_scalar, value)) + ")"
+    return format_scalar(value)
+
+
+def _finding(id: str, lhs: tuple, rhs: tuple, printed: str, derived: str,
              sample: dict, note: str = "") -> ErrataFinding:
-    """A finding whose verdict is read off its residual: CONFIRMS iff all zero."""
+    """The residual lhs - rhs, component-wise, with its verdict: CONFIRMS
+    iff every component is zero."""
+    residual = [a - b for a, b in zip(lhs, rhs, strict=True)]
     verdict = CONFIRMS if all(r == 0 for r in residual) else CONTRADICTS
-    return ErrataFinding(id, verdict, printed, derived, sample,
+    return ErrataFinding(id, verdict, printed, derived,
+                         {key: _text(v) for key, v in sample.items()},
                          [format_scalar(r) for r in residual], note)
-
-
-def _fmt_point(values) -> str:
-    return "(" + ", ".join(format_scalar(v) for v in values) + ")"
 
 
 def _finding_quotient_law(rng: SplitMix64) -> ErrataFinding:
     g = GroupElement._make(rng.rationals(5))
     h = GroupElement._make(rng.rationals(5))
     got = compose(g, h)[:3]
-    expected = (g.x + h.x, g.t + h.t, g.zeta + h.zeta + g.x * h.t)
-    residual = [a - b for a, b in zip(got, expected)]
     return _finding(
-        "Eq2.3-quotient-law", residual,
+        "Eq2.3-quotient-law", got,
+        (g.x + h.x, g.t + h.t, g.zeta + h.zeta + g.x * h.t),
         printed="first-extension law (x+x', t+t', zeta+zeta'+x t')",
         derived="center quotient of the BCH-derived product",
-        sample={"g": _fmt_point(g), "h": _fmt_point(h),
-                "quotient": _fmt_point(got)},
+        sample={"g": g, "h": h, "quotient": got},
     )
 
 
 def _finding_exp_xk(rng: SplitMix64) -> ErrataFinding:
     g = GroupElement._make(rng.rationals(5))
-    back = from_single_exponential(to_single_exponential(g))
-    residual = [a - b for a, b in zip(back, g)]
+    single = to_single_exponential(g)
     return _finding(
-        "Eq2.5-exp-xK", residual,
+        "Eq2.5-exp-xK", from_single_exponential(single), g,
         printed='factorization exp(a L + b Y) exp(t E + zeta F) exp(x K), K undefined',
         derived="K = P: coordinates of the second kind, exact exp/log round trip",
-        sample={"g": _fmt_point(g),
-                "single_exponential": _fmt_point(to_single_exponential(g).coeffs)},
+        sample={"g": g, "single_exponential": single.coeffs},
         note="K = P is the only undefined-symbol reading that leaves a "
              "generator for space translations and reproduces the "
              "first-extension law in the center quotient",
@@ -101,16 +106,13 @@ def _finding_exp_xk(rng: SplitMix64) -> ErrataFinding:
 def _finding_b_component(_rng: SplitMix64) -> ErrataFinding:
     g = GroupElement(1, 0, 0, 0, 0)
     h = GroupElement(0, 1, 0, 0, 0)
-    printed = compose_printed(g, h)
-    derived = compose(g, h)
-    residual = [a - b for a, b in zip(printed, derived)]
+    printed, derived = compose_printed(g, h), compose(g, h)
     return _finding(
-        "Eq2.6-b-component", residual,
+        "Eq2.6-b-component", printed, derived,
         printed="b'' = b + b' + zeta' t' + x t'^2 / 2",
         derived="b'' = b + b' + (zeta t' - t zeta' - x t t') / 2",
-        sample={"g": _fmt_point(g), "h": _fmt_point(h),
-                "printed_product": _fmt_point(printed),
-                "derived_product": _fmt_point(derived)},
+        sample={"g": g, "h": h, "printed_product": printed,
+                "derived_product": derived},
         note="the printed term depends only on the second factor",
     )
 
@@ -121,18 +123,14 @@ def _finding_associativity(_rng: SplitMix64) -> ErrataFinding:
     g3 = GroupElement(0, 1, 0, 0, 0)
     left = compose_printed(compose_printed(g1, g2), g3)
     right = compose_printed(g1, compose_printed(g2, g3))
-    residual = [a - b for a, b in zip(left, right)]
     derived_left = compose(compose(g1, g2), g3)
     derived_right = compose(g1, compose(g2, g3))
     return _finding(
-        "Eq2.6-associativity", residual,
+        "Eq2.6-associativity", left, right,
         printed="printed multiplication law, both associations",
         derived="BCH-derived law is associative on the same triple",
-        sample={"g1": _fmt_point(g1), "g2": _fmt_point(g2),
-                "g3": _fmt_point(g3),
-                "printed_left": _fmt_point(left),
-                "printed_right": _fmt_point(right),
-                "derived_both": _fmt_point(derived_left)},
+        sample={"g1": g1, "g2": g2, "g3": g3, "printed_left": left,
+                "printed_right": right, "derived_both": derived_left},
         note="derived law agrees on both associations: "
              + ("yes" if derived_left == derived_right else "no"),
     )
@@ -142,14 +140,12 @@ def _finding_pairing_labels(_rng: SplitMix64) -> ErrataFinding:
     mu = DualElement(1, 2, 3, 4, 5)
     basis = [AlgebraElement.basis(BasisIndex(i)) for i in range(5)]
     got = tuple(pair(mu, b) for b in basis)
-    residual = [a - b for a, b in zip(got, mu)]
     return _finding(
-        "Eq2.7-pairing-labels", residual,
+        "Eq2.7-pairing-labels", got, mu,
         printed='displacement labelled "(dv, dt, dx, dzeta, dzeta)" (garbled)',
         derived="pairing reads (p, e, f, k, y) against the (x, t, zeta, a, b) "
                 "directions",
-        sample={"mu": _fmt_point(mu),
-                "pair_with_basis": _fmt_point(got)},
+        sample={"mu": mu, "pair_with_basis": got},
         note="labels inferred from the right-hand side; no further "
              "interpretation attempted",
     )
@@ -159,16 +155,13 @@ def _finding_action_law(rng: SplitMix64) -> ErrataFinding:
     mu = DualElement._make(rng.rationals(5))
     x1, t1, z1, x2, t2, z2 = rng.rationals(6)
     stepwise = coadjoint_printed(x2, t2, z2, coadjoint_printed(x1, t1, z1, mu))
-    merged = coadjoint_printed(x1 + x2, t1 + t2, z1 + z2 + x2 * t1, mu)
-    residual = [a - b for a, b in zip(stepwise, merged)]
     return _finding(
-        "Eq2.8-action-law", residual,
+        "Eq2.8-action-law", stepwise,
+        coadjoint_printed(x1 + x2, t1 + t2, z1 + z2 + x2 * t1, mu),
         printed="closed-form action p' = p + ft + k(zeta - xt) + y t^2/2, ...",
         derived="left-action law over the first-extension composition",
-        sample={"mu": _fmt_point(mu),
-                "first": _fmt_point((x1, t1, z1)),
-                "second": _fmt_point((x2, t2, z2)),
-                "result": _fmt_point(stepwise)},
+        sample={"mu": mu, "first": (x1, t1, z1), "second": (x2, t2, z2),
+                "result": stepwise},
     )
 
 
@@ -176,14 +169,12 @@ def _finding_action_agreement(rng: SplitMix64) -> ErrataFinding:
     g = GroupElement._make(rng.rationals(5))
     mu = DualElement._make(rng.rationals(5))
     derived = coadjoint_matrix(g, mu)
-    printed = coadjoint_printed(g.x, g.t, g.zeta, mu)
-    residual = [a - b for a, b in zip(printed, derived)]
     return _finding(
-        "Eq2.8-derived-agreement", residual,
+        "Eq2.8-derived-agreement", coadjoint_printed(g.x, g.t, g.zeta, mu),
+        derived,
         printed="closed-form action at (x, t, zeta)",
         derived="mu . Ad_{g^-1} from the group adjoint matrices",
-        sample={"g": _fmt_point(g), "mu": _fmt_point(mu),
-                "image": _fmt_point(derived)},
+        sample={"g": g, "mu": mu, "image": derived},
         note=f"convention map: {PRINTED_ACTION_CONVENTION}",
     )
 
@@ -194,16 +185,15 @@ def _finding_action_invariants(rng: SplitMix64) -> ErrataFinding:
     g = GroupElement._make(rng.rationals(5))
     before = invariants(mu)
     after = invariants(coadjoint_printed(g.x, g.t, g.zeta, mu))
-    residual = [after.k - before.k, after.y - before.y, after.psi - before.psi,
-                after.u - before.u, after.pi - before.pi,
-                before.u - before.pi * before.v]
     return _finding(
-        "Eq2.8-invariants", residual,
+        "Eq2.8-invariants",
+        (after.k, after.y, after.psi, after.u, after.pi, before.u),
+        (before.k, before.y, before.psi, before.u, before.pi,
+         before.pi * before.v),
         printed="k, y invariant; 2ke - f^2 + 2py invariant; U = pi v",
         derived="same quantities transported along the printed action",
-        sample={"mu": _fmt_point(mu), "g": _fmt_point(g),
-                "U": format_scalar(before.u), "pi": format_scalar(before.pi),
-                "psi": format_scalar(before.psi)},
+        sample={"mu": mu, "g": g, "U": before.u, "pi": before.pi,
+                "psi": before.psi},
         note="residual components: delta k, delta y, delta psi, delta U, "
              "delta pi, U - pi v",
     )
@@ -214,31 +204,25 @@ def _finding_time_realization(rng: SplitMix64) -> ErrataFinding:
     q0, p0, t = rng.rationals(3)
     realized = realization_time(0, t, 0, (p0, q0), params)
     q, p = time_closed_form(q0, p0, params, t)
-    residual = [realized[0] - p, realized[1] - q]
     return _finding(
-        "Eq3.1-realization", residual,
+        "Eq3.1-realization", realized, (p, q),
         printed="realization p -> p - kqt - k zeta + y t^2/2, q -> q + x - vt",
         derived="restriction to (0, t, 0) is the time-evolution closed form",
-        sample={"params": _fmt_point((params.k, params.y)),
-                "state": _fmt_point((p0, q0)), "t": format_scalar(t),
-                "image": _fmt_point(realized)},
+        sample={"params": params, "state": (p0, q0), "t": t,
+                "image": realized},
     )
 
 
 def _finding_time_closed_form(rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(rng.nonzero_rational(), rng.rational())
     q0, p0, e0, t = rng.rationals(4)
-    mu0 = DualElement(p0, e0, params.k * q0, params.k, params.y)
-    mu = time_flow(mu0, t)
-    q, p = time_closed_form(q0, p0, params, t)
-    residual = [mu.f / params.k - q, mu.p - p]
+    mu = time_flow(DualElement(p0, e0, params.k * q0, params.k, params.y), t)
+    q_p = time_closed_form(q0, p0, params, t)
     return _finding(
-        "Eq3.3-closed-form", residual,
+        "Eq3.3-closed-form", (mu.f / params.k, mu.p), q_p,
         printed="q(t) = q0 - vt, p(t) = p0 - f0 t + y t^2/2",
         derived="dual-space flow of exp(-tE), read out through q = f/k",
-        sample={"params": _fmt_point((params.k, params.y)),
-                "state": _fmt_point((q0, p0)), "t": format_scalar(t),
-                "q_p": _fmt_point((q, p))},
+        sample={"params": params, "state": (q0, p0), "t": t, "q_p": q_p},
         note="negated-parameter convention: the flow parameter enters the "
              "action as -t",
     )
@@ -247,16 +231,14 @@ def _finding_time_closed_form(rng: SplitMix64) -> ErrataFinding:
 def _finding_time_rhs(_rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(Fraction(1), Fraction(1))
     state = TimeState(q=0, p=0, t=1)
-    printed = time_rhs_printed(state, params)
-    derived = time_rhs(state, params)
-    residual = [printed[1] - derived[1]]
+    printed_dp = time_rhs_printed(state, params)[1]
+    derived_dp = time_rhs(state, params)[1]
     return _finding(
-        "Eq3.5b-rhs", residual,
+        "Eq3.5b-rhs", (printed_dp,), (derived_dp,),
         printed="dp/dt = -kq + c(t) dq/dt with c(t) = kt   (= -kq - yt)",
         derived="dp/dt = -kq (derivative of the verified flow)",
         sample={"state": "(q=0, t=1)", "params": "(k=1, y=1)",
-                "printed_dp": format_scalar(printed[1]),
-                "derived_dp": format_scalar(derived[1])},
+                "printed_dp": printed_dp, "derived_dp": derived_dp},
         note="the printed damping term -yt survives at t > 0; dq/dt = -v "
              "agrees on both sides",
     )
@@ -266,22 +248,19 @@ def _finding_time_hamilton(_rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(Fraction(1), Fraction(1))
     q, p, t = Fraction(0), Fraction(0), Fraction(1)
     # H is quadratic in q and linear in p: unit centered differences are exact
-    dq_hamilton = (hamiltonian_time(p + 1, q, t, params)
-                   - hamiltonian_time(p - 1, q, t, params)) / 2
-    dp_hamilton = -(hamiltonian_time(p, q + 1, t, params)
-                    - hamiltonian_time(p, q - 1, t, params)) / 2
+    hamilton = ((hamiltonian_time(p + 1, q, t, params)
+                 - hamiltonian_time(p - 1, q, t, params)) / 2,
+                -(hamiltonian_time(p, q + 1, t, params)
+                  - hamiltonian_time(p, q - 1, t, params)) / 2)
     state = TimeState(q=q, p=p, t=t)
     derived = time_rhs(state, params)
-    printed_variant = time_rhs_printed(state, params)
-    residual = [dq_hamilton - derived[0], dp_hamilton - derived[1]]
     return _finding(
-        "Eq3.6-hamilton-residual", residual,
+        "Eq3.6-hamilton-residual", hamilton, derived,
         printed="H = k q^2/2 - (p + c(t) q) v; Hamilton gives dp/dt = -kq + yt",
         derived="flow rhs dp/dt = -kq",
         sample={"state": "(q=0, p=0, t=1)", "params": "(k=1, y=1)",
-                "hamilton_rhs": _fmt_point((dq_hamilton, dp_hamilton)),
-                "flow_rhs": _fmt_point(derived),
-                "printed_3_5b_rhs": _fmt_point(printed_variant)},
+                "hamilton_rhs": hamilton, "flow_rhs": derived,
+                "printed_3_5b_rhs": time_rhs_printed(state, params)},
         note="three candidate momentum equations disagree pairwise: "
              "flow -kq, damping form -kq - yt, Hamilton -kq + yt",
     )
@@ -291,32 +270,28 @@ def _finding_space_realization(rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(rng.rational(), rng.nonzero_rational())
     tau0, e0, t = rng.rationals(3)
     realized = realization_space(0, t, 0, (e0, tau0), params)
-    residual = [realized[0] - e0, realized[1] - (tau0 - t)]
     return _finding(
-        "Eq3.8-realization", residual,
+        "Eq3.8-realization", realized, (e0, tau0 - t),
         printed="realization e -> e + y tau x + y(zeta - xt) + k x^2/2, "
                 "tau -> tau - t + sx",
         derived="restriction to (0, t, 0) shifts tau by -t and fixes e",
-        sample={"params": _fmt_point((params.k, params.y)),
-                "state": _fmt_point((e0, tau0)), "t": format_scalar(t),
-                "image": _fmt_point(realized)},
+        sample={"params": params, "state": (e0, tau0), "t": t,
+                "image": realized},
     )
 
 
 def _finding_space_closed_form(rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(rng.rational(), rng.nonzero_rational())
     tau0, e0, p0, x = rng.rationals(4)
-    mu0 = DualElement(p0, e0, params.y * tau0, params.k, params.y)
-    mu = space_flow(mu0, x)
-    tau, e = space_closed_form(tau0, e0, params.y * tau0, params, x)
-    residual = [mu.f / params.y - tau, mu.e - e]
+    mu = space_flow(DualElement(p0, e0, params.y * tau0, params.k, params.y),
+                    x)
+    tau_e = space_closed_form(tau0, e0, params.y * tau0, params, x)
     return _finding(
-        "Eq3.11-closed-form", residual,
+        "Eq3.11-closed-form", (mu.f / params.y, mu.e), tau_e,
         printed="e(x) = e0 + f0 x + k x^2/2, tau(x) = tau0 + sx",
         derived="dual-space flow of exp(-xP), read out through tau = f/y",
-        sample={"params": _fmt_point((params.k, params.y)),
-                "state": _fmt_point((tau0, e0)), "x": format_scalar(x),
-                "tau_e": _fmt_point((tau, e))},
+        sample={"params": params, "state": (tau0, e0), "x": x,
+                "tau_e": tau_e},
         note="negated-parameter convention: the flow parameter enters the "
              "action as -x",
     )
@@ -325,17 +300,13 @@ def _finding_space_closed_form(rng: SplitMix64) -> ErrataFinding:
 def _finding_space_vector_field(_rng: SplitMix64) -> ErrataFinding:
     k, f0, x = Fraction(1), Fraction(2), Fraction(3)
     q = f0 / k
-    printed_coeff = k * (q + x)
-    derived_coeff = f0 + k * x
-    residual = [printed_coeff - derived_coeff]
+    printed_coeff, derived_coeff = k * (q + x), f0 + k * x
     return _finding(
-        "Eq3.12-vector-field", residual,
+        "Eq3.12-vector-field", (printed_coeff,), (derived_coeff,),
         printed='P vector field with energy coefficient "k(q + x)"',
         derived="de/dx along the flow is f0 + kx",
-        sample={"k": format_scalar(k), "q": format_scalar(q),
-                "x": format_scalar(x),
-                "printed_coefficient": format_scalar(printed_coeff),
-                "derived_coefficient": format_scalar(derived_coeff)},
+        sample={"k": k, "q": q, "x": x, "printed_coefficient": printed_coeff,
+                "derived_coefficient": derived_coeff},
         note="q is the time-chart symbol; the display only makes sense "
              "through f = kq, and then it matches",
     )
@@ -344,16 +315,14 @@ def _finding_space_vector_field(_rng: SplitMix64) -> ErrataFinding:
 def _finding_space_rhs(_rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(Fraction(1), Fraction(1))
     state = SpaceState(tau=0, e=0, x=1)
-    printed = space_rhs_printed(state, params)
-    derived = space_rhs(state, params)
-    residual = [printed[1] - derived[1]]
+    printed_de = space_rhs_printed(state, params)[1]
+    derived_de = space_rhs(state, params)[1]
     return _finding(
-        "Eq3.13b-rhs", residual,
+        "Eq3.13b-rhs", (printed_de,), (derived_de,),
         printed="de/dx = y tau + W(x) dtau/dx with W(x) = yx   (= y tau + kx)",
         derived="de/dx = y tau (derivative of the verified flow)",
         sample={"state": "(tau=0, x=1)", "params": "(k=1, y=1)",
-                "printed_de": format_scalar(printed[1]),
-                "derived_de": format_scalar(derived[1])},
+                "printed_de": printed_de, "derived_de": derived_de},
         note="the printed power term W(x) s = kx survives at x > 0; "
              "dtau/dx = s agrees on both sides",
     )
@@ -362,23 +331,20 @@ def _finding_space_rhs(_rng: SplitMix64) -> ErrataFinding:
 def _finding_space_hamilton(_rng: SplitMix64) -> ErrataFinding:
     params = OrbitParams(Fraction(1), Fraction(1))
     tau, e, x = Fraction(0), Fraction(0), Fraction(1)
-    dtau_hamilton = -(hamiltonian_space(e + 1, tau, x, params)
-                      - hamiltonian_space(e - 1, tau, x, params)) / 2
-    de_hamilton = (hamiltonian_space(e, tau + 1, x, params)
-                   - hamiltonian_space(e, tau - 1, x, params)) / 2
+    hamilton = (-(hamiltonian_space(e + 1, tau, x, params)
+                  - hamiltonian_space(e - 1, tau, x, params)) / 2,
+                (hamiltonian_space(e, tau + 1, x, params)
+                 - hamiltonian_space(e, tau - 1, x, params)) / 2)
     state = SpaceState(tau=tau, e=e, x=x)
     derived = space_rhs(state, params)
-    printed_variant = space_rhs_printed(state, params)
-    residual = [dtau_hamilton - derived[0], de_hamilton - derived[1]]
     return _finding(
-        "Eq3.17-hamilton-residual", residual,
+        "Eq3.17-hamilton-residual", hamilton, derived,
         printed="Pi = y tau^2/2 - (e - W(x) tau) s; Hamilton gives "
                 "de/dx = y tau + kx",
         derived="flow rhs de/dx = y tau",
         sample={"state": "(tau=0, e=0, x=1)", "params": "(k=1, y=1)",
-                "hamilton_rhs": _fmt_point((dtau_hamilton, de_hamilton)),
-                "flow_rhs": _fmt_point(derived),
-                "printed_3_13b_rhs": _fmt_point(printed_variant)},
+                "hamilton_rhs": hamilton, "flow_rhs": derived,
+                "printed_3_13b_rhs": space_rhs_printed(state, params)},
         note="Hamilton equations taken as dtau/dx = -dPi/de, de/dx = "
              "dPi/dtau; under this sign choice the Hamilton rhs equals the "
              "printed power form, and both disagree with the flow",
@@ -392,17 +358,14 @@ def _finding_table_tau_sign(_rng: SplitMix64) -> ErrataFinding:
     derived_tau, _ = space_closed_form(tau0, Fraction(0), params.y * tau0,
                                        params, x)
     mu = space_flow(DualElement(0, 0, params.y * tau0, params.k, params.y), x)
-    residual = [table_tau - derived_tau]
     return _finding(
-        "Table-tau-sign", residual,
+        "Table-tau-sign", (table_tau,), (derived_tau,),
         printed="summary table: tau(x) = tau0 - sx",
         derived="tau(x) = tau0 + sx (travel time grows with distance; "
                 "matches the flow readout f/y)",
-        sample={"params": "(k=1, y=1)", "tau0": format_scalar(tau0),
-                "x": format_scalar(x),
-                "table_tau": format_scalar(table_tau),
-                "derived_tau": format_scalar(derived_tau),
-                "flow_readout": format_scalar(mu.f / params.y)},
+        sample={"params": "(k=1, y=1)", "tau0": tau0, "x": x,
+                "table_tau": table_tau, "derived_tau": derived_tau,
+                "flow_readout": mu.f / params.y},
     )
 
 
@@ -415,8 +378,7 @@ def _finding_table_header(_rng: SplitMix64) -> ErrataFinding:
         verdict=CONTRADICTS if contradicted else CONFIRMS,
         printed='summary table column headed "O_(y,U)"',
         derived="the k = 0, y != 0 family carries pi, not U (U needs k != 0)",
-        sample={"mu": _fmt_point(mu),
-                "pi": format_scalar(inv.pi),
+        sample={"mu": _text(mu), "pi": _text(inv.pi),
                 "U": "undefined (k = 0)"},
         residual=None,
         note="treated as O_(y,pi) per the surrounding text",

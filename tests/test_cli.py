@@ -308,14 +308,32 @@ def test_non_finite_json_entry_is_input_error(tmp_path, capsys, backend,
     assert "entry 1" in err
 
 
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("entry", ["true", "false", "null", "{}"])
+def test_non_numeric_json_entry_is_input_error(tmp_path, capsys, backend,
+                                               entry):
+    # JSON booleans are not the numbers 1 and 0, and null or an object is
+    # no scalar at all
+    path = tmp_path / "points.json"
+    path.write_text(f"[{entry}, 1, 1, 2, 3]", encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--in", str(path),
+                         "--backend", backend)
+    assert code == 1
+    assert out == ""
+    assert "entry 1" in err and "Traceback" not in err
+
+
 OVERFLOWING_POINT = "1e200,1e200,1e200,1e200,1e200"  # psi is inf - inf
-# v = y/k overflows; s = k/y overflows; the dual's psi overflows only at
-# t = f0/y = 3.75e153, where f vanishes, strictly inside the range
+# p = p0 - k q0 t + y t^2/2 and e = e0 + f0 x + k x^2/2 overflow only at
+# the range's end, 2e154 (a chart slope y/k or k/y cannot overflow:
+# classify's zero test keeps it below 1/EPS_CLASS); the dual's psi
+# overflows only at t = f0/y = 3.75e153, where f vanishes, strictly inside
+# the range
 OVERFLOWING_SIMULATIONS = [
     ("--picture", "time", "--backend", "float", "--state", "1,1",
-     "--k", "1e-170", "--y", "1e170", "--range", "0:1", "--step", "0.5"),
+     "--k", "1", "--y", "1", "--range", "0:2e154", "--step", "1e154"),
     ("--picture", "space", "--backend", "float", "--state", "1,1",
-     "--k", "1e170", "--y", "1e-170", "--range", "0:1", "--step", "0.5",
+     "--k", "1", "--y", "1", "--range", "0:2e154", "--step", "1e154",
      "--closed-form"),
     ("--picture", "time", "--backend", "float", "--dual",
      "--mu=0,8e307,1.5e154,1,4", "--range", "1.75e153:5.75e153",
@@ -371,8 +389,8 @@ def _refuse(constant):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--picture", "time", "--state", "1,1", "--k", "1e-100", "--y", "1e100"),
-    ("--picture", "time", "--state", "1,1", "--k", "1e-100", "--y", "1e100",
+    ("--picture", "time", "--state", "1,1", "--k", "1e100", "--y", "1e100"),
+    ("--picture", "time", "--state", "1,1", "--k", "1e100", "--y", "1e100",
      "--closed-form"),
     ("--picture", "space", "--state", "1,1", "--k", "1", "--y", "1",
      "--closed-form", "--f0", "1e308"),
@@ -561,6 +579,28 @@ def test_simulate_chart_undefined_guides_to_dual(capsys):
     code, out, err = run(capsys, "simulate", "--picture", "time",
                          "--state", "0,0", "--k", "0", "--y", "1",
                          "--range", "0:1", "--closed-form")
+    assert code == 1
+    assert out == ""
+    assert "--dual" in err
+
+
+# labels classify calls zero on floats: |k| (time) or |y| (space) is at
+# most EPS_CLASS * max(1, |k|, |y|)
+CHARTLESS_FLOAT_LABELS = [
+    ("--picture", "time", "--k", "1e-300", "--y", "1"),
+    ("--picture", "space", "--k", "1", "--y", "1e-300"),
+    ("--picture", "time", "--k", "1e-170", "--y", "1e170"),
+    ("--picture", "space", "--k", "1e170", "--y", "1e-170"),
+]
+
+
+@pytest.mark.parametrize("argv", CHARTLESS_FLOAT_LABELS)
+@pytest.mark.parametrize("method", [(), ("--closed-form",)])
+def test_float_chart_needs_a_label_classify_calls_nonzero(capsys, argv,
+                                                          method):
+    code, out, err = run(capsys, "simulate", "--backend", "float", *argv,
+                         *method, "--state", "1,1", "--range", "0:1",
+                         "--step", "0.5")
     assert code == 1
     assert out == ""
     assert "--dual" in err

@@ -17,7 +17,9 @@ from aristotle_orbits.dynamics import (
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
 from aristotle_orbits.dynamics import _chart_invariant, _exact_rows
-from aristotle_orbits.orbits import DualElement, coadjoint_printed, invariants
+from aristotle_orbits.orbits import (
+    DualElement, OrbitClass, classify, coadjoint_printed, invariants,
+)
 
 HALF = Fraction(1, 2)
 
@@ -311,13 +313,15 @@ def test_trajectory_rejects_non_increasing_parameter():
 
 
 def test_float_trajectory_with_a_non_finite_value_is_refused():
-    # v = y/k overflows; e = e0 + f0 x + k x^2/2 overflows at x = 2; the
-    # dual's psi overflows only where f vanishes, at t = f0/y = 3.75e153,
-    # strictly inside the range
+    # p = p0 - k q0 t + y t^2/2 overflows at t = 2e154 (a chart slope
+    # cannot: classify's zero test keeps |y/k| and |k/y| below
+    # 1/EPS_CLASS); e = e0 + f0 x + k x^2/2 overflows at x = 2; the dual's
+    # psi overflows only where f vanishes, at t = f0/y = 3.75e153, strictly
+    # inside the range
     huge = IntegratorConfig(step=2e153, start=1.75e153, stop=5.75e153)
     builds = (
-        lambda: integrate("time", (1, 1), OrbitParams(1e-170, 1e170),
-                          IntegratorConfig(step=0.5, start=0, stop=1)),
+        lambda: integrate("time", (1, 1), OrbitParams(1.0, 1.0),
+                          IntegratorConfig(step=1e154, start=0, stop=2e154)),
         lambda: closed_form_trajectory(
             "space", (1.0, 1.0), OrbitParams(1.0, 1.0),
             IntegratorConfig(step=1.0, start=0, stop=2), f0=1e308),
@@ -355,6 +359,28 @@ def test_integrate_space_picture_matches_closed_form():
     assert abs(tau - 2) <= 1e-10
     assert abs(e - 2) <= 1e-10
     assert max(row[-1] for row in traj.rows) <= 1e-8
+
+
+def _has_chart(params: OrbitParams, slope: str) -> bool:
+    try:
+        getattr(params, slope)
+    except ChartUndefinedError:
+        return False
+    return True
+
+
+float_labels = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 1.0, 1e12, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(float_labels, float_labels)
+def test_float_chart_exists_iff_classify_finds_its_label_nonzero(k, y):
+    cls = classify(DualElement(0, 0, 0, k, y))
+    assert _has_chart(OrbitParams(k, y), "v") == (
+        cls in (OrbitClass.GENERIC, OrbitClass.HOOKE_ONLY))
+    assert _has_chart(OrbitParams(k, y), "s") == (
+        cls in (OrbitClass.GENERIC, OrbitClass.YANK_ONLY))
 
 
 def test_integrate_chart_errors():
