@@ -91,6 +91,15 @@ def format_scalar(value: Scalar) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
+def ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` without the ``Fraction``: num/den reduced
+    by one gcd, the sign on the numerator, "/1" left out.  ``den != 0``."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def json_scalar(value: Scalar) -> "str | float":
     """JSON form: rationals as strings (exact), floats as numbers."""
     if isinstance(value, float):

@@ -20,21 +20,21 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Optional
+from itertools import islice, starmap
+from typing import Callable, Iterator, Optional
 
 from . import derive_law as derive_law_mod
 from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
-    json_scalar, json_text, parse_scalar,
+    json_scalar, json_text, parse_scalar, ratio_text,
 )
 from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams,
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
-from .orbits import DualElement, classify, invariants
+from .orbits import DualElement, classify, invariant_pairs, invariants
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,7 +45,7 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 # colliding with the input force column
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
-CSV_CHUNK_ROWS = 256
+CHUNK_TEXTS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +86,13 @@ def _parse_point(text: str, backend: str, where: str) -> DualElement:
     return DualElement._make(_parse_fields(text, 5, backend, where))
 
 
-def _load_points_json(path: str, text: str, backend: str) -> list:
+def _inline_points(texts: list, backend: str) -> Iterator:
+    for index, text in enumerate(texts, start=1):
+        where = f"point {index}"
+        yield where, _parse_point(text, backend, where)
+
+
+def _json_points(path: str, text: str, backend: str) -> Iterator:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,50 +105,52 @@ def _load_points_json(path: str, text: str, backend: str) -> list:
             and all(isinstance(row, list) for row in data)):
         raise InputFormatError(
             f"{path}: expected a [p, e, f, k, y] array or an array of them")
-    points = []
     for index, row in enumerate(data, start=1):
+        where = f"{path}: entry {index}"
         if len(row) != 5:
             raise InputFormatError(
-                f"{path}: entry {index}: expected 5 values, got {len(row)}")
+                f"{where}: expected 5 values, got {len(row)}")
         try:
-            points.append(DualElement._make(
-                [parse_scalar(c, backend) for c in row]))
+            mu = DualElement._make([parse_scalar(c, backend) for c in row])
         except InputFormatError as exc:
-            raise InputFormatError(f"{path}: entry {index}: {exc}") from exc
-    return points
+            raise InputFormatError(f"{where}: {exc}") from exc
+        yield where, mu
 
 
-def _load_points_file(path: str, backend: str) -> list:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}")
-    if path.endswith(".json"):
-        return _load_points_json(path, text, backend)
-    points = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _csv_points(path: str, lines: list, backend: str) -> Iterator:
+    found = False
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if (lineno == 1 and tuple(f.strip().lower() for f in line.split(","))
                 == POINT_FIELDS):
             continue
-        points.append(_parse_point(line, backend, f"{path}: line {lineno}"))
-    if not points:
+        where = f"{path}: line {lineno}"
+        yield where, _parse_point(line, backend, where)
+        found = True
+    if not found:
         raise InputFormatError(f"{path}: no points found")
-    return points
 
 
-def _gather_points(args) -> list:
+def _read_points(args) -> Iterator:
+    """(where, point) for each input point, parsed as it is reached;
+    ``where`` names its position, line or entry for error messages."""
     if args.in_path and args.points:
         raise InputFormatError("give points inline or via --in, not both")
-    if args.in_path:
-        return _load_points_file(args.in_path, args.backend)
-    if not args.points:
-        raise InputFormatError(
-            'no input points; pass "p,e,f,k,y" arguments or --in PATH')
-    return [_parse_point(text, args.backend, f"point {i}")
-            for i, text in enumerate(args.points, start=1)]
+    if not args.in_path:
+        if not args.points:
+            raise InputFormatError(
+                'no input points; pass "p,e,f,k,y" arguments or --in PATH')
+        return _inline_points(args.points, args.backend)
+    path = args.in_path
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}")
+    if path.lower().endswith(".json"):
+        return _json_points(path, text, args.backend)
+    return _csv_points(path, text.splitlines(), args.backend)
 
 
 # --------------------------------------------------------------- output
@@ -170,100 +178,115 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-def _emit_csv(header: tuple, rows, out_path: Optional[str]):
-    """Write CSV as ``rows`` produces it, in chunks: a write per row is slow.
-
-    A row is a tuple of scalars, their ``format_scalar`` text and fixed
-    identifiers.  ``str`` of each is its ``format_scalar`` text, and none
-    holds a comma, quote or line break, so no field is quoted (RFC 4180)
-    and one template formats a row.
-    """
-    line = ",".join(["%s"] * len(header)) + "\r\n"
-    rows = iter(rows)
-    with _output(out_path) as handle:
-        handle.write(line % header)
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            handle.write("".join(map(line.__mod__, chunk)))
-
-
-def _emit_json(head: dict, key: str, items, out_path: Optional[str]):
-    """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
-    ``items`` produces the array's item texts (``_item_template``), in
-    chunks like ``_emit_csv``.  ``items`` is not empty.  The text around the
-    array is ``json.dumps``'s own, checked before the output is opened.
-    """
-    opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
-    separator = "," + opening[opening.rindex("\n"):]
-    items = iter(items)
+def _emit_texts(opening: str, texts, separator: str, closing: str,
+                out_path: Optional[str]):
+    """Write ``opening + separator.join(texts) + closing`` as ``texts``
+    produces them, in chunks: a write per text is slow."""
+    texts = iter(texts)
     with _output(out_path) as handle:
         handle.write(opening)
         lead = ""
-        while chunk := list(islice(items, CSV_CHUNK_ROWS)):
+        while chunk := list(islice(texts, CHUNK_TEXTS)):
             handle.write(lead)
             handle.write(separator.join(chunk))
             lead = separator
         handle.write(closing)
 
 
-def _item_template(skeleton) -> str:
+def _csv_line(cells) -> str:
+    """One CSV line of ``cells``; a ``"%s"`` cell makes it a ``%`` template.
+
+    A slot takes a scalar, its ``format_scalar`` text or a fixed
+    identifier: ``str`` of each is its ``format_scalar`` text, and none
+    holds a comma, quote or line break, so no field is quoted (RFC 4180).
+    """
+    return ",".join(cells) + "\r\n"
+
+
+def _emit_csv(header: tuple, rows, out_path: Optional[str]):
+    """Write CSV as ``rows`` produces it, one template formatting a row."""
+    line = _csv_line(["%s"] * len(header))
+    _emit_texts(_csv_line(header), map(line.__mod__, rows), "", "", out_path)
+
+
+def _emit_json(head: dict, key: str, items, out_path: Optional[str]):
+    """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
+    ``items`` produces the array's item texts (``_item_template``).
+    ``items`` is not empty.  The text around the array is ``json.dumps``'s
+    own, checked before the output is opened.
+    """
+    opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
+    _emit_texts(opening, items, "," + opening[opening.rindex("\n"):],
+                closing, out_path)
+
+
+def _item_template(skeleton, quoted: bool = False) -> str:
     """``%`` template of ``skeleton`` as ``json.dumps(indent=2)`` lays out an
     item of an array held by the top-level object, first line unindented.
-    Each ``"%s"`` string in ``skeleton`` is a slot for a JSON text."""
+    Each ``"%s"`` string in ``skeleton`` is a slot for a JSON text, or with
+    ``quoted`` for the text of a JSON string."""
     text = json.dumps([[skeleton]], indent=2)
     return text[len("[\n  [\n    "):-len("\n  ]\n]")].replace(
-        "%", "%%").replace('"%%s"', "%s")
+        "%", "%%").replace('"%%s"', '"%s"' if quoted else "%s")
 
 
 # ------------------------------------------------------------- commands
 
-def _point_records(args, classified: bool) -> list:
-    """(point, class or None, invariants) per input point; a NaN or
-    infinity among the invariants is refused here, in CSV and JSON alike."""
-    records = []
-    for mu in _gather_points(args):
-        cls = classify(mu, tol=args.tol) if classified else None
-        inv = invariants(mu, tol=args.tol)
-        for value in inv:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InputFormatError(f"{NOT_FINITE}: {value!r}")
-        records.append((mu, cls, inv))
-    return records
-
-
-def _invariant_cells(inv) -> tuple:
-    values = (getattr(inv, name) for name in INVARIANT_COLUMNS)
-    return tuple("" if value is None else value for value in values)
-
-
 @lru_cache(maxsize=None)
-def _point_template(cls, names: tuple) -> str:
-    """One point's JSON item: its input, its class and orbit dimension
-    unless ``cls`` is None, and the invariants ``names``."""
-    labels = {} if cls is None else {"class": cls.value,
-                                     "orbit_dimension": cls.dimension}
-    return _item_template({"input": ["%s"] * 5, **labels,
-                           "invariants": dict.fromkeys(names, "%s")})
-
-
-def _point_item(record) -> str:
-    mu, cls, inv = record
-    present = inv.as_dict()
-    return _point_template(cls, tuple(present)) % tuple(
-        map(json_text, (*mu, *present.values())))
+def _point_template(as_json: bool, exact: bool, cls, names: tuple) -> str:
+    """One point's JSON item or CSV line: its input, its class and orbit
+    dimension unless ``cls`` is None, and the invariants ``names`` (in CSV,
+    all but k and y, the others' columns left blank).  Exact cells are
+    rational text, quoted in JSON; float cells are floats, whose ``str``
+    is their JSON text."""
+    if as_json:
+        labels = {} if cls is None else {"class": cls.value,
+                                         "orbit_dimension": cls.dimension}
+        return _item_template({"input": ["%s"] * 5, **labels,
+                               "invariants": dict.fromkeys(names, "%s")},
+                              quoted=exact)
+    labels = [] if cls is None else [cls.value, str(cls.dimension)]
+    return _csv_line(["%s"] * 5 + labels + [
+        "%s" if name in names else "" for name in INVARIANT_COLUMNS])
 
 
 def _cmd_points(args) -> int:
-    """``classify``, and ``invariants``: the same without class and dimension."""
+    """``classify``, and ``invariants``: the same without class and
+    dimension.
+
+    Each point is labelled and its JSON item or CSV line rendered as it is
+    read, and only that text is kept.  Nothing is written until the last
+    point is read, so any input error, the first one met, exits 1 with
+    nothing written.  Rational invariants are read as text off
+    ``invariant_pairs``; a float one that is not finite is refused.
+    """
     classified = args.command == "classify"
-    records = _point_records(args, classified)
-    if args.format == "json":
-        _emit_json({"backend": args.backend}, "points",
-                   map(_point_item, records), args.out)
+    as_json = args.format == "json"
+    exact = args.backend == RATIONAL
+    skip = 0 if as_json else 2  # CSV has no invariant columns k and y
+    texts = []
+    for where, mu in _read_points(args):
+        cls = classify(mu, tol=args.tol) if classified else None
+        if exact:
+            pairs = invariant_pairs(mu)
+            names = tuple(pairs)
+            cells = list(starmap(ratio_text, islice(pairs.values(), skip,
+                                                    None)))
+        else:
+            present = invariants(mu, tol=args.tol).as_dict()
+            names = tuple(present)
+            cells = list(islice(present.values(), skip, None))
+            if not all(map(math.isfinite, cells)):
+                value = next(c for c in cells if not math.isfinite(c))
+                raise InputFormatError(f"{where}: {NOT_FINITE}: {value!r}")
+        template = _point_template(as_json, exact, cls, names)
+        texts.append(template % (*mu, *cells))
+    if as_json:
+        _emit_json({"backend": args.backend}, "points", texts, args.out)
     else:
         labels = ("class", "dimension") if classified else ()
-        rows = (mu + ((cls.value, cls.dimension) if classified else ())
-                + _invariant_cells(inv) for mu, cls, inv in records)
-        _emit_csv(POINT_FIELDS + labels + INVARIANT_HEADERS, rows, args.out)
+        header = POINT_FIELDS + labels + INVARIANT_HEADERS
+        _emit_texts(_csv_line(header), texts, "", "", args.out)
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ random points; ``render_text`` lays the report out as text.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import poly
 from .backend import format_scalar
 from .lie_core import GroupElement, compose, compose_bch, compose_printed
@@ -35,9 +37,11 @@ def _evaluate_law(law, point) -> tuple:
 
 
 def reconstruct_law(law=compose) -> dict:
-    """{output name: {exponent vector: coefficient}}: ``law`` on indeterminates."""
+    """{output name: {exponent vector: Fraction coefficient}}: ``law`` on
+    indeterminates."""
     product = _evaluate_law(law, poly.indeterminates(VARIABLES))
-    return {name: c.terms for name, c in zip(OUTPUT_NAMES, product)}
+    return {name: {alpha: Fraction(coeff) for alpha, coeff in c.terms.items()}
+            for name, c in zip(OUTPUT_NAMES, product)}
 
 
 def evaluate_polynomial(terms: dict, point: tuple):

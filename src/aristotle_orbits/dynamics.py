@@ -41,10 +41,10 @@ from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .backend import (
-    EPS_CLASS, NOT_FINITE, InputFormatError, Scalar, exact_div,
-    is_float_backed, is_zero, parse_scalar,
+    NOT_FINITE, InputFormatError, Scalar, is_float_backed, parse_scalar,
+    ratio_text,
 )
-from .orbits import DualElement, _zero_scale, psi_value
+from .orbits import DualElement, point_arithmetic, psi_value
 from .poly import Poly, indeterminates
 
 HALF = Fraction(1, 2)
@@ -74,16 +74,18 @@ class OrbitParams(NamedTuple):
     def v(self) -> Scalar:
         """Invariant velocity y/k; the time chart's slope.  Whether k is
         zero is ``classify``'s test: exact, or relative on floats."""
-        if is_zero(self.k, EPS_CLASS, _zero_scale(self)):
+        zero, div, _ = point_arithmetic(self)
+        if zero(self.k):
             raise ChartUndefinedError("time (q, p)", "k != 0")
-        return exact_div(self.y, self.k)
+        return div(self.y, self.k)
 
     @property
     def s(self) -> Scalar:
         """Invariant slowness k/y; the space chart's slope (y != 0 as for v)."""
-        if is_zero(self.y, EPS_CLASS, _zero_scale(self)):
+        zero, div, _ = point_arithmetic(self)
+        if zero(self.y):
             raise ChartUndefinedError("space (tau, e)", "y != 0")
-        return exact_div(self.k, self.y)
+        return div(self.k, self.y)
 
 
 class TimeState(NamedTuple):
@@ -377,24 +379,13 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
 def _column(den: int, n0: int, d1: int, d2: int, op: Callable,
             as_text: bool) -> Iterator:
     """op(n0 + j*d1 + C(j, 2)*d2) / den for j = 0, 1, ..., two additions
-    each, as a ``Fraction`` or as its text (``_texts``)."""
+    each, as a ``Fraction`` or as its text (``ratio_text``)."""
     if d1 == d2 == 0:
         value = Fraction(op(n0), den)
         return repeat(str(value) if as_text else value)
     numerators = map(op, accumulate(accumulate(repeat(d2), initial=d1),
                                     initial=n0))
-    if as_text:
-        return _texts(numerators, den)
-    return map(Fraction, numerators, repeat(den))
-
-
-def _texts(numerators: Iterator[int], den: int) -> Iterator[str]:
-    """str(Fraction(N, den)) for each numerator N, without the Fraction:
-    N/den reduced by their gcd, "/den" left out at 1."""
-    gcd = math.gcd
-    for num in numerators:
-        g = gcd(num, den)
-        yield str(num // g) if g == den else f"{num // g}/{den // g}"
+    return map(ratio_text if as_text else Fraction, numerators, repeat(den))
 
 
 def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:

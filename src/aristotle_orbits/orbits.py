@@ -13,18 +13,23 @@ evaluates them at g's (x, t, zeta).  ``verify`` proves on indeterminates
 that the closed form and the reference are one polynomial map, as
 ``PRINTED_ACTION_CONVENTION`` records.
 
-``invariants`` evaluates rational points on integer numerators and
-denominators, one reduction per reported value; any other point (a float
-coordinate, or a symbolic one in a proof) takes the formulas as written.
+``invariant_pairs`` evaluates rational points on integer numerators and
+denominators, and ``invariants`` reduces each value once; any other point
+(a float coordinate, or a symbolic one in a proof) takes the formulas as
+written, with the zero test, division and 1/2 that ``point_arithmetic``
+picks for it once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
+from operator import truediv
 from typing import NamedTuple, Optional
 
-from .backend import EPS_CLASS, Scalar, exact_div, is_float_backed, is_zero
+from .backend import EPS_CLASS, Scalar, exact_div, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
 
 HALF = Fraction(1, 2)
@@ -80,12 +85,9 @@ class InvariantSet(NamedTuple):
     f: Optional[Scalar] = None
 
     def as_dict(self) -> dict:
-        out = {"k": self.k, "y": self.y, "psi": self.psi}
-        for name in ("v", "s", "q", "tau", "u", "pi", "f"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        """{name: value} of the invariants present, in field order."""
+        return {name: value for name, value in zip(self._fields, self)
+                if value is not None}
 
 
 def pair(mu: DualElement, element: AlgebraElement) -> Scalar:
@@ -125,69 +127,95 @@ def coadjoint_printed(x: Scalar, t: Scalar, zeta: Scalar, mu: DualElement) -> Du
     )
 
 
-def _zero_scale(mu: DualElement) -> Scalar:
-    """The largest |component| (at least 1) on floats, 1 on rationals."""
-    return max(1, *map(abs, mu)) if is_float_backed(*mu) else 1
+def _is_exact_zero(value: Scalar) -> bool:
+    return value == 0
+
+
+def point_arithmetic(values, tol: float = EPS_CLASS) -> tuple:
+    """(zero test, a/b, 1/2) for the formulas at a point, decided once.
+
+    On a point of floats a value is zero when |value| <= tol * max(1,
+    largest |component|), so the test of scaled points is stable, and a/b
+    and 1/2 are IEEE's.  On an exact point (rational or symbolic) zero is
+    exact, a/b is ``exact_div`` and 1/2 is ``HALF``.  A point mixing both
+    keeps ``exact_div`` and ``HALF`` and tests a float value relatively,
+    an exact one exactly (``is_zero``).
+    """
+    floats = sum(map(isinstance, values, repeat(float)))
+    if not floats:
+        return _is_exact_zero, exact_div, HALF
+    if floats == len(values):
+        limit = tol * max(1.0, *map(abs, values))
+        return (lambda value: abs(value) <= limit), truediv, 0.5
+    scale = max(1, *map(abs, values))
+    return partial(is_zero, tol=tol, scale=scale), exact_div, HALF
 
 
 def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
-    """Orbit family of mu, split on (k, y, f).
-
-    Rational inputs are tested exactly; float inputs use a relative zero
-    test with tolerance ``tol`` against the largest component (so the
-    classification of scaled points is stable).
-    """
-    scale = _zero_scale(mu)
-    k_zero = is_zero(mu.k, tol, scale)
-    y_zero = is_zero(mu.y, tol, scale)
-    if not k_zero and not y_zero:
-        return OrbitClass.GENERIC
+    """Orbit family of mu, split on (k, y, f) by ``point_arithmetic``'s
+    zero test: exact on rationals, relative with tolerance ``tol`` to the
+    largest component on floats."""
+    zero = point_arithmetic(mu, tol)[0]
+    k_zero, y_zero = zero(mu.k), zero(mu.y)
     if not k_zero:
-        return OrbitClass.HOOKE_ONLY
+        return OrbitClass.HOOKE_ONLY if y_zero else OrbitClass.GENERIC
     if not y_zero:
         return OrbitClass.YANK_ONLY
-    if not is_zero(mu.f, tol, scale):
-        return OrbitClass.FORCE_ONLY
-    return OrbitClass.FIXED_POINT
+    return OrbitClass.FIXED_POINT if zero(mu.f) else OrbitClass.FORCE_ONLY
 
 
 def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
     """All invariants defined at mu; see InvariantSet for the presence rules.
 
-    Each rational value is one integer numerator over one integer
-    denominator, reduced by a single ``Fraction(num, den)``.  U and pi keep
-    their chart formulas e - kq^2/2 + pv and p - y tau^2/2 + es, so
-    U = pi v stays a check between two computations.
+    A rational point's values are ``invariant_pairs`` reduced by one
+    ``Fraction`` each; any other point takes the formulas as written.
     """
     if not all(isinstance(c, (int, Fraction)) for c in mu):
         return _formula_invariants(mu, tol)
+    return InvariantSet(**{name: Fraction(*pair)
+                           for name, pair in invariant_pairs(mu).items()})
+
+
+def invariant_pairs(mu: DualElement) -> dict:
+    """{name: (numerator, denominator)} of each invariant defined at a
+    rational point, in ``InvariantSet.as_dict`` order; a denominator may be
+    negative, and no pair is reduced.
+
+    The coordinates' numerators and denominators are read once, and each
+    value is one integer numerator over one integer denominator.  U and pi
+    keep their chart formulas e - kq^2/2 + pv and p - y tau^2/2 + es, so
+    U = pi v stays a check between two computations.
+    """
     (pn, pd), (en, ed), (fn, fd), (kn, kd), (yn, yd) = [
         (c.numerator, c.denominator) for c in mu]
-    v = s = q = tau = u = pi = f_echo = None
-    if kn:
-        q_pair, v_pair = (fn * kd, fd * kn), (yn * kd, yd * kn)
-        q, v = Fraction(*q_pair), Fraction(*v_pair)
-        u = _chart_value((en, ed), (kn, kd), q_pair, (pn, pd), v_pair)
-    if yn:
-        tau_pair, s_pair = (fn * yd, fd * yn), (kn * yd, kd * yn)
-        tau, s = Fraction(*tau_pair), Fraction(*s_pair)
-        pi = _chart_value((pn, pd), (yn, yd), tau_pair, (en, ed), s_pair)
-    if not kn and not yn:
-        f_echo = mu.f
     ke_d, ff_d, py_d = kd * ed, fd * fd, pd * yd
-    psi = Fraction((2 * kn * en * ff_d - fn * fn * ke_d) * py_d
-                   + 2 * pn * yn * ke_d * ff_d, ke_d * ff_d * py_d)
-    return InvariantSet(k=mu.k, y=mu.y, psi=psi, v=v, s=s, q=q, tau=tau,
-                        u=u, pi=pi, f=f_echo)
+    pairs = {"k": (kn, kd), "y": (yn, yd),
+             "psi": ((2 * kn * en * ff_d - fn * fn * ke_d) * py_d
+                     + 2 * pn * yn * ke_d * ff_d, ke_d * ff_d * py_d)}
+    if kn:
+        q, v = (fn * kd, fd * kn), (yn * kd, yd * kn)
+        u = _chart_value((en, ed), (kn, kd), q, (pn, pd), v)
+    if yn:
+        tau, s = (fn * yd, fd * yn), (kn * yd, kd * yn)
+        pi = _chart_value((pn, pd), (yn, yd), tau, (en, ed), s)
+    if kn and yn:
+        pairs.update(v=v, s=s, q=q, tau=tau, u=u, pi=pi)
+    elif kn:
+        pairs.update(v=v, q=q, u=u)
+    elif yn:
+        pairs.update(s=s, tau=tau, pi=pi)
+    else:
+        pairs["f"] = (fn, fd)
+    return pairs
 
 
-def _chart_value(a: tuple, c: tuple, x: tuple, w: tuple, z: tuple) -> Fraction:
-    """a - c x^2/2 + w z for (numerator, denominator) pairs, reduced once."""
+def _chart_value(a: tuple, c: tuple, x: tuple, w: tuple, z: tuple) -> tuple:
+    """a - c x^2/2 + w z for (numerator, denominator) pairs, as one pair."""
     (an, ad), (cn, cd), (xn, xd), (wn, wd), (zn, zd) = a, c, x, w, z
     sq_n, sq_d = cn * xn * xn, 2 * cd * xd * xd
     lin_n, lin_d = wn * zn, wd * zd
-    return Fraction((an * sq_d - sq_n * ad) * lin_d + lin_n * ad * sq_d,
-                    ad * sq_d * lin_d)
+    return ((an * sq_d - sq_n * ad) * lin_d + lin_n * ad * sq_d,
+            ad * sq_d * lin_d)
 
 
 def psi_value(p: Scalar, e: Scalar, f: Scalar, k: Scalar, y: Scalar) -> Scalar:
@@ -196,22 +224,20 @@ def psi_value(p: Scalar, e: Scalar, f: Scalar, k: Scalar, y: Scalar) -> Scalar:
 
 
 def _formula_invariants(mu: DualElement, tol: float) -> InvariantSet:
-    """invariants by the formulas as written, with classify's zero test:
-    relative on a float point, exact on a symbolic one."""
+    """invariants by the formulas as written, with ``point_arithmetic``'s
+    zero test, division and 1/2 at mu."""
     p, e, f, k, y = mu
-    scale = _zero_scale(mu)
-    k_zero = is_zero(k, tol, scale)
-    y_zero = is_zero(y, tol, scale)
-
+    zero, div, half = point_arithmetic(mu, tol)
+    k_zero, y_zero = zero(k), zero(y)
     v = s = q = tau = u = pi = f_echo = None
     if not k_zero:
-        v = exact_div(y, k)
-        q = exact_div(f, k)
-        u = e - HALF * k * q * q + p * v
+        v = div(y, k)
+        q = div(f, k)
+        u = e - half * k * q * q + p * v
     if not y_zero:
-        s = exact_div(k, y)
-        tau = exact_div(f, y)
-        pi = p - HALF * y * tau * tau + e * s
+        s = div(k, y)
+        tau = div(f, y)
+        pi = p - half * y * tau * tau + e * s
     if k_zero and y_zero:
         f_echo = f
     psi = psi_value(*mu)

@@ -22,7 +22,11 @@ def monomial_name(alpha: tuple, names) -> str:
 
 
 class Poly:
-    """{exponent tuple: nonzero Fraction} over the variables ``names``."""
+    """{exponent tuple: nonzero coefficient} over the variables ``names``.
+
+    A coefficient is an ``int`` until arithmetic makes it fractional, then
+    a ``Fraction``, so integer terms multiply and add as plain ints.
+    """
 
     __slots__ = ("terms", "names")
     __hash__ = None
@@ -34,7 +38,7 @@ class Poly:
         """``other`` as a polynomial, or None if it is no exact scalar."""
         if isinstance(other, (int, Fraction)):
             zero = (0,) * len(self.names)
-            return Poly({zero: Fraction(other)} if other else {}, self.names)
+            return Poly({zero: other} if other else {}, self.names)
         return other if isinstance(other, Poly) else None
 
     def __add__(self, other):
@@ -164,5 +168,5 @@ class Ratio:
 def indeterminates(names) -> tuple:
     """One polynomial per name: the variables themselves."""
     names = tuple(names)
-    return tuple(Poly({tuple(int(i == j) for j in range(len(names))):
-                       Fraction(1)}, names) for i in range(len(names)))
+    return tuple(Poly({tuple(int(i == j) for j in range(len(names))): 1},
+                      names) for i in range(len(names)))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aristotle_orbits.backend import (
     BACKENDS, FLOAT, InputFormatError, format_scalar, json_scalar,
-    json_text, parse_scalar,
+    json_text, parse_scalar, ratio_text,
 )
 
 
@@ -85,3 +85,20 @@ def test_json_text_is_json_dumps_of_json_scalar(value):
     if not isinstance(value, float):
         # an exact output cell is its canonical text already
         assert json_text(format_scalar(value)) == text
+
+
+@given(st.integers(-10**40, 10**40),
+       st.integers(-10**40, 10**40).filter(bool))
+@settings(max_examples=500)
+def test_ratio_text_is_the_reduced_fraction_text(num, den):
+    # any sign on either side, and unreduced pairs
+    assert ratio_text(num, den) == str(Fraction(num, den))
+    assert ratio_text(6 * num, 6 * den) == str(Fraction(num, den))
+
+
+def test_ratio_text_edge_cases():
+    assert ratio_text(0, -7) == "0"
+    assert ratio_text(4, -2) == "-2"
+    assert ratio_text(-3, -6) == "1/2"
+    assert ratio_text(3, -6) == "-1/2"
+    assert ratio_text(5, 1) == "5"

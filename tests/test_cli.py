@@ -262,6 +262,86 @@ def test_malformed_file_row(tmp_path, capsys):
     assert "line 2" in err and "field 2" in err
 
 
+@pytest.mark.parametrize("suffix", [".JSON", ".Json"])
+def test_json_file_suffix_is_case_insensitive(tmp_path, capsys, suffix):
+    lower = tmp_path / "p.json"
+    lower.write_text("[[1,2,3,4,5]]", encoding="utf-8")
+    other = tmp_path / f"p{suffix}"
+    other.write_text("[[1,2,3,4,5]]", encoding="utf-8")
+    _, expected, _ = run(capsys, "classify", "--in", str(lower))
+    code, out, err = run(capsys, "classify", "--in", str(other))
+    assert code == 0, err
+    assert out == expected and '"GENERIC"' in out
+
+
+_BATCH = "".join(f"{i},1/2,-3,{i % 7},5/{i}\n" for i in range(1, 1000))
+
+
+def _refused_without_output(tmp_path, capsys, argv) -> str:
+    """stderr of ``argv``, checked to exit 1 with nothing written to stdout
+    or to --out."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    out_path = tmp_path / "never-written"
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 1
+    assert not out_path.exists()
+    return err
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_malformed_last_line_of_a_long_file_writes_nothing(
+        tmp_path, capsys, backend, output_format):
+    path = tmp_path / "points.csv"
+    path.write_text(_BATCH + "1,2,3,4,five\n", encoding="utf-8")
+    err = _refused_without_output(tmp_path, capsys, (
+        "classify", "--in", str(path), "--backend", backend,
+        "--format", output_format))
+    assert "line 1000, field 5" in err
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_non_finite_last_point_writes_nothing_and_names_it(
+        tmp_path, capsys, command, output_format):
+    # psi = 2ke - f^2 + 2py = 2 - inf + inf
+    path = tmp_path / "points.csv"
+    path.write_text(_BATCH + "1e200,1e200,1e200,1e-200,1e200\n",
+                    encoding="utf-8")
+    err = _refused_without_output(tmp_path, capsys, (
+        command, "--in", str(path), "--backend", "float",
+        "--format", output_format))
+    assert f"{path}: line 1000: a computed value is not finite: nan" in err
+    json_path = tmp_path / "points.json"
+    json_path.write_text("[[1, 1, 1, 1, 1], [1e200, 1e200, 1e200, 1e-200, "
+                         "1e200]]", encoding="utf-8")
+    err = _refused_without_output(tmp_path, capsys, (
+        command, "--in", str(json_path), "--backend", "float",
+        "--format", output_format))
+    assert f"{json_path}: entry 2: a computed value is not finite" in err
+    err = _refused_without_output(tmp_path, capsys, (
+        command, "--backend", "float", "--format", output_format,
+        "1,1,1,1,1", "1e200,1e200,1e200,1e-200,1e200"))
+    assert "point 2: a computed value is not finite" in err
+
+
+def test_first_failing_point_is_the_one_reported(tmp_path, capsys):
+    # points are read, labelled and rendered in order: a refusal at line 2
+    # comes before a parse error at line 4, and the other way round
+    path = tmp_path / "points.csv"
+    path.write_text("1,1,1,1,1\n1e200,1e200,1e200,1e-200,1e200\n"
+                    "1,1,1,1,1\nbogus,1,1,1,1\n", encoding="utf-8")
+    argv = ("classify", "--in", str(path), "--backend", "float")
+    err = _refused_without_output(tmp_path, capsys, argv)
+    assert "line 2: a computed value is not finite" in err
+    assert "bogus" not in err
+    path.write_text("1,1,1,1,1\nbogus,1,1,1,1\n"
+                    "1e200,1e200,1e200,1e-200,1e200\n", encoding="utf-8")
+    err = _refused_without_output(tmp_path, capsys, argv)
+    assert "line 2, field 1: cannot parse scalar 'bogus'" in err
+    assert "not finite" not in err
+
+
 def test_file_inputs_json_and_csv_agree(tmp_path, capsys):
     as_json = tmp_path / "points.json"
     as_json.write_text('[["1/2", 0, 1, 2, 3], [0, 0, 0, 0, 0]]',

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from aristotle_orbits import linalg
 from aristotle_orbits.backend import (
-    EPS_CLASS, exact_div, format_scalar, is_zero, parse_scalar, rel_err,
+    EPS_CLASS, exact_div, format_scalar, is_zero, parse_scalar, ratio_text,
+    rel_err,
 )
 from aristotle_orbits.lie_core import (
     AlgebraElement, GroupElement, E, F, LAMBDA, P, Y, compose,
@@ -17,7 +18,7 @@ from aristotle_orbits.orbits import (
     PRINTED_ACTION_CONVENTION,
     DualElement, OrbitClass,
     classify, coadjoint, coadjoint_generators, coadjoint_matrix,
-    coadjoint_printed, invariants, orbit_dimension, pair,
+    coadjoint_printed, invariant_pairs, invariants, orbit_dimension, pair,
 )
 
 HALF = Fraction(1, 2)
@@ -194,14 +195,35 @@ def test_invariants_float_backend_small_relative_error():
             assert rel_err(after.u, before.u) <= 1e-12
 
 
-def _oracle_invariants(mu):
-    # the Fraction-by-Fraction formulas, kept as the oracle for the integer
-    # numerator/denominator evaluation of rational input
-    p, e, f, k, y = mu
+def _oracle_scale(mu):
+    # the zero test's scale, per value, as classify and invariants first had it
     floats = any(isinstance(c, float) for c in mu)
-    scale = max(1, *map(abs, mu)) if floats else 1
-    k_zero = is_zero(k, EPS_CLASS, scale)
-    y_zero = is_zero(y, EPS_CLASS, scale)
+    return max(1, *map(abs, mu)) if floats else 1
+
+
+def _oracle_classify(mu, tol=EPS_CLASS):
+    scale = _oracle_scale(mu)
+    k_zero = is_zero(mu.k, tol, scale)
+    y_zero = is_zero(mu.y, tol, scale)
+    if not k_zero and not y_zero:
+        return OrbitClass.GENERIC
+    if not k_zero:
+        return OrbitClass.HOOKE_ONLY
+    if not y_zero:
+        return OrbitClass.YANK_ONLY
+    if not is_zero(mu.f, tol, scale):
+        return OrbitClass.FORCE_ONLY
+    return OrbitClass.FIXED_POINT
+
+
+def _oracle_invariants(mu, tol=EPS_CLASS):
+    # the Fraction-by-Fraction formulas, kept as the oracle for the integer
+    # numerator/denominator evaluation of rational input and for the float
+    # and mixed points' once-per-point arithmetic
+    p, e, f, k, y = mu
+    scale = _oracle_scale(mu)
+    k_zero = is_zero(k, tol, scale)
+    y_zero = is_zero(y, tol, scale)
     v = s = q = tau = u = pi = f_echo = None
     if not k_zero:
         v = exact_div(y, k)
@@ -253,6 +275,48 @@ def test_float_invariants_keep_the_float_formulas(coords, one_float, zeros,
     # at least one coordinate is a float, so the whole point is float-backed
     mu = _patterned((one_float,) + coords, zeros, zero)
     assert repr(tuple(invariants(mu))) == repr(_oracle_invariants(mu))
+
+
+@given(st.tuples(*([big_rationals] * 5)), zero_patterns,
+       st.sampled_from([0, Fraction(0)]))
+@settings(max_examples=300)
+def test_invariant_pairs_are_the_invariants_unreduced(coords, zeros, zero):
+    # all five classes, negative numerators, pairs with negative
+    # denominators; each CLI cell is the reduced Fraction's text
+    mu = _patterned(coords, zeros, zero)
+    pairs = invariant_pairs(mu)
+    present = invariants(mu).as_dict()
+    assert list(pairs) == list(present)
+    for name, (num, den) in pairs.items():
+        assert Fraction(num, den) == present[name]
+        assert ratio_text(num, den) == str(Fraction(num, den))
+    assert classify(mu) is _oracle_classify(mu)
+
+
+_mixed_coords = st.tuples(*([st.one_of(finite_floats, big_rationals)] * 4))
+
+
+@given(_mixed_coords, finite_floats, zero_patterns,
+       st.sampled_from([0, 0.0, -0.0, Fraction(0)]),
+       st.sampled_from([0.0, EPS_CLASS]), st.integers(0, 1))
+@settings(max_examples=400)
+def test_float_and_mixed_points_match_the_per_value_formulas(
+        coords, one_float, zeros, zero, tol, slot):
+    # the float in ``slot`` (p or e, which no zero pattern overwrites)
+    # makes the point float-backed; the rest are all
+    # floats (the float backend) or a mix such as a Fraction k beside a
+    # float p.  Results are bit-identical to testing, dividing and halving
+    # value by value
+    values = list(coords)
+    values.insert(slot, one_float)
+    mu = _patterned(tuple(values), zeros, zero)
+    assert repr(tuple(invariants(mu, tol))) == repr(
+        _oracle_invariants(mu, tol))
+    assert classify(mu, tol) is _oracle_classify(mu, tol)
+    floats = DualElement._make(map(float, mu))
+    assert repr(tuple(invariants(floats, tol))) == repr(
+        _oracle_invariants(floats, tol))
+    assert classify(floats, tol) is _oracle_classify(floats, tol)
 
 
 # ----------------------------------------------------------- classification

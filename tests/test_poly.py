@@ -85,6 +85,29 @@ def test_str_writes_monomials_like_derive_law():
     assert str(-Fraction(2, 3) * t) == "-2/3*t"
 
 
+@given(st.lists(st.tuples(exponents, st.integers(-9, 9).filter(bool)),
+                max_size=4),
+       st.integers(-9, 9), st.integers(-9, 9), points)
+@settings(max_examples=200)
+def test_int_scalars_keep_int_coefficients(terms, c, d, point):
+    u, v, w = indeterminates(NAMES)
+    base = Poly(dict(terms), NAMES)
+    product = (base * c + d) * (u - 3 * v) * w + 2
+    assert all(type(coeff) is int for coeff in product.terms.values())
+    # the same polynomial on Fraction coefficients prints, compares and
+    # evaluates alike
+    as_fractions = Poly({alpha: Fraction(coeff) for alpha, coeff
+                         in product.terms.items()}, NAMES)
+    assert str(product) == str(as_fractions)
+    assert product == as_fractions and as_fractions == product
+    assert product.evaluate(point) == as_fractions.evaluate(point)
+    assert type(product.evaluate(point)) is Fraction
+    # a fractional coefficient is a Fraction
+    half = product * Fraction(1, 2)
+    assert all(isinstance(coeff, Fraction) for coeff in half.terms.values())
+    assert half * 2 == product
+
+
 def test_oracle_stays_independent_of_the_package():
     # the tests' group-law oracle must not share the scalar it checks
     source = (Path(__file__).parent / "free_nilpotent_oracle.py").read_text(
