@@ -135,9 +135,14 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 
 def is_zero(value: Scalar, tol: float = 0.0, scale: Scalar = 1) -> bool:
-    """Zero test; exact unless ``value`` is a float, then relative to ``scale``."""
+    """Zero test; exact unless ``value`` is a float, then relative to ``scale``.
+
+    An exact ``scale`` beyond the double range bounds the value exactly."""
     if isinstance(value, float):
-        return abs(value) <= tol * max(1.0, abs(scale))
+        try:
+            return abs(value) <= tol * max(1.0, abs(scale))
+        except OverflowError:
+            return abs(value) <= Fraction(tol) * abs(scale)
     return value == 0
 
 

@@ -5,10 +5,16 @@ Six subcommands: ``classify`` and ``invariants`` label dual points,
 ``errata`` emits the printed-formula audit, and ``derive-law``
 reconstructs the group law's polynomial coefficients.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification or
-adjudication failure.  Data goes to standard output (or ``--out``);
-diagnostics go to standard error.  Identical invocations produce
-byte-identical output.
+Exit codes: 0 success, 1 usage or parse error (and a standard output
+closed by its reader), 2 verification or adjudication failure.  Data goes
+to standard output (or ``--out``); diagnostics go to standard error.
+Identical invocations produce byte-identical output.
+
+Output is streamed in chunks of CHUNK_TEXTS rows or points.  A float
+trajectory's rows cost mostly their reprs, so where a second CPU is free
+a forked worker renders every other chunk and this process writes them
+all in order (``_emit_texts``).  The console script ends by ``os._exit``
+after its last flush, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -16,11 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from contextlib import contextmanager
-from functools import lru_cache
-from itertools import islice, starmap
+import threading
+from contextlib import contextmanager, nullcontext
+from functools import lru_cache, partial
+from itertools import chain, islice, starmap
 from typing import Callable, Iterator, Optional
 
 from . import derive_law as derive_law_mod
@@ -28,7 +36,7 @@ from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
-    json_scalar, json_text, parse_scalar, ratio_text,
+    is_float_backed, json_scalar, json_text, parse_scalar, ratio_text,
 )
 from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams,
@@ -178,19 +186,112 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-def _emit_texts(opening: str, texts, separator: str, closing: str,
-                out_path: Optional[str]):
-    """Write ``opening + separator.join(texts) + closing`` as ``texts``
-    produces them, in chunks: a write per text is slow."""
-    texts = iter(texts)
-    with _output(out_path) as handle:
+def _emit_texts(opening: str, rows: Callable[[], Iterator], render: Callable,
+                separator: str, closing: str, out_path: Optional[str],
+                fork: bool = False):
+    """Write ``opening + separator.join(map(render, rows())) + closing`` as
+    ``rows()`` produces the rows, in chunks of CHUNK_TEXTS: a write per
+    text is slow.
+
+    With ``fork``, when a second CPU is free (``_second_core``) and there
+    is a second chunk, a forked worker (``_worker``) runs ``rows()`` too
+    and renders the odd chunks while this process renders the even ones;
+    this process writes every chunk, in order.
+    """
+    stream = iter(rows())
+    procs = 1
+    if fork and _second_core():
+        head = list(islice(stream, CHUNK_TEXTS + 1))
+        stream = chain(head, stream)
+        procs = 1 + (len(head) > CHUNK_TEXTS)
+    with (_worker(rows, render, separator) if procs > 1
+          else nullcontext()) as next_frame, _output(out_path) as handle:
         handle.write(opening)
         lead = ""
-        while chunk := list(islice(texts, CHUNK_TEXTS)):
+        for text in _chunk_texts(stream, render, separator, 0, procs):
+            text = next_frame() if text is None else text
             handle.write(lead)
-            handle.write(separator.join(chunk))
+            handle.write(text)
             lead = separator
         handle.write(closing)
+
+
+def _chunk_texts(rows: Iterator, render: Callable, separator: str,
+                 rank: int, procs: int) -> Iterator:
+    """``separator.join(map(render, chunk))`` for each chunk of CHUNK_TEXTS
+    rows whose index is ``rank`` mod ``procs``, and None for each other
+    chunk: its rows are produced, not rendered."""
+    chunks = iter(lambda: list(islice(rows, CHUNK_TEXTS)), [])
+    for index, chunk in enumerate(chunks):
+        yield (separator.join(map(render, chunk)) if index % procs == rank
+               else None)
+
+
+def _second_core() -> bool:
+    """Whether a forked worker can render beside this process: ``os.fork``
+    exists, the process may run on two CPUs or more, and it has no other
+    thread (a fork copies only the calling thread)."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+@contextmanager
+def _worker(rows: Callable[[], Iterator], render: Callable, separator: str):
+    """A forked process rendering the odd chunks of ``rows()``; yields the
+    function that reads the next one.
+
+    The worker writes each chunk to a pipe as a length-prefixed UTF-8
+    frame, and blocks while the pipe is full, so it runs at most a pipe's
+    worth ahead.  On the way out the pipe is closed, which ends a worker
+    still writing, and the worker is reaped.  A worker that ends before
+    its last frame is a ``ChildProcessError``.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:  # the worker; it never returns
+        code = EXIT_FAILED
+        try:
+            os.close(read_end)
+            _render_odd_chunks(write_end, rows, render, separator)
+            code = EXIT_OK
+        except (BrokenPipeError, KeyboardInterrupt):
+            pass  # the reader stopped reading, or was interrupted too
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            yield partial(_read_frame, pipe)
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _render_odd_chunks(write_end: int, rows: Callable[[], Iterator],
+                       render: Callable, separator: str):
+    """The worker's work: every row of ``rows()``, and a frame
+    (``_read_frame``) on ``write_end`` for each odd chunk."""
+    with open(write_end, "wb") as pipe:
+        for text in _chunk_texts(rows(), render, separator, 1, 2):
+            if text is not None:
+                data = text.encode()
+                pipe.write(len(data).to_bytes(4, "little"))
+                pipe.write(data)
+                pipe.flush()
+
+
+def _read_frame(pipe) -> str:
+    """The text of the worker's next frame: a 4-byte little-endian length,
+    then that many bytes of UTF-8."""
+    head = pipe.read(4)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) == 4 and len(data) == size:
+        return data.decode()
+    raise ChildProcessError(
+        "the rendering worker ended before its last chunk")
 
 
 def _csv_line(cells) -> str:
@@ -203,21 +304,26 @@ def _csv_line(cells) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _emit_csv(header: tuple, rows, out_path: Optional[str]):
-    """Write CSV as ``rows`` produces it, one template formatting a row."""
+def _emit_csv(header: tuple, rows: Callable[[], Iterator],
+              out_path: Optional[str], fork: bool):
+    """Write CSV as ``rows()`` produces it, one template formatting a row
+    (``_emit_texts`` with ``fork``)."""
     line = _csv_line(["%s"] * len(header))
-    _emit_texts(_csv_line(header), map(line.__mod__, rows), "", "", out_path)
+    _emit_texts(_csv_line(header), rows, line.__mod__, "", "", out_path,
+                fork)
 
 
-def _emit_json(head: dict, key: str, items, out_path: Optional[str]):
+def _emit_json(head: dict, key: str, items: Callable[[], Iterator],
+               render: Callable, out_path: Optional[str], fork: bool = False):
     """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
-    ``items`` produces the array's item texts (``_item_template``).
-    ``items`` is not empty.  The text around the array is ``json.dumps``'s
-    own, checked before the output is opened.
+    ``items()`` produces the array's items, each rendered by ``render`` to
+    its text (``_item_template``), by ``_emit_texts`` with ``fork``.
+    ``items()`` is not empty.  The text around the array is
+    ``json.dumps``'s own, checked before the output is opened.
     """
     opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
-    _emit_texts(opening, items, "," + opening[opening.rindex("\n"):],
-                closing, out_path)
+    _emit_texts(opening, items, render, "," + opening[opening.rindex("\n"):],
+                closing, out_path, fork)
 
 
 def _item_template(skeleton, quoted: bool = False) -> str:
@@ -282,11 +388,12 @@ def _cmd_points(args) -> int:
         template = _point_template(as_json, exact, cls, names)
         texts.append(template % (*mu, *cells))
     if as_json:
-        _emit_json({"backend": args.backend}, "points", texts, args.out)
+        _emit_json({"backend": args.backend}, "points", lambda: texts, str,
+                   args.out)
     else:
         labels = ("class", "dimension") if classified else ()
         header = POINT_FIELDS + labels + INVARIANT_HEADERS
-        _emit_texts(_csv_line(header), texts, "", "", args.out)
+        _emit_texts(_csv_line(header), lambda: texts, str, "", "", args.out)
     return EXIT_OK
 
 
@@ -338,7 +445,10 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
-    # every check above ran before the first byte; cells stream out
+    # every check above ran before the first byte; cells stream out.  Float
+    # cells cost their reprs, which a second process shares; an exact
+    # trajectory's cost is its cells, which a second process would repeat
+    fork = is_float_backed(*trajectory.params.values())
     if args.format == "json":
         head = {"picture": trajectory.picture,
                 "columns": list(trajectory.columns),
@@ -347,11 +457,11 @@ def _cmd_simulate(args) -> int:
                 "params": {name: json_scalar(value)
                            for name, value in trajectory.params.items()}}
         row = _item_template(["%s"] * len(trajectory.columns))
-        _emit_json(head, "rows", (row % tuple(map(json_text, cells))
-                                  for cells in trajectory.cell_factory()),
-                   args.out)
+        _emit_json(head, "rows", trajectory.cell_factory,
+                   lambda cells: row % tuple(map(json_text, cells)), args.out,
+                   fork)
     else:
-        _emit_csv(trajectory.columns, trajectory.cell_factory(), args.out)
+        _emit_csv(trajectory.columns, trajectory.cell_factory, args.out, fork)
     return EXIT_OK
 
 
@@ -504,10 +614,26 @@ def main(argv=None) -> int:
     except (InputFormatError, ChartUndefinedError) as exc:
         print(f"aristotle-orbits: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:
+    except (ArithmeticError, ChildProcessError) as exc:
         print(f"aristotle-orbits: error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
 
 def entrypoint():
-    sys.exit(main())
+    """``main`` as a console script: exit with its code, after the last
+    flush, by ``os._exit``.  The interpreter's teardown would only free
+    what the exit frees (``--out`` files are closed by then); if a flush
+    fails, ``sys.exit`` reports it.  A reader that closes standard output
+    early (``| head``) ends the run quietly with exit 1."""
+    try:
+        code = main()
+    except BrokenPipeError:  # the reader went away; so does what it missed
+        code = EXIT_USAGE
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_USAGE
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

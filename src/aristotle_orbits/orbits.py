@@ -29,7 +29,7 @@ from itertools import repeat
 from operator import truediv
 from typing import NamedTuple, Optional
 
-from .backend import EPS_CLASS, Scalar, exact_div, is_zero
+from .backend import EPS_CLASS, InputFormatError, Scalar, exact_div, is_zero
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
 
 HALF = Fraction(1, 2)
@@ -168,10 +168,17 @@ def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
     """All invariants defined at mu; see InvariantSet for the presence rules.
 
     A rational point's values are ``invariant_pairs`` reduced by one
-    ``Fraction`` each; any other point takes the formulas as written.
+    ``Fraction`` each; any other point takes the formulas as written.  A
+    point mixing floats with exact values too large for them, whose float
+    arithmetic overflows, is an ``InputFormatError``.
     """
     if not all(isinstance(c, (int, Fraction)) for c in mu):
-        return _formula_invariants(mu, tol)
+        try:
+            return _formula_invariants(mu, tol)
+        except OverflowError as exc:
+            raise InputFormatError(
+                f"point ({', '.join(map(str, mu))}): a float invariant "
+                f"overflows: {exc}") from exc
     return InvariantSet(**{name: Fraction(*pair)
                            for name, pair in invariant_pairs(mu).items()})
 

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits import linalg
 from aristotle_orbits.backend import (
-    EPS_CLASS, exact_div, format_scalar, is_zero, parse_scalar, ratio_text,
-    rel_err,
+    EPS_CLASS, InputFormatError, exact_div, format_scalar, is_zero,
+    parse_scalar, ratio_text, rel_err,
 )
 from aristotle_orbits.lie_core import (
     AlgebraElement, GroupElement, E, F, LAMBDA, P, Y, compose,
@@ -338,6 +339,31 @@ def test_classify_float_relative_tolerance():
     assert classify(DualElement(0.0, 0.0, 3.0, 1e-9, 0.0)) is OrbitClass.HOOKE_ONLY
     assert classify(DualElement(0.0, 0.0, 3.0, 1e-9, 0.0), tol=1e-6) \
         is OrbitClass.FORCE_ONLY
+
+
+def test_mixed_point_beyond_the_double_range_is_classified():
+    # the zero test's bound tol * 10**400 exceeds every float: exactly
+    huge = Fraction(10**400)
+    assert classify(DualElement(huge, 0, 0, 1.0, 0)) is OrbitClass.FIXED_POINT
+    assert classify(DualElement(huge, 0, 0, 1e90, 0), tol=1e-320) \
+        is OrbitClass.HOOKE_ONLY
+    assert classify(DualElement(huge, 0, 0, 1e70, 0), tol=1e-320) \
+        is OrbitClass.FIXED_POINT
+    assert classify(DualElement(huge, 0, 2.0, 0, 0), tol=1e-300) \
+        is OrbitClass.FIXED_POINT
+    assert classify(DualElement(huge, 0, 1e300, 0, 0), tol=1e-200) \
+        is OrbitClass.FORCE_ONLY
+    assert invariants(DualElement(huge, 0, 0, 1.0, 0)).as_dict() == {
+        "k": 1.0, "y": 0, "psi": 0, "f": 0}
+
+
+def test_mixed_point_whose_float_invariant_overflows_is_input_error():
+    mu = DualElement(1.0, Fraction(10**400), 1, 1, 1)
+    assert classify(mu) is OrbitClass.GENERIC
+    with pytest.raises(InputFormatError,
+                       match=r"^point \(1\.0, 10{400}, 1, 1, 1\): a float "
+                             r"invariant overflows"):
+        invariants(mu)
 
 
 @given(group_elements, dual_points)
