@@ -19,6 +19,7 @@ exact scalar: ``poly.Poly`` indeterminates, divided by ``exact_div`` into
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -32,6 +33,11 @@ BACKENDS = (RATIONAL, FLOAT)
 
 #: Message of the input error for a computed NaN or infinity.
 NOT_FINITE = "a computed value is not finite"
+
+#: Largest decimal exponent a scalar's text may carry, in magnitude: an
+#: exact ``1e999999999`` would be a billion digits.  Doubles end near 1e±324.
+MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 #: Relative tolerance used for zero tests in orbit classification on the
 #: float backend (overridable via the CLI ``--tol`` flag).
@@ -48,8 +54,9 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
     Accepts numbers, plain integer strings, ``"n/d"`` fractions and
     decimal strings; a bool, None or any other type is an input error.
     On the rational backend decimal text is read exactly (``"0.1"``
-    becomes 1/10).  The float backend rejects NaN, infinities and values
-    that overflow a double.
+    becomes 1/10), and text ending in an exponent beyond MAX_EXPONENT in
+    magnitude is an input error.  The float backend rejects NaN,
+    infinities and values that overflow a double.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -71,15 +78,20 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
 
 
 def _fraction(text: str, to_float: bool = False) -> Scalar:
-    """``Fraction(text)``, or its float.  Canonical ``[-]digits/digits`` text
-    with a nonzero denominator is read by two ``int`` calls instead of the
-    literal regex, and its float is their quotient, correctly rounded
-    without the reduction."""
+    """``Fraction(text)``, or its float.  Canonical ``[-]digits/digits``
+    text with a nonzero denominator is read by two ``int`` calls instead
+    of the literal regex, and its float is their quotient, correctly
+    rounded without the reduction.  Text ending in an exponent beyond
+    MAX_EXPONENT is a ValueError, raised before ``Fraction`` would build
+    the power of ten."""
     num, slash, den = text.partition("/")
     if (slash and text.isascii() and den.isdigit() and den.strip("0")
             and (num[1:] if num[:1] == "-" else num).isdigit()):
         num, den = int(num), int(den)
         return num / den if to_float else Fraction(num, den)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")
     value = Fraction(text)
     return float(value) if to_float else value
 

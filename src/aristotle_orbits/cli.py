@@ -12,8 +12,10 @@ Identical invocations produce byte-identical output.
 
 Output is streamed in chunks of CHUNK_TEXTS rows or points.  A float
 trajectory's rows cost mostly their reprs, so where a second CPU is free
-a forked worker renders every other chunk and this process writes them
-all in order (``_emit_texts``).  The console script ends by ``os._exit``
+a forked worker (``worker.forked``) renders every other chunk and this
+process writes them all in order (``_emit_texts``); ``verify`` runs its
+float RK4 runs in such a worker the same way.  An ``--out`` file that
+cannot be written is exit 1.  The console script ends by ``os._exit``
 after its last flush, without the interpreter's teardown.
 """
 
@@ -25,9 +27,8 @@ import math
 import os
 import re
 import sys
-import threading
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice, starmap
 from typing import Callable, Iterator, Optional
 
@@ -43,6 +44,7 @@ from .dynamics import (
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
 from .orbits import DualElement, classify, invariant_pairs, invariants
+from .worker import forked, read_frame, second_core, write_frame
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,9 +175,15 @@ def _dump_json(payload: dict) -> str:
 
 @contextmanager
 def _output(out_path: Optional[str]):
-    """The --out file, or stdout without --out."""
+    """The --out file, or stdout without --out; a file that cannot be
+    opened for writing is an input error."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(out_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {out_path}: "
+                                   f"{exc.strerror or exc}") from exc
+        with handle:
             yield handle
     else:
         yield sys.stdout
@@ -193,23 +201,28 @@ def _emit_texts(opening: str, rows: Callable[[], Iterator], render: Callable,
     ``rows()`` produces the rows, in chunks of CHUNK_TEXTS: a write per
     text is slow.
 
-    With ``fork``, when a second CPU is free (``_second_core``) and there
-    is a second chunk, a forked worker (``_worker``) runs ``rows()`` too
-    and renders the odd chunks while this process renders the even ones;
-    this process writes every chunk, in order.
+    With ``fork``, when a second CPU is free (``worker.second_core``) and
+    there is a second chunk, a forked worker runs ``rows()`` too and
+    renders the odd chunks (``_render_odd_chunks``) while this process
+    renders the even ones; this process writes every chunk, in order.  The
+    worker blocks while the pipe is full, so it runs at most a pipe's
+    worth ahead.  A worker that ends before its last chunk is a
+    ``ChildProcessError``.
     """
     stream = iter(rows())
     procs = 1
-    if fork and _second_core():
+    if fork and second_core():
         head = list(islice(stream, CHUNK_TEXTS + 1))
         stream = chain(head, stream)
         procs = 1 + (len(head) > CHUNK_TEXTS)
-    with (_worker(rows, render, separator) if procs > 1
-          else nullcontext()) as next_frame, _output(out_path) as handle:
+    with (forked(_render_odd_chunks, rows, render, separator) if procs > 1
+          else nullcontext()) as pipe, _output(out_path) as handle:
         handle.write(opening)
         lead = ""
         for text in _chunk_texts(stream, render, separator, 0, procs):
-            text = next_frame() if text is None else text
+            text = text if text is not None else read_frame(
+                pipe, "the rendering worker ended before its last chunk"
+            ).decode()
             handle.write(lead)
             handle.write(text)
             lead = separator
@@ -227,71 +240,14 @@ def _chunk_texts(rows: Iterator, render: Callable, separator: str,
                else None)
 
 
-def _second_core() -> bool:
-    """Whether a forked worker can render beside this process: ``os.fork``
-    exists, the process may run on two CPUs or more, and it has no other
-    thread (a fork copies only the calling thread)."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1)
-
-
-@contextmanager
-def _worker(rows: Callable[[], Iterator], render: Callable, separator: str):
-    """A forked process rendering the odd chunks of ``rows()``; yields the
-    function that reads the next one.
-
-    The worker writes each chunk to a pipe as a length-prefixed UTF-8
-    frame, and blocks while the pipe is full, so it runs at most a pipe's
-    worth ahead.  On the way out the pipe is closed, which ends a worker
-    still writing, and the worker is reaped.  A worker that ends before
-    its last frame is a ``ChildProcessError``.
-    """
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if not pid:  # the worker; it never returns
-        code = EXIT_FAILED
-        try:
-            os.close(read_end)
-            _render_odd_chunks(write_end, rows, render, separator)
-            code = EXIT_OK
-        except (BrokenPipeError, KeyboardInterrupt):
-            pass  # the reader stopped reading, or was interrupted too
-        except BaseException:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        with open(read_end, "rb") as pipe:
-            yield partial(_read_frame, pipe)
-    finally:
-        os.waitpid(pid, 0)
-
-
 def _render_odd_chunks(write_end: int, rows: Callable[[], Iterator],
                        render: Callable, separator: str):
-    """The worker's work: every row of ``rows()``, and a frame
-    (``_read_frame``) on ``write_end`` for each odd chunk."""
+    """The worker's work: every row of ``rows()``, and a frame on
+    ``write_end`` for each odd chunk's UTF-8 text."""
     with open(write_end, "wb") as pipe:
         for text in _chunk_texts(rows(), render, separator, 1, 2):
             if text is not None:
-                data = text.encode()
-                pipe.write(len(data).to_bytes(4, "little"))
-                pipe.write(data)
-                pipe.flush()
-
-
-def _read_frame(pipe) -> str:
-    """The text of the worker's next frame: a 4-byte little-endian length,
-    then that many bytes of UTF-8."""
-    head = pipe.read(4)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) == 4 and len(data) == size:
-        return data.decode()
-    raise ChildProcessError(
-        "the rendering worker ended before its last chunk")
+                write_frame(pipe, text.encode())
 
 
 def _csv_line(cells) -> str:

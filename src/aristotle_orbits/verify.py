@@ -7,7 +7,9 @@ proof, a nonzero one the counterexample itself.  Only orbit-dimension
 draws its class representatives from a per-check counter-based stream,
 so the seed determines the report; ``samples`` is reported and read by
 no check.  integrator-tolerance proves that one RK4 step is the flow and
-then measures the float integrator's rounding.
+then measures the float integrator's rounding on four runs, which a
+forked worker shares from the suite's start where a second CPU is free
+(``_float_runs``); the report is the same either way.
 
 ``MUTATIONS`` holds deliberately broken structure tensors for exercising
 the suite's teeth: running under a mutation must flip the algebra checks
@@ -16,11 +18,14 @@ to failure (and is how the CLI's ``--mutate`` mode is wired).
 
 from __future__ import annotations
 
+import marshal
+import os
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import mul
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import linalg, poly
 from .backend import exact_div, rel_err
@@ -38,6 +43,7 @@ from .orbits import (
     coadjoint_matrix, coadjoint_printed, invariants, orbit_dimension,
 )
 from .rng import SplitMix64
+from .worker import forked, read_frame, second_core, write_frame
 
 HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
 
@@ -58,6 +64,7 @@ MUTATIONS = {"Eq2.4": _mutated_eq24}
 class _Context(NamedTuple):
     rng: SplitMix64
     tensor: StructureTensor
+    float_runs: Callable[[], dict]  # the integrator's runs (_float_runs)
 
 
 def _check_jacobi(ctx: _Context):
@@ -270,7 +277,85 @@ def _rk4_step(rhs: Callable, state: tuple, h) -> list:
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _check_integrator(_ctx: _Context):
+# the integrator check's float runs over [0, 10] at h = 1e-3: picture,
+# chart state and exact orbit labels
+FLOAT_RUNS = (("time", (0.0, 0.0), OrbitParams(1, 1)),
+              ("time", (0.5, -1.0), OrbitParams(2, 3)),
+              ("space", (0.0, 0.0), OrbitParams(1, 1)),
+              ("space", (-0.5, 1.0), OrbitParams(3, 2)))
+
+
+def _float_run(index: int) -> tuple:
+    """Float run ``index``'s final relative errors in both coordinates
+    against its flow, and its largest drift, in one pass over its rows."""
+    picture, state0, params = FLOAT_RUNS[index]
+    float_params = OrbitParams(float(params.k), float(params.y))
+    solution = _pictures(float_params, *state0)[picture == "space"][2]
+    config = IntegratorConfig(step=1e-3, start=0.0, stop=10.0)
+    drift = 0.0
+    for row in integrate(picture, state0, params, config).row_factory():
+        if row[-1] > drift:
+            drift = row[-1]
+    return (*map(rel_err, row[1:3], solution(10.0)), drift)
+
+
+def _claimed(claims: int) -> Iterator[tuple]:
+    """(index, outcome) of each float run claimed off the job pipe
+    ``claims``, by one ``os.read`` of its index byte, until none is left;
+    the outcome is the run's result or the exception it raised."""
+    for job in iter(partial(os.read, claims, 1), b""):
+        try:
+            outcome = _float_run(job[0])
+        except Exception as exc:  # raised where the check folds it
+            outcome = exc
+        yield job[0], outcome
+
+
+def _serve(write_end: int, claims: int):
+    """A worker's work: a frame on ``write_end`` for each job it claims,
+    its index and result (exact doubles) or pickled exception."""
+    with open(write_end, "wb") as pipe:
+        for index, outcome in _claimed(claims):
+            if isinstance(outcome, Exception):
+                import pickle  # only an exception needs it
+                outcome = pickle.dumps(outcome)
+            write_frame(pipe, marshal.dumps((index, outcome)))
+
+
+@contextmanager
+def _float_runs(fork: bool):
+    """Yields the function that returns each float run's outcome by index.
+
+    The runs are jobs: one index byte each in a pipe whose write end is
+    closed before any fork.  With ``fork`` and a second core, a forked
+    worker claims jobs from the start; the function claims and runs what
+    is left, then reads a frame for each job the worker claimed.  A worker
+    that ends before its last frame is a ``ChildProcessError``.
+    """
+    claims, write_end = os.pipe()
+    os.write(write_end, bytes(range(len(FLOAT_RUNS))))
+    os.close(write_end)
+    try:
+        with (forked(_serve, claims) if fork and second_core()
+              else nullcontext()) as pipe:
+            yield partial(_outcomes, claims, pipe)
+    finally:
+        os.close(claims)
+
+
+def _outcomes(claims: int, pipe) -> dict:
+    outcomes = dict(_claimed(claims))
+    for _ in range(len(FLOAT_RUNS) - len(outcomes)):
+        index, outcome = marshal.loads(read_frame(
+            pipe, "the integrator worker ended before its last run"))
+        if isinstance(outcome, bytes):
+            import pickle  # only an exception needs it
+            outcome = pickle.loads(outcome)
+        outcomes[index] = outcome
+    return outcomes
+
+
+def _check_integrator(ctx: Optional[_Context]):
     # the fields are affine with a nilpotent linear part, so RK4's
     # order-4 Taylor truncation is the flow itself
     params, a0, b0, h = _chart_symbols("a0", "b0", "h")
@@ -280,19 +365,17 @@ def _check_integrator(_ctx: _Context):
         for name, _var, solution, rhs in _pictures(params, a0, b0)))
     if not exact:
         return exact, proof
-    config = IntegratorConfig(step=1e-3, start=0.0, stop=10.0)
+    with (nullcontext(ctx.float_runs) if ctx
+          else _float_runs(fork=False)) as float_runs:
+        outcomes = float_runs()
     worst_err, worst_drift = 0.0, 0.0
-    for picture, state0, params in (("time", (0.0, 0.0), OrbitParams(1, 1)),
-                                    ("time", (0.5, -1.0), OrbitParams(2, 3)),
-                                    ("space", (0.0, 0.0), OrbitParams(1, 1)),
-                                    ("space", (-0.5, 1.0), OrbitParams(3, 2))):
-        float_params = OrbitParams(float(params.k), float(params.y))
-        solution = _pictures(float_params, *state0)[picture == "space"][2]
-        # one pass over the rows: keep the last one and the largest drift
-        for row in integrate(picture, state0, params, config).row_factory():
-            if row[-1] > worst_drift:
-                worst_drift = row[-1]
-        worst_err = max(worst_err, *map(rel_err, row[1:3], solution(10.0)))
+    for index in range(len(FLOAT_RUNS)):
+        if isinstance(outcomes[index], Exception):
+            raise outcomes[index]
+        *errs, drift = outcomes[index]
+        if drift > worst_drift:
+            worst_drift = drift
+        worst_err = max(worst_err, *errs)
     passed = worst_err <= 1e-8 and worst_drift <= 1e-8
     return passed, (f"{proof}; so 4 float trajectories over [0, 10] at "
                     f"h=1e-3 differ from the flow by rounding only: max final "
@@ -330,16 +413,19 @@ def run_suite(seed: int = 0, samples: int = 1000,
         raise KeyError(f"unknown mutation id: {mutation}")
     tensor = MUTATIONS[mutation]() if mutation else StructureTensor.default()
     checks = []
-    for name, func in CHECKS:
-        # each check gets its own stream: reordering one never shifts another
-        try:
-            passed, detail = func(_Context(SplitMix64(seed ^ hash_name(name)),
-                                           tensor))
-        except ArithmeticError as exc:
-            # a derivation that breaks down (a mutated tensor, say) fails
-            # its check; the rest of the report still runs
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        checks.append({"name": name, "passed": passed, "detail": detail})
+    # the float runs start on a second core, if any, before the first check
+    with _float_runs(fork="integrator-tolerance" in dict(CHECKS)) as runs:
+        for name, func in CHECKS:
+            # each check gets its own stream: reordering one never shifts
+            # another
+            try:
+                passed, detail = func(_Context(
+                    SplitMix64(seed ^ hash_name(name)), tensor, runs))
+            except ArithmeticError as exc:
+                # a derivation that breaks down (a mutated tensor, say)
+                # fails its check; the rest of the report still runs
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            checks.append({"name": name, "passed": passed, "detail": detail})
     return {
         "backend": "rational",
         "seed": seed,

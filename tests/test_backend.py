@@ -9,23 +9,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import (
-    BACKENDS, FLOAT, InputFormatError, format_scalar, json_scalar,
-    json_text, parse_scalar, ratio_text,
+    BACKENDS, FLOAT, MAX_EXPONENT, InputFormatError, format_scalar,
+    json_scalar, json_text, parse_scalar, ratio_text,
 )
+
+
+def _reference_fraction(text):
+    """Fraction(text), but text ending in an exponent beyond MAX_EXPONENT is
+    refused first: after its last e or E, trailing space aside, a sign and
+    groups of decimal digits joined by single underscores."""
+    tail = text[max(text.rfind("e"), text.rfind("E")) + 1:].rstrip()
+    groups = (tail[1:] if tail[:1] in ("+", "-") else tail).split("_")
+    if (len(tail) < len(text.rstrip()) and all(g.isdecimal() for g in groups)
+            and abs(int(tail)) > MAX_EXPONENT):
+        raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def _reference_parse(text, backend):
     # every string through Fraction(text), kept as the oracle
     try:
         if backend == FLOAT:
-            value = float(Fraction(text) if isinstance(text, str)
+            value = float(_reference_fraction(text) if isinstance(text, str)
                           and "/" in text else text)
             if not math.isfinite(value):
                 raise ValueError("not a finite number")
             return value
         if isinstance(text, float):
             return Fraction(repr(text))
-        return Fraction(text)
+        return _reference_fraction(text) if isinstance(text, str) \
+            else Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
 
@@ -49,7 +62,11 @@ EDGE_TEXTS = ["1/0", "0/0", "+1/2", "1/-2", " 1/2 ", "1 / 2", "1_000/3",
               # unreduced: the quotient fits a double only after cancelling
               "1" + "0" * 400 + "/1" + "0" * 100,
               "1" + "0" * 400 + "/1" + "0" * 80, "1/1" + "0" * 330,
-              "9007199254740993/1", "-6/4", "4503599627370497/2"]
+              "9007199254740993/1", "-6/4", "4503599627370497/2",
+              # the exponent bound: a power of ten is not built past it
+              "1e400", "-2.5E-400", "1e10000", "1e-10_000 ", "1e10001",
+              "1e+999999999", "1e-999999999", "e99999", "1e 99999",
+              "1e99999/2", "1e1" + "0" * 4500]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -819,6 +820,35 @@ def test_input_checks_survive_optimized_mode(argv):
     assert result.returncode == 1, result.stderr
     assert result.stdout == b""
     assert b"aristotle-orbits: error:" in result.stderr
+
+
+def test_huge_exponent_is_refused_at_once():
+    # an exact 1e999999999 would be a billion digits; the parser refuses it
+    # before building it
+    began = time.monotonic()
+    result = _fresh_interpreter("-m", "aristotle_orbits", "classify",
+                                "1e999999999,0,0,0,0")
+    assert time.monotonic() - began < 10
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.decode() == (
+        "aristotle-orbits: error: point 1, field 1: cannot parse scalar "
+        "'1e999999999': exponent beyond ±10000\n")
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("classify", "1,1,1,1,1"),
+    ("simulate", "--picture", "time", "--state=1,1", "--k=1", "--y=1"),
+    ("verify", "--samples", "1"),
+], ids=["classify", "simulate", "verify"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target):
+    path = (tmp_path / "absent" / "out.txt" if target == "missing"
+            else tmp_path)
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"aristotle-orbits: error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_import_leaves_out_code_generating_modules():

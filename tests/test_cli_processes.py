@@ -1,6 +1,7 @@
-"""The CLI's processes: float trajectory rows rendered by two processes, the
-console script's exit without interpreter teardown, and a reader that
-closes standard output early.
+"""The CLI's processes: float trajectory rows rendered by two processes,
+verify's float RK4 runs shared with a forked worker, the console script's
+exit without interpreter teardown, and a reader that closes standard
+output early.
 
 Every wait is bounded: subprocesses by a timeout, in-process runs by the
 ``deadline`` fixture's timer.
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import aristotle_orbits
-from aristotle_orbits import cli
+from aristotle_orbits import cli, verify
 from aristotle_orbits.cli import CHUNK_TEXTS, main
 
 TIMEOUT_S = 60
@@ -224,12 +225,188 @@ def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
     assert _open_fds() == before
 
 
+# ------------------------------------------------- verify's float runs
+
+@pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
+                         ids=["default", "mutated"])
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_with_a_worker_writes_the_bytes_of_one(
+        capsys, monkeypatch, deadline, forks, seed, output_format, mutation):
+    argv = ("verify", "--seed", seed, "--samples", "50", "--format",
+            output_format, *mutation)
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        written[cpus] = _run(capsys, argv)
+        assert len(forks) == cpus - 1
+        _no_child_left()
+    assert written[1] == written[2]
+    assert written[1][0] == (2 if mutation else 0)
+    assert "integrator-tolerance" in written[1][1]
+
+
+def _dies_holding_a_job(_write_end, claims):
+    os.read(claims, 1)
+    os._exit(3)
+
+
+def _dies_mid_frame(write_end, claims):
+    os.read(claims, 1)
+    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
+    os._exit(3)
+
+
+_SERVE = verify._serve
+
+
+def _dies_after_a_frame(write_end, claims):
+    # the whole frame of one claimed job, then it claims another
+    job, last = os.pipe()
+    os.write(last, os.read(claims, 1))
+    os.close(last)
+    _SERVE(os.dup(write_end), job)
+    os.read(claims, 1)
+    os._exit(3)
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("death", [_dies_holding_a_job, _dies_mid_frame,
+                                   _dies_after_a_frame])
+def test_dead_verify_worker_is_exit_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, deadline, forks, death):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_serve", death)
+    before = _open_fds()
+    out_path = tmp_path / "report.txt"
+    for out in ((), ("--out", str(out_path))):
+        code, stdout, err = _run(capsys, ("verify", "--samples", "1", *out))
+        assert (code, stdout) == (2, "")
+        assert err == ("aristotle-orbits: error: the integrator worker "
+                       "ended before its last run\n")
+    assert len(forks) == 2 and not out_path.exists()
+    _no_child_left()
+    assert _open_fds() == before
+
+
+def _wrapped(checks):
+    """``checks`` with each function wrapped, as a tracer wraps them."""
+    def wrap(func):
+        return lambda ctx: func(ctx)
+    return tuple((name, wrap(func)) for name, func in checks)
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
+                                                    forks):
+    _cpus(monkeypatch, 2)
+    before = _open_fds()
+    checks = verify.CHECKS
+    whole = verify.run_suite(seed=7, samples=50)
+    assert len(forks) == 1
+    _no_child_left()
+    # checks replaced by wrappers, as the benchmark's tracer does
+    monkeypatch.setattr(verify, "CHECKS", _wrapped(verify.CHECKS))
+    assert verify.run_suite(seed=7, samples=50) == whole
+    assert len(forks) == 2
+    _no_child_left()
+    # checks without the integrator's: no worker
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1])
+    assert verify.run_suite(seed=7, samples=50)["checks"] == \
+        whole["checks"][:-1]
+    assert len(forks) == 2
+    _no_child_left()
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    # the RK4-step proof fails, so no float run's result is read
+    monkeypatch.setattr(verify, "_rk4_step", lambda _rhs, state, _h: state)
+    report = verify.run_suite(seed=7, samples=50)
+    assert report["checks"][-1]["passed"] is False
+    assert "one RK4 step of time_rhs = time_closed_form fails" in \
+        report["checks"][-1]["detail"]
+    assert len(forks) == 3
+    _no_child_left()
+    # a check raises, and the suite with it
+    monkeypatch.setattr(verify, "jacobi_residual", _raise_runtime_error)
+    with pytest.raises(RuntimeError, match="a check broke"):
+        verify.run_suite(seed=7, samples=50)
+    assert len(forks) == 4
+    _no_child_left()
+    assert _open_fds() == before
+
+
+def _raise_runtime_error(*_args):
+    raise RuntimeError("a check broke")
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+def test_verify_float_run_error_is_raised_where_it_was_in_one_process(
+        monkeypatch, deadline, forks, error):
+    # the second float run fails; the fold raises its exception whichever
+    # process ran it, so a failed ArithmeticError check reads alike, and
+    # any other error ends the suite alike.  A first check that waits
+    # lets the worker claim every run, so its exception crosses the pipe
+    real = verify.integrate
+    runs_here = []
+
+    def fails_on_the_second_run(picture, state0, params, config):
+        runs_here.append(params)
+        if params == verify.FLOAT_RUNS[1][2]:
+            raise error("no float run here")
+        return real(picture, state0, params, config)
+
+    def waits(_ctx):
+        time.sleep(0.5)
+        return True, "waited"
+
+    monkeypatch.setattr(verify, "integrate", fails_on_the_second_run)
+    monkeypatch.setattr(verify, "CHECKS", (("wait", waits),
+                                           *verify.CHECKS[-1:]))
+    outcomes = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        runs_here.clear()
+        try:
+            outcomes[cpus] = verify.run_suite(seed=0, samples=1)
+        except KeyError as exc:
+            outcomes[cpus] = repr(exc)
+        _no_child_left()
+        assert len(runs_here) == (4 if cpus == 1 else 0)
+    assert len(forks) == 1
+    assert outcomes[1] == outcomes[2]
+    if error is ZeroDivisionError:
+        assert outcomes[1]["checks"][-1]["detail"] == (
+            "raised ZeroDivisionError: no float run here")
+    else:
+        assert outcomes[1] == "KeyError('no float run here')"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="sets a child's CPU affinity")
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_verify_on_one_cpu_writes_the_bytes_of_two(capsys, deadline,
+                                                   output_format):
+    argv = ("verify", "--seed", "7", "--samples", "50", "--format",
+            output_format)
+    one_cpu = min(os.sched_getaffinity(0))
+    results = [_fresh_interpreter(
+        "-m", "aristotle_orbits", *argv,
+        preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))]
+    results.append(_fresh_interpreter("-m", "aristotle_orbits", *argv))
+    code, expected, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    for result in results:
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected.encode("utf-8")
+
+
 def test_new_tests_pass_in_development_mode():
     # -X dev turns on the warnings for files never closed; make them errors
     result = _fresh_interpreter(
         "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest", "-q",
         "-p", "no:cacheprovider", __file__, "-k",
-        "lifecycle or closed_stdout or two_processes and 2049",
+        "lifecycle or closed_stdout or dead_verify_worker "
+        "or two_processes and 2049",
         timeout=TIMEOUT_S * 4)
     assert result.returncode == 0, result.stdout[-3000:]
     assert b"passed" in result.stdout and b"Warning" not in result.stdout
