@@ -13,8 +13,8 @@ Identical invocations produce byte-identical output.
 Output is streamed in chunks of CHUNK_TEXTS rows or points.  A float
 trajectory's rows cost mostly their reprs, so where a second CPU is free
 a forked worker (``worker.forked``) renders every other chunk and this
-process writes them all in order (``_emit_texts``); ``verify`` runs its
-float RK4 runs in such a worker the same way.  An ``--out`` file that
+process writes them all in order (``_emit_texts``); ``verify`` runs
+three of its four float RK4 runs in such a worker.  An ``--out`` file that
 cannot be written is exit 1.  The console script ends by ``os._exit``
 after its last flush, without the interpreter's teardown.
 """

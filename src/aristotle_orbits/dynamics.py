@@ -318,31 +318,11 @@ def _float_grid(start: float, stop: float,
     def grid():
         return chain((start + i * h for i in range(count)), (last,))
 
-    if not (_advances(start, h, count, last)
-            or all(starmap(operator.lt, pairwise(grid())))):
+    if not all(starmap(operator.lt, pairwise(grid()))):
         raise InputFormatError(
             f"step {h!r} does not advance the float grid from {start!r} to "
             f"{stop!r}; the trajectory parameter must be strictly increasing")
     return grid
-
-
-def _advances(start: float, h: float, count: int, last: float) -> bool:
-    """An O(1) sufficient condition for the grid ``start + i*h`` (i <
-    ``count``), then ``last``, to strictly increase; False decides nothing.
-
-    Rounding is monotone and moves a value by at most half an ulp of the
-    result.  So ``i*h`` (i exact up to 2**53) is within half an ulp of
-    ``span = (count-1)*h`` of i h, and ``start + i*h``, between ``start``
-    and ``top = start + span``, within half an ulp of the larger of them in
-    magnitude of its exact sum.  Consecutive points thus differ by at
-    least h minus both ulps, positive when h exceeds their float sum
-    (which rounds down, if at all).  The last pair, (top, last), is
-    compared directly.
-    """
-    span = (count - 1) * h
-    top = start + span
-    return (1 <= count <= 2 ** 53 and top < last
-            and h > math.ulp(span) + math.ulp(max(abs(start), abs(top))))
 
 
 def _quadratic_columns(param: Poly, sample: Callable,

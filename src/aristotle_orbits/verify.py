@@ -19,13 +19,12 @@ to failure (and is how the CLI's ``--mutate`` mode is wired).
 from __future__ import annotations
 
 import marshal
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import linalg, poly
 from .backend import exact_div, rel_err
@@ -64,7 +63,7 @@ MUTATIONS = {"Eq2.4": _mutated_eq24}
 class _Context(NamedTuple):
     rng: SplitMix64
     tensor: StructureTensor
-    float_runs: Callable[[], dict]  # the integrator's runs (_float_runs)
+    float_runs: Callable[[], list]  # the integrator's runs (_float_runs)
 
 
 def _check_jacobi(ctx: _Context):
@@ -299,60 +298,33 @@ def _float_run(index: int) -> tuple:
     return (*map(rel_err, row[1:3], solution(10.0)), drift)
 
 
-def _claimed(claims: int) -> Iterator[tuple]:
-    """(index, outcome) of each float run claimed off the job pipe
-    ``claims``, by one ``os.read`` of its index byte, until none is left;
-    the outcome is the run's result or the exception it raised."""
-    for job in iter(partial(os.read, claims, 1), b""):
-        try:
-            outcome = _float_run(job[0])
-        except Exception as exc:  # raised where the check folds it
-            outcome = exc
-        yield job[0], outcome
+def _float_run_results(first: int = 0) -> list:
+    """The results of float runs ``first`` and on, in order."""
+    return [_float_run(i) for i in range(first, len(FLOAT_RUNS))]
 
 
-def _serve(write_end: int, claims: int):
-    """A worker's work: a frame on ``write_end`` for each job it claims,
-    its index and result (exact doubles) or pickled exception."""
+def _serve(write_end: int):
+    """A worker's work: one frame on ``write_end`` of float runs 1 and on,
+    as exact doubles."""
     with open(write_end, "wb") as pipe:
-        for index, outcome in _claimed(claims):
-            if isinstance(outcome, Exception):
-                import pickle  # only an exception needs it
-                outcome = pickle.dumps(outcome)
-            write_frame(pipe, marshal.dumps((index, outcome)))
+        write_frame(pipe, marshal.dumps(_float_run_results(1)))
 
 
 @contextmanager
 def _float_runs(fork: bool):
-    """Yields the function that returns each float run's outcome by index.
+    """Yields the function that returns every float run's result in order.
 
-    The runs are jobs: one index byte each in a pipe whose write end is
-    closed before any fork.  With ``fork`` and a second core, a forked
-    worker claims jobs from the start; the function claims and runs what
-    is left, then reads a frame for each job the worker claimed.  A worker
-    that ends before its last frame is a ``ChildProcessError``.
+    With ``fork`` and a second core, a worker forked here runs every run
+    but the first, and the function runs the first, then reads the
+    worker's frame; a worker that ends before it is a
+    ``ChildProcessError``.  Otherwise the function runs all four.
     """
-    claims, write_end = os.pipe()
-    os.write(write_end, bytes(range(len(FLOAT_RUNS))))
-    os.close(write_end)
-    try:
-        with (forked(_serve, claims) if fork and second_core()
-              else nullcontext()) as pipe:
-            yield partial(_outcomes, claims, pipe)
-    finally:
-        os.close(claims)
-
-
-def _outcomes(claims: int, pipe) -> dict:
-    outcomes = dict(_claimed(claims))
-    for _ in range(len(FLOAT_RUNS) - len(outcomes)):
-        index, outcome = marshal.loads(read_frame(
-            pipe, "the integrator worker ended before its last run"))
-        if isinstance(outcome, bytes):
-            import pickle  # only an exception needs it
-            outcome = pickle.loads(outcome)
-        outcomes[index] = outcome
-    return outcomes
+    if not (fork and second_core()):
+        yield _float_run_results
+        return
+    with forked(_serve) as pipe:
+        yield lambda: [_float_run(0), *marshal.loads(read_frame(
+            pipe, "the integrator worker ended before its last run"))]
 
 
 def _check_integrator(ctx: Optional[_Context]):
@@ -365,14 +337,8 @@ def _check_integrator(ctx: Optional[_Context]):
         for name, _var, solution, rhs in _pictures(params, a0, b0)))
     if not exact:
         return exact, proof
-    with (nullcontext(ctx.float_runs) if ctx
-          else _float_runs(fork=False)) as float_runs:
-        outcomes = float_runs()
     worst_err, worst_drift = 0.0, 0.0
-    for index in range(len(FLOAT_RUNS)):
-        if isinstance(outcomes[index], Exception):
-            raise outcomes[index]
-        *errs, drift = outcomes[index]
+    for *errs, drift in (ctx.float_runs() if ctx else _float_run_results()):
         if drift > worst_drift:
             worst_drift = drift
         worst_err = max(worst_err, *errs)
@@ -413,8 +379,12 @@ def run_suite(seed: int = 0, samples: int = 1000,
         raise KeyError(f"unknown mutation id: {mutation}")
     tensor = MUTATIONS[mutation]() if mutation else StructureTensor.default()
     checks = []
-    # the float runs start on a second core, if any, before the first check
-    with _float_runs(fork="integrator-tolerance" in dict(CHECKS)) as runs:
+    # the float runs start on a second core, if any, before the first
+    # check; a wrapped integrate (a tracer's timer, say) sees the calls of
+    # its own process only, so then they all stay here
+    fork = ("integrator-tolerance" in dict(CHECKS)
+            and not hasattr(integrate, "__wrapped__"))
+    with _float_runs(fork) as runs:
         for name, func in CHECKS:
             # each check gets its own stream: reordering one never shifts
             # another

@@ -1,8 +1,9 @@
 """One forked worker beside this process, and the frames it sends back.
 
-``cli`` renders a float trajectory's odd chunks in one and ``verify`` runs
-its float RK4 runs in one, where ``second_core`` holds.  It is forked, not
-spawned: a new interpreter costs more to start than the work it would take.
+``cli`` renders a float trajectory's odd chunks in one and ``verify``
+runs three of its float RK4 runs in one, where ``second_core`` holds.  It
+is forked, not spawned: a new interpreter costs more to start than the
+work it would take.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ Every wait is bounded: subprocesses by a timeout, in-process runs by the
 ``deadline`` fixture's timer.
 """
 
+import functools
 import io
 import os
 import signal
@@ -247,6 +248,58 @@ def test_verify_with_a_worker_writes_the_bytes_of_one(
     assert "integrator-tolerance" in written[1][1]
 
 
+def _dies_before_its_frame(_write_end):
+    os._exit(3)
+
+
+def _dies_mid_frame(write_end):
+    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
+    os._exit(3)
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
+def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
+        capsys, monkeypatch, deadline, forks, death):
+    argv = ("simulate", *FLOAT_MODES["rk4-space-float"], *_grid(2049))
+    _cpus(monkeypatch, 1)
+    whole = _run(capsys, argv)[1]
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_render_odd_chunks", death)
+    before = _open_fds()
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and len(forks) == 1
+    assert err == ("aristotle-orbits: error: the rendering worker ended "
+                   "before its last chunk\n")
+    # the header and the first chunk, which this process rendered
+    assert out.count("\r\n") == 1 + CHUNK_TEXTS
+    assert whole.startswith(out)
+    _no_child_left()
+    assert _open_fds() == before
+
+
+# ------------------------------------------------- verify's float runs
+
+@pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
+                         ids=["default", "mutated"])
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_with_a_worker_writes_the_bytes_of_one(
+        capsys, monkeypatch, deadline, forks, seed, output_format, mutation):
+    argv = ("verify", "--seed", seed, "--samples", "50", "--format",
+            output_format, *mutation)
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        written[cpus] = _run(capsys, argv)
+        assert len(forks) == cpus - 1
+        _no_child_left()
+    assert written[1] == written[2]
+    assert written[1][0] == (2 if mutation else 0)
+    assert "integrator-tolerance" in written[1][1]
+
+
 def _dies_holding_a_job(_write_end, claims):
     os.read(claims, 1)
     os._exit(3)
@@ -272,8 +325,7 @@ def _dies_after_a_frame(write_end, claims):
 
 
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_dies_holding_a_job, _dies_mid_frame,
-                                   _dies_after_a_frame])
+@pytest.mark.parametrize("death", [_dies_before_its_frame, _dies_mid_frame])
 def test_dead_verify_worker_is_exit_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch, deadline, forks, death):
     _cpus(monkeypatch, 2)
@@ -311,6 +363,20 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
     assert verify.run_suite(seed=7, samples=50) == whole
     assert len(forks) == 2
     _no_child_left()
+    # integrate wrapped as the tracer wraps it: it sees all four runs, so
+    # no worker takes one
+    real = verify.integrate
+    runs = []
+
+    @functools.wraps(real)
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    assert verify.run_suite(seed=7, samples=50) == whole
+    assert (len(runs), len(forks)) == (4, 2)
+    monkeypatch.setattr(verify, "integrate", real)
     # checks without the integrator's: no worker
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1])
     assert verify.run_suite(seed=7, samples=50)["checks"] == \
@@ -337,48 +403,6 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
 
 def _raise_runtime_error(*_args):
     raise RuntimeError("a check broke")
-
-
-@pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
-def test_verify_float_run_error_is_raised_where_it_was_in_one_process(
-        monkeypatch, deadline, forks, error):
-    # the second float run fails; the fold raises its exception whichever
-    # process ran it, so a failed ArithmeticError check reads alike, and
-    # any other error ends the suite alike.  A first check that waits
-    # lets the worker claim every run, so its exception crosses the pipe
-    real = verify.integrate
-    runs_here = []
-
-    def fails_on_the_second_run(picture, state0, params, config):
-        runs_here.append(params)
-        if params == verify.FLOAT_RUNS[1][2]:
-            raise error("no float run here")
-        return real(picture, state0, params, config)
-
-    def waits(_ctx):
-        time.sleep(0.5)
-        return True, "waited"
-
-    monkeypatch.setattr(verify, "integrate", fails_on_the_second_run)
-    monkeypatch.setattr(verify, "CHECKS", (("wait", waits),
-                                           *verify.CHECKS[-1:]))
-    outcomes = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        runs_here.clear()
-        try:
-            outcomes[cpus] = verify.run_suite(seed=0, samples=1)
-        except KeyError as exc:
-            outcomes[cpus] = repr(exc)
-        _no_child_left()
-        assert len(runs_here) == (4 if cpus == 1 else 0)
-    assert len(forks) == 1
-    assert outcomes[1] == outcomes[2]
-    if error is ZeroDivisionError:
-        assert outcomes[1]["checks"][-1]["detail"] == (
-            "raised ZeroDivisionError: no float run here")
-    else:
-        assert outcomes[1] == "KeyError('no float run here')"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

@@ -1,11 +1,10 @@
 """Flows, closed forms, right-hand sides, Hamiltonians, integrator."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import InputFormatError, format_scalar
@@ -17,9 +16,7 @@ from aristotle_orbits.dynamics import (
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
-from aristotle_orbits.dynamics import (
-    _advances, _chart_invariant, _exact_rows,
-)
+from aristotle_orbits.dynamics import _chart_invariant, _exact_rows
 from aristotle_orbits.orbits import (
     DualElement, OrbitClass, classify, coadjoint_printed, invariants,
 )
@@ -313,45 +310,6 @@ def test_trajectory_rejects_non_increasing_parameter():
     for build in builds:
         with pytest.raises(ValueError, match="strictly increasing"):
             build()
-
-
-# starts where a step of a few ulps is the edge of advancing, -0.0, and
-# subnormal, huge and arbitrary ones
-grid_starts = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0 ** 52,
-                     1e16, -1e16, 2.0 ** 53 - 1, 1e300, -1e300, 1.5e308]),
-    st.floats(allow_nan=False, allow_infinity=False))
-
-
-@given(grid_starts, st.integers(1, 300), st.data())
-@settings(max_examples=500)
-def test_constant_time_advance_test_agrees_with_the_scan(start, count, data):
-    # steps of a few ulps of the grid's largest point, tiny steps, and any
-    span = max(abs(start), abs(start + count))
-    h = data.draw(st.one_of(
-        st.sampled_from([0.5, 1, 1.5, 2, 3, 4, 8]).map(
-            lambda m: m * math.ulp(span)),
-        st.floats(min_value=5e-324, max_value=1e-300),
-        st.floats(min_value=5e-324, allow_infinity=False)), label="h")
-    top = start + (count - 1) * h
-    last = data.draw(st.sampled_from([top, math.nextafter(top, math.inf),
-                                      top + h, top + 2 * h]), label="last")
-    grid = [start + i * h for i in range(count)] + [last]
-    accepted = _advances(start, h, count, last)
-    event(f"accepted: {accepted}")
-    if accepted:
-        assert all(a < b for a, b in zip(grid, grid[1:]))
-
-
-def test_constant_time_advance_test_accepts_ordinary_grids():
-    # the fallback scan stays for grids at the edge, such as 1e16 by 1
-    # (start, step, count, last) as _float_grid passes them for 0:10 and
-    # -0.0:30 by 1e-3, and 1e16:1e16+12 by 4 and 1e16:1e16+4 by 1
-    assert _advances(0.0, 1e-3, 10000, 10.0)
-    assert _advances(-0.0, 1e-3, 30000, 30.0)
-    assert _advances(1e16, 4.0, 3, 1e16 + 12)
-    assert not _advances(1e16, 1.0, 4, 1e16 + 4)
-    assert not _advances(0.0, 1e-3, 10000, 9.99)  # the last pair falls
 
 
 def test_float_trajectory_with_a_non_finite_value_is_refused():
