@@ -12,7 +12,7 @@ Identical invocations produce byte-identical output.
 
 Output is streamed in chunks of CHUNK_TEXTS rows or points.  A float
 trajectory's rows cost mostly their reprs, so where a second CPU is free
-a forked worker (``worker.forked``) renders every other chunk and this
+a forked worker (``worker.shared``) renders the odd chunks and this
 process writes them all in order (``_emit_texts``); ``verify`` runs
 three of its four float RK4 runs in such a worker.  An ``--out`` file that
 cannot be written is exit 1.  The console script ends by ``os._exit``
@@ -27,9 +27,9 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain, islice, starmap
+from itertools import islice, starmap
 from typing import Callable, Iterator, Optional
 
 from . import derive_law as derive_law_mod
@@ -44,7 +44,7 @@ from .dynamics import (
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
 from .orbits import DualElement, classify, invariant_pairs, invariants
-from .worker import forked, read_frame, second_core, write_frame
+from .worker import shared
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,60 +194,32 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-def _emit_texts(opening: str, rows: Callable[[], Iterator], render: Callable,
+def _emit_texts(opening: str, rows: Iterator, render: Callable,
                 separator: str, closing: str, out_path: Optional[str],
                 fork: bool = False):
-    """Write ``opening + separator.join(map(render, rows())) + closing`` as
-    ``rows()`` produces the rows, in chunks of CHUNK_TEXTS: a write per
-    text is slow.
+    """Write ``opening + separator.join(map(render, rows)) + closing`` as
+    ``rows`` produces the rows, in chunks of CHUNK_TEXTS: a write per text
+    is slow.
 
-    With ``fork``, when a second CPU is free (``worker.second_core``) and
-    there is a second chunk, a forked worker runs ``rows()`` too and
-    renders the odd chunks (``_render_odd_chunks``) while this process
-    renders the even ones; this process writes every chunk, in order.  The
-    worker blocks while the pipe is full, so it runs at most a pipe's
-    worth ahead.  A worker that ends before its last chunk is a
-    ``ChildProcessError``.
+    With ``fork``, where a second CPU is free and there is a second chunk,
+    a forked worker (``worker.shared``) produces the rows too and renders
+    the odd chunks while this process renders the even ones; this process
+    writes every chunk, in order.  The worker blocks while the pipe is
+    full, so it runs at most a pipe's worth ahead.  A worker that ends
+    before its last chunk is a ``ChildProcessError``.
     """
-    stream = iter(rows())
-    procs = 1
-    if fork and second_core():
-        head = list(islice(stream, CHUNK_TEXTS + 1))
-        stream = chain(head, stream)
-        procs = 1 + (len(head) > CHUNK_TEXTS)
-    with (forked(_render_odd_chunks, rows, render, separator) if procs > 1
-          else nullcontext()) as pipe, _output(out_path) as handle:
+    chunks = iter(lambda: list(islice(rows, CHUNK_TEXTS)), [])
+    with shared(chunks, lambda chunk: separator.join(map(render, chunk)),
+                lambda index: fork and index % 2,
+                "the rendering worker ended before its last chunk"
+                ) as texts, _output(out_path) as handle:
         handle.write(opening)
         lead = ""
-        for text in _chunk_texts(stream, render, separator, 0, procs):
-            text = text if text is not None else read_frame(
-                pipe, "the rendering worker ended before its last chunk"
-            ).decode()
+        for text in texts:
             handle.write(lead)
             handle.write(text)
             lead = separator
         handle.write(closing)
-
-
-def _chunk_texts(rows: Iterator, render: Callable, separator: str,
-                 rank: int, procs: int) -> Iterator:
-    """``separator.join(map(render, chunk))`` for each chunk of CHUNK_TEXTS
-    rows whose index is ``rank`` mod ``procs``, and None for each other
-    chunk: its rows are produced, not rendered."""
-    chunks = iter(lambda: list(islice(rows, CHUNK_TEXTS)), [])
-    for index, chunk in enumerate(chunks):
-        yield (separator.join(map(render, chunk)) if index % procs == rank
-               else None)
-
-
-def _render_odd_chunks(write_end: int, rows: Callable[[], Iterator],
-                       render: Callable, separator: str):
-    """The worker's work: every row of ``rows()``, and a frame on
-    ``write_end`` for each odd chunk's UTF-8 text."""
-    with open(write_end, "wb") as pipe:
-        for text in _chunk_texts(rows(), render, separator, 1, 2):
-            if text is not None:
-                write_frame(pipe, text.encode())
 
 
 def _csv_line(cells) -> str:
@@ -260,21 +232,21 @@ def _csv_line(cells) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _emit_csv(header: tuple, rows: Callable[[], Iterator],
-              out_path: Optional[str], fork: bool):
-    """Write CSV as ``rows()`` produces it, one template formatting a row
+def _emit_csv(header: tuple, rows: Iterator, out_path: Optional[str],
+              fork: bool):
+    """Write CSV as ``rows`` produces it, one template formatting a row
     (``_emit_texts`` with ``fork``)."""
     line = _csv_line(["%s"] * len(header))
     _emit_texts(_csv_line(header), rows, line.__mod__, "", "", out_path,
                 fork)
 
 
-def _emit_json(head: dict, key: str, items: Callable[[], Iterator],
-               render: Callable, out_path: Optional[str], fork: bool = False):
+def _emit_json(head: dict, key: str, items: Iterator, render: Callable,
+               out_path: Optional[str], fork: bool = False):
     """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
-    ``items()`` produces the array's items, each rendered by ``render`` to
+    ``items`` produces the array's items, each rendered by ``render`` to
     its text (``_item_template``), by ``_emit_texts`` with ``fork``.
-    ``items()`` is not empty.  The text around the array is
+    ``items`` is not empty.  The text around the array is
     ``json.dumps``'s own, checked before the output is opened.
     """
     opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
@@ -344,12 +316,12 @@ def _cmd_points(args) -> int:
         template = _point_template(as_json, exact, cls, names)
         texts.append(template % (*mu, *cells))
     if as_json:
-        _emit_json({"backend": args.backend}, "points", lambda: texts, str,
+        _emit_json({"backend": args.backend}, "points", iter(texts), str,
                    args.out)
     else:
         labels = ("class", "dimension") if classified else ()
         header = POINT_FIELDS + labels + INVARIANT_HEADERS
-        _emit_texts(_csv_line(header), lambda: texts, str, "", "", args.out)
+        _emit_texts(_csv_line(header), iter(texts), str, "", "", args.out)
     return EXIT_OK
 
 
@@ -413,11 +385,12 @@ def _cmd_simulate(args) -> int:
                 "params": {name: json_scalar(value)
                            for name, value in trajectory.params.items()}}
         row = _item_template(["%s"] * len(trajectory.columns))
-        _emit_json(head, "rows", trajectory.cell_factory,
+        _emit_json(head, "rows", trajectory.cell_factory(),
                    lambda cells: row % tuple(map(json_text, cells)), args.out,
                    fork)
     else:
-        _emit_csv(trajectory.columns, trajectory.cell_factory, args.out, fork)
+        _emit_csv(trajectory.columns, trajectory.cell_factory(), args.out,
+                  fork)
     return EXIT_OK
 
 

@@ -307,7 +307,7 @@ def _float_grid(start: float, stop: float,
     Rerunnable.  A range and step that give no advancing float grid are an
     input error, raised here, before any row exists.
     """
-    if not (h > 0 and math.isfinite(stop - start)):
+    if not (h > 0 and math.isfinite((stop - start) / h)):
         raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
                                f"by steps of {h!r}")
     count = int((stop - start) / h + 1e-9)

@@ -7,9 +7,9 @@ proof, a nonzero one the counterexample itself.  Only orbit-dimension
 draws its class representatives from a per-check counter-based stream,
 so the seed determines the report; ``samples`` is reported and read by
 no check.  integrator-tolerance proves that one RK4 step is the flow and
-then measures the float integrator's rounding on four runs, which a
-forked worker shares from the suite's start where a second CPU is free
-(``_float_runs``); the report is the same either way.
+then measures the float integrator's rounding on four runs, the last
+three of which a forked worker (``worker.shared``) runs from the suite's
+start where a second CPU is free; the report is the same either way.
 
 ``MUTATIONS`` holds deliberately broken structure tensors for exercising
 the suite's teeth: running under a mutation must flip the algebra checks
@@ -18,13 +18,11 @@ to failure (and is how the CLI's ``--mutate`` mode is wired).
 
 from __future__ import annotations
 
-import marshal
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from operator import mul
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import linalg, poly
 from .backend import exact_div, rel_err
@@ -42,7 +40,7 @@ from .orbits import (
     coadjoint_matrix, coadjoint_printed, invariants, orbit_dimension,
 )
 from .rng import SplitMix64
-from .worker import forked, read_frame, second_core, write_frame
+from .worker import shared
 
 HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
 
@@ -63,7 +61,7 @@ MUTATIONS = {"Eq2.4": _mutated_eq24}
 class _Context(NamedTuple):
     rng: SplitMix64
     tensor: StructureTensor
-    float_runs: Callable[[], list]  # the integrator's runs (_float_runs)
+    float_runs: Iterator  # the results of FLOAT_RUNS, in order
 
 
 def _check_jacobi(ctx: _Context):
@@ -284,10 +282,10 @@ FLOAT_RUNS = (("time", (0.0, 0.0), OrbitParams(1, 1)),
               ("space", (-0.5, 1.0), OrbitParams(3, 2)))
 
 
-def _float_run(index: int) -> tuple:
-    """Float run ``index``'s final relative errors in both coordinates
-    against its flow, and its largest drift, in one pass over its rows."""
-    picture, state0, params = FLOAT_RUNS[index]
+def _float_run(run: tuple) -> tuple:
+    """A float run's final relative errors in both coordinates against its
+    flow, and its largest drift, in one pass over its rows."""
+    picture, state0, params = run
     float_params = OrbitParams(float(params.k), float(params.y))
     solution = _pictures(float_params, *state0)[picture == "space"][2]
     config = IntegratorConfig(step=1e-3, start=0.0, stop=10.0)
@@ -296,35 +294,6 @@ def _float_run(index: int) -> tuple:
         if row[-1] > drift:
             drift = row[-1]
     return (*map(rel_err, row[1:3], solution(10.0)), drift)
-
-
-def _float_run_results(first: int = 0) -> list:
-    """The results of float runs ``first`` and on, in order."""
-    return [_float_run(i) for i in range(first, len(FLOAT_RUNS))]
-
-
-def _serve(write_end: int):
-    """A worker's work: one frame on ``write_end`` of float runs 1 and on,
-    as exact doubles."""
-    with open(write_end, "wb") as pipe:
-        write_frame(pipe, marshal.dumps(_float_run_results(1)))
-
-
-@contextmanager
-def _float_runs(fork: bool):
-    """Yields the function that returns every float run's result in order.
-
-    With ``fork`` and a second core, a worker forked here runs every run
-    but the first, and the function runs the first, then reads the
-    worker's frame; a worker that ends before it is a
-    ``ChildProcessError``.  Otherwise the function runs all four.
-    """
-    if not (fork and second_core()):
-        yield _float_run_results
-        return
-    with forked(_serve) as pipe:
-        yield lambda: [_float_run(0), *marshal.loads(read_frame(
-            pipe, "the integrator worker ended before its last run"))]
 
 
 def _check_integrator(ctx: Optional[_Context]):
@@ -338,7 +307,8 @@ def _check_integrator(ctx: Optional[_Context]):
     if not exact:
         return exact, proof
     worst_err, worst_drift = 0.0, 0.0
-    for *errs, drift in (ctx.float_runs() if ctx else _float_run_results()):
+    for *errs, drift in (ctx.float_runs if ctx
+                         else map(_float_run, FLOAT_RUNS)):
         if drift > worst_drift:
             worst_drift = drift
         worst_err = max(worst_err, *errs)
@@ -384,7 +354,8 @@ def run_suite(seed: int = 0, samples: int = 1000,
     # its own process only, so then they all stay here
     fork = ("integrator-tolerance" in dict(CHECKS)
             and not hasattr(integrate, "__wrapped__"))
-    with _float_runs(fork) as runs:
+    with shared(iter(FLOAT_RUNS), _float_run, lambda index: fork and index > 0,
+                "the integrator worker ended before its last run") as runs:
         for name, func in CHECKS:
             # each check gets its own stream: reordering one never shifts
             # another

@@ -793,6 +793,8 @@ def test_simulate_non_advancing_grid_is_input_error(tmp_path, capsys, mode):
      "--range=-1e308:1e308", "--step=1e307"),
     # a valid exact step that rounds to 0.0 for the float integrator
     ("--state=1,1", "--k=1", "--y=1", "--range=0:1", "--step=1e-400"),
+    # a step so small that the number of steps overflows a float
+    ("--state=1,1", "--k=1", "--y=1", "--range=0:1", "--step=1e-320"),
 ])
 def test_simulate_without_a_float_grid_is_input_error(capsys, argv):
     code, out, err = run(capsys, "simulate", "--picture", "time", *argv)

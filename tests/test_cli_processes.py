@@ -10,18 +10,18 @@ Every wait is bounded: subprocesses by a timeout, in-process runs by the
 import functools
 import io
 import os
-import signal
 import subprocess
 import sys
 import threading
 import time
 from contextlib import redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import aristotle_orbits
-from aristotle_orbits import cli, verify
+from aristotle_orbits import verify, worker
 from aristotle_orbits.cli import CHUNK_TEXTS, main
 
 TIMEOUT_S = 60
@@ -50,35 +50,6 @@ LONG_RK4 = ("simulate", "--picture", "time", "--backend", "float",
 def _grid(rows: int) -> tuple:
     """--range and --step of a grid of ``rows`` points, step 1/64."""
     return ("--range", f"0:{rows - 1}/64", "--step", "1/64")
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that runs longer than TIMEOUT_S (main thread only)."""
-    def expire(_signum, _frame):
-        raise TimeoutError(f"test ran over {TIMEOUT_S} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the os.fork calls made in this process."""
-    calls = []
-    real_fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
 
 
 def _cpus(monkeypatch, count: int):
@@ -213,7 +184,7 @@ def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
     _cpus(monkeypatch, 1)
     whole = _run(capsys, argv)[1]
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "_render_odd_chunks", death)
+    monkeypatch.setattr(worker, "_serve", death)
     before = _open_fds()
     code, out, err = _run(capsys, argv)
     assert code == 2 and len(forks) == 1
@@ -248,79 +219,19 @@ def test_verify_with_a_worker_writes_the_bytes_of_one(
     assert "integrator-tolerance" in written[1][1]
 
 
-def _dies_before_its_frame(_write_end):
+_SERVE = worker._serve  # the worker's loop, before a test replaces it
+
+
+def _dies_before_its_frame(_write_end, items, work, theirs):
+    # the work of the first run it takes, and no frame
+    work(next(item for index, item in enumerate(items) if theirs(index)))
     os._exit(3)
 
 
-def _dies_mid_frame(write_end):
+def _dies_mid_frame(write_end, items, work, theirs):
+    # the whole frame of the first run it takes, then part of the next one
+    _SERVE(os.dup(write_end), islice(items, 2), work, theirs)
     os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
-    os._exit(3)
-
-
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
-def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
-        capsys, monkeypatch, deadline, forks, death):
-    argv = ("simulate", *FLOAT_MODES["rk4-space-float"], *_grid(2049))
-    _cpus(monkeypatch, 1)
-    whole = _run(capsys, argv)[1]
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "_render_odd_chunks", death)
-    before = _open_fds()
-    code, out, err = _run(capsys, argv)
-    assert code == 2 and len(forks) == 1
-    assert err == ("aristotle-orbits: error: the rendering worker ended "
-                   "before its last chunk\n")
-    # the header and the first chunk, which this process rendered
-    assert out.count("\r\n") == 1 + CHUNK_TEXTS
-    assert whole.startswith(out)
-    _no_child_left()
-    assert _open_fds() == before
-
-
-# ------------------------------------------------- verify's float runs
-
-@pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
-                         ids=["default", "mutated"])
-@pytest.mark.parametrize("output_format", ["text", "json"])
-@pytest.mark.parametrize("seed", ["0", "7"])
-def test_verify_with_a_worker_writes_the_bytes_of_one(
-        capsys, monkeypatch, deadline, forks, seed, output_format, mutation):
-    argv = ("verify", "--seed", seed, "--samples", "50", "--format",
-            output_format, *mutation)
-    written = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        written[cpus] = _run(capsys, argv)
-        assert len(forks) == cpus - 1
-        _no_child_left()
-    assert written[1] == written[2]
-    assert written[1][0] == (2 if mutation else 0)
-    assert "integrator-tolerance" in written[1][1]
-
-
-def _dies_holding_a_job(_write_end, claims):
-    os.read(claims, 1)
-    os._exit(3)
-
-
-def _dies_mid_frame(write_end, claims):
-    os.read(claims, 1)
-    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
-    os._exit(3)
-
-
-_SERVE = verify._serve
-
-
-def _dies_after_a_frame(write_end, claims):
-    # the whole frame of one claimed job, then it claims another
-    job, last = os.pipe()
-    os.write(last, os.read(claims, 1))
-    os.close(last)
-    _SERVE(os.dup(write_end), job)
-    os.read(claims, 1)
     os._exit(3)
 
 
@@ -329,7 +240,7 @@ def _dies_after_a_frame(write_end, claims):
 def test_dead_verify_worker_is_exit_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch, deadline, forks, death):
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(verify, "_serve", death)
+    monkeypatch.setattr(worker, "_serve", death)
     before = _open_fds()
     out_path = tmp_path / "report.txt"
     for out in ((), ("--out", str(out_path))):
