@@ -38,6 +38,7 @@ NOT_FINITE = "a computed value is not finite"
 #: exact ``1e999999999`` would be a billion digits.  Doubles end near 1e±324.
 MAX_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_CANONICAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 #: Relative tolerance used for zero tests in orbit classification on the
 #: float backend (overridable via the CLI ``--tol`` flag).
@@ -78,17 +79,17 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
 
 
 def _fraction(text: str, to_float: bool = False) -> Scalar:
-    """``Fraction(text)``, or its float.  Canonical ``[-]digits/digits``
-    text with a nonzero denominator is read by two ``int`` calls instead
-    of the literal regex, and its float is their quotient, correctly
-    rounded without the reduction.  Text ending in an exponent beyond
-    MAX_EXPONENT is a ValueError, raised before ``Fraction`` would build
-    the power of ten."""
-    num, slash, den = text.partition("/")
-    if (slash and text.isascii() and den.isdigit() and den.strip("0")
-            and (num[1:] if num[:1] == "-" else num).isdigit()):
-        num, den = int(num), int(den)
-        return num / den if to_float else Fraction(num, den)
+    """``Fraction(text)``, or its float.  Canonical ``[-]digits`` and
+    ``[-]digits/digits`` text with a nonzero denominator is read by two
+    ``int`` calls instead of the literal regex, and its float is their
+    quotient, correctly rounded without the reduction.  Text ending in an
+    exponent beyond MAX_EXPONENT is a ValueError, raised before
+    ``Fraction`` would build the power of ten."""
+    canonical = _CANONICAL.fullmatch(text)
+    if canonical:
+        num, den = int(canonical[1]), int(canonical[2] or 1)
+        if den:
+            return num / den if to_float else Fraction(num, den)
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")

@@ -10,13 +10,15 @@ closed by its reader), 2 verification or adjudication failure.  Data goes
 to standard output (or ``--out``); diagnostics go to standard error.
 Identical invocations produce byte-identical output.
 
-Output is streamed in chunks of CHUNK_TEXTS rows or points.  A float
-trajectory's rows cost mostly their reprs, so where a second CPU is free
-a forked worker (``worker.shared``) renders the odd chunks and this
-process writes them all in order (``_emit_texts``); ``verify`` runs
-three of its four float RK4 runs in such a worker.  An ``--out`` file that
-cannot be written is exit 1.  The console script ends by ``os._exit``
-after its last flush, without the interpreter's teardown.
+Output is written in chunks, of CHUNK_TEXTS trajectory rows or of
+CHUNK_POINTS points, by one writer loop (``_emit_texts``).  A float
+trajectory's rows cost mostly their reprs, and points do not depend on
+each other, so where a second CPU is free a forked worker
+(``worker.shared``) renders the odd chunks of either and this process
+the even ones (``_chunk_results``); ``verify`` runs three of its four
+float RK4 runs in such a worker.  An ``--out`` file that cannot be
+written is exit 1.  The console script ends by ``os._exit`` after its
+last flush, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice, starmap
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import derive_law as derive_law_mod
 from . import errata as errata_mod
@@ -56,6 +58,12 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
 CHUNK_TEXTS = 256
+# A point's JSON item is about 490 bytes, a float row's CSV line 65.  On
+# classify-batch's rational leg (1000 points, 30 cold runs on 2 CPUs)
+# 256-point chunks (126 KB frames) raised the peak RSS by 0.4 MiB over one
+# process, 128 by 0.1 MiB; 64-point chunks left it as it was and ran
+# fastest of 32, 64, 128 and 256.
+CHUNK_POINTS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,13 +104,20 @@ def _parse_point(text: str, backend: str, where: str) -> DualElement:
     return DualElement._make(_parse_fields(text, 5, backend, where))
 
 
-def _inline_points(texts: list, backend: str) -> Iterator:
-    for index, text in enumerate(texts, start=1):
-        where = f"point {index}"
-        yield where, _parse_point(text, backend, where)
+def _source_point(where: str, source, backend: str) -> DualElement:
+    """The point of a source: its "p,e,f,k,y" text, or a JSON entry."""
+    if isinstance(source, str):
+        return _parse_point(source, backend, where)
+    if len(source) != 5:
+        raise InputFormatError(
+            f"{where}: expected 5 values, got {len(source)}")
+    try:
+        return DualElement._make([parse_scalar(c, backend) for c in source])
+    except InputFormatError as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def _json_points(path: str, text: str, backend: str) -> Iterator:
+def _json_points(path: str, text: str) -> list:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -115,43 +130,33 @@ def _json_points(path: str, text: str, backend: str) -> Iterator:
             and all(isinstance(row, list) for row in data)):
         raise InputFormatError(
             f"{path}: expected a [p, e, f, k, y] array or an array of them")
-    for index, row in enumerate(data, start=1):
-        where = f"{path}: entry {index}"
-        if len(row) != 5:
-            raise InputFormatError(
-                f"{where}: expected 5 values, got {len(row)}")
-        try:
-            mu = DualElement._make([parse_scalar(c, backend) for c in row])
-        except InputFormatError as exc:
-            raise InputFormatError(f"{where}: {exc}") from exc
-        yield where, mu
+    return [(f"{path}: entry {index}", row)
+            for index, row in enumerate(data, start=1)]
 
 
-def _csv_points(path: str, lines: list, backend: str) -> Iterator:
-    found = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if (lineno == 1 and tuple(f.strip().lower() for f in line.split(","))
-                == POINT_FIELDS):
-            continue
-        where = f"{path}: line {lineno}"
-        yield where, _parse_point(line, backend, where)
-        found = True
-    if not found:
+def _csv_points(path: str, lines: list) -> list:
+    first = 2 if lines and tuple(
+        f.strip().lower() for f in lines[0].split(",")) == POINT_FIELDS else 1
+    sources = [(f"{path}: line {lineno}", line)
+               for lineno, line in enumerate(lines[first - 1:], start=first)
+               if line.strip()]
+    if not sources:
         raise InputFormatError(f"{path}: no points found")
+    return sources
 
 
-def _read_points(args) -> Iterator:
-    """(where, point) for each input point, parsed as it is reached;
-    ``where`` names its position, line or entry for error messages."""
+def _point_sources(args) -> list:
+    """(where, source) for each input point, unparsed (``_source_point``
+    reads it); ``where`` names its position, line or entry for error
+    messages."""
     if args.in_path and args.points:
         raise InputFormatError("give points inline or via --in, not both")
     if not args.in_path:
         if not args.points:
             raise InputFormatError(
                 'no input points; pass "p,e,f,k,y" arguments or --in PATH')
-        return _inline_points(args.points, args.backend)
+        return [(f"point {index}", text)
+                for index, text in enumerate(args.points, start=1)]
     path = args.in_path
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -159,8 +164,8 @@ def _read_points(args) -> Iterator:
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}")
     if path.lower().endswith(".json"):
-        return _json_points(path, text, args.backend)
-    return _csv_points(path, text.splitlines(), args.backend)
+        return _json_points(path, text)
+    return _csv_points(path, text.splitlines())
 
 
 # --------------------------------------------------------------- output
@@ -194,25 +199,30 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-def _emit_texts(opening: str, rows: Iterator, render: Callable,
-                separator: str, closing: str, out_path: Optional[str],
-                fork: bool = False):
-    """Write ``opening + separator.join(map(render, rows)) + closing`` as
-    ``rows`` produces the rows, in chunks of CHUNK_TEXTS: a write per text
-    is slow.
+@contextmanager
+def _chunk_results(items: Iterator, size: int, work: Callable, fork: bool):
+    """Yields ``work(chunk)`` for each chunk of ``size`` of ``items``, in
+    order.
 
     With ``fork``, where a second CPU is free and there is a second chunk,
-    a forked worker (``worker.shared``) produces the rows too and renders
-    the odd chunks while this process renders the even ones; this process
-    writes every chunk, in order.  The worker blocks while the pipe is
-    full, so it runs at most a pipe's worth ahead.  A worker that ends
-    before its last chunk is a ``ChildProcessError``.
+    a forked worker (``worker.shared``) takes the odd chunks while this
+    process does the even ones.  The worker blocks while the pipe is full,
+    so it runs at most a pipe's worth ahead.  A worker that ends before
+    its last chunk is a ``ChildProcessError``.
     """
-    chunks = iter(lambda: list(islice(rows, CHUNK_TEXTS)), [])
-    with shared(chunks, lambda chunk: separator.join(map(render, chunk)),
-                lambda index: fork and index % 2,
+    chunks = iter(lambda: list(islice(items, size)), [])
+    with shared(chunks, work, lambda index: fork and index % 2,
                 "the rendering worker ended before its last chunk"
-                ) as texts, _output(out_path) as handle:
+                ) as results:
+        yield results
+
+
+def _emit_texts(opening: str, texts: Iterable[str], separator: str,
+                closing: str, out_path: Optional[str]):
+    """Write ``opening + separator.join(texts) + closing`` as ``texts``
+    produces the texts: a chunk's, not a row's, for a write per row is
+    slow."""
+    with _output(out_path) as handle:
         handle.write(opening)
         lead = ""
         for text in texts:
@@ -232,26 +242,13 @@ def _csv_line(cells) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _emit_csv(header: tuple, rows: Iterator, out_path: Optional[str],
-              fork: bool):
-    """Write CSV as ``rows`` produces it, one template formatting a row
-    (``_emit_texts`` with ``fork``)."""
-    line = _csv_line(["%s"] * len(header))
-    _emit_texts(_csv_line(header), rows, line.__mod__, "", "", out_path,
-                fork)
-
-
-def _emit_json(head: dict, key: str, items: Iterator, render: Callable,
-               out_path: Optional[str], fork: bool = False):
-    """Write ``json.dumps({**head, key: [...]}, indent=2) + "\n"`` as
-    ``items`` produces the array's items, each rendered by ``render`` to
-    its text (``_item_template``), by ``_emit_texts`` with ``fork``.
-    ``items`` is not empty.  The text around the array is
-    ``json.dumps``'s own, checked before the output is opened.
-    """
+def _json_layout(head: dict, key: str) -> tuple:
+    """(opening, separator, closing) of ``json.dumps({**head, key: [...]},
+    indent=2) + "\n"`` around the array's items, each an ``_item_template``
+    text.  The text around the array is ``json.dumps``'s own, checked
+    before the output is opened."""
     opening, closing = _dump_json({**head, key: ["%s"]}).rsplit('"%s"', 1)
-    _emit_texts(opening, items, render, "," + opening[opening.rindex("\n"):],
-                closing, out_path, fork)
+    return opening, "," + opening[opening.rindex("\n"):], closing
 
 
 def _item_template(skeleton, quoted: bool = False) -> str:
@@ -288,18 +285,28 @@ def _cmd_points(args) -> int:
     """``classify``, and ``invariants``: the same without class and
     dimension.
 
-    Each point is labelled and its JSON item or CSV line rendered as it is
-    read, and only that text is kept.  Nothing is written until the last
-    point is read, so any input error, the first one met, exits 1 with
-    nothing written.  Rational invariants are read as text off
+    Points are read, labelled and rendered in chunks of CHUNK_POINTS by
+    ``_chunk_results``, the odd chunks by a forked worker where a second
+    CPU is free.  A chunk's result is its JSON items or CSV lines joined,
+    or the message of its first failing point.  Nothing is written until
+    every chunk is in, so the first input error in input order exits 1
+    with nothing written.  Rational invariants are read as text off
     ``invariant_pairs``; a float one that is not finite is refused.
     """
     classified = args.command == "classify"
     as_json = args.format == "json"
     exact = args.backend == RATIONAL
     skip = 0 if as_json else 2  # CSV has no invariant columns k and y
-    texts = []
-    for where, mu in _read_points(args):
+    if as_json:
+        opening, separator, closing = _json_layout(
+            {"backend": args.backend}, "points")
+    else:
+        labels = ("class", "dimension") if classified else ()
+        opening, separator, closing = _csv_line(
+            POINT_FIELDS + labels + INVARIANT_HEADERS), "", ""
+
+    def render(where: str, source) -> str:
+        mu = _source_point(where, source, args.backend)
         cls = classify(mu, tol=args.tol) if classified else None
         if exact:
             pairs = invariant_pairs(mu)
@@ -313,15 +320,24 @@ def _cmd_points(args) -> int:
             if not all(map(math.isfinite, cells)):
                 value = next(c for c in cells if not math.isfinite(c))
                 raise InputFormatError(f"{where}: {NOT_FINITE}: {value!r}")
-        template = _point_template(as_json, exact, cls, names)
-        texts.append(template % (*mu, *cells))
-    if as_json:
-        _emit_json({"backend": args.backend}, "points", iter(texts), str,
-                   args.out)
-    else:
-        labels = ("class", "dimension") if classified else ()
-        header = POINT_FIELDS + labels + INVARIANT_HEADERS
-        _emit_texts(_csv_line(header), iter(texts), str, "", "", args.out)
+        return _point_template(as_json, exact, cls, names) % (*mu, *cells)
+
+    def label(chunk: list) -> tuple:
+        try:
+            return separator.join(starmap(render, chunk)), None
+        except InputFormatError as exc:
+            return None, str(exc)
+
+    texts = []
+    # a wrapped classify (a tracer's timer, say) sees the calls of its own
+    # process only, so then every point stays here
+    with _chunk_results(iter(_point_sources(args)), CHUNK_POINTS, label,
+                        not hasattr(classify, "__wrapped__")) as results:
+        for text, error in results:
+            if error is not None:
+                raise InputFormatError(error)
+            texts.append(text)
+    _emit_texts(opening, texts, separator, closing, args.out)
     return EXIT_OK
 
 
@@ -384,13 +400,16 @@ def _cmd_simulate(args) -> int:
                 "method": trajectory.method,
                 "params": {name: json_scalar(value)
                            for name, value in trajectory.params.items()}}
+        opening, separator, closing = _json_layout(head, "rows")
         row = _item_template(["%s"] * len(trajectory.columns))
-        _emit_json(head, "rows", trajectory.cell_factory(),
-                   lambda cells: row % tuple(map(json_text, cells)), args.out,
-                   fork)
+        render = lambda cells: row % tuple(map(json_text, cells))  # noqa: E731
     else:
-        _emit_csv(trajectory.columns, trajectory.cell_factory(), args.out,
-                  fork)
+        opening, separator, closing = _csv_line(trajectory.columns), "", ""
+        render = _csv_line(["%s"] * len(trajectory.columns)).__mod__
+    with _chunk_results(trajectory.cell_factory(), CHUNK_TEXTS,
+                        lambda chunk: separator.join(map(render, chunk)),
+                        fork) as texts:
+        _emit_texts(opening, texts, separator, closing, args.out)
     return EXIT_OK
 
 

@@ -305,7 +305,9 @@ def _float_grid(start: float, stop: float,
     """Floating grid start, start+h, ...; the final point lands on stop.
 
     Rerunnable.  A range and step that give no advancing float grid are an
-    input error, raised here, before any row exists.
+    input error, raised here, before any row exists.  The verdict is read
+    off the grid's ends where it can be proved (``_grid_advances``); only
+    in the band between its two tests are the points scanned.
     """
     if not (h > 0 and math.isfinite((stop - start) / h)):
         raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
@@ -318,11 +320,35 @@ def _float_grid(start: float, stop: float,
     def grid():
         return chain((start + i * h for i in range(count)), (last,))
 
-    if not all(starmap(operator.lt, pairwise(grid()))):
+    advances = _grid_advances(start, h, count, last)
+    if advances is None:
+        advances = all(starmap(operator.lt, pairwise(grid())))
+    if not advances:
         raise InputFormatError(
             f"step {h!r} does not advance the float grid from {start!r} to "
             f"{stop!r}; the trajectory parameter must be strictly increasing")
     return grid
+
+
+def _grid_advances(start: float, h: float, count: int,
+                   last: float) -> Optional[bool]:
+    """Whether start + i*h for i < count, then ``last``, strictly
+    increases, where that is provable without the points; else None.
+
+    Past index 2**53 ``float(i)`` repeats (float(2**53 + 1) == 2**53), so
+    two points coincide.  Up to it fl(i*h) and fl(start + fl(i*h)) are
+    monotone in i, so neighbours can only coincide, and they cannot where
+    h exceeds the rounding of i*h at the largest product plus that of the
+    sum at the largest point; a step above twice that is taken as proof.
+    The last step, to ``last``, is checked as it is.
+    """
+    if count - 1 > 2**53:
+        return False
+    span = (count - 1) * h
+    top = start + span
+    if h > 2 * (math.ulp(span) + math.ulp(max(abs(start), abs(top)))):
+        return top < last
+    return None
 
 
 def _quadratic_columns(param: Poly, sample: Callable,

@@ -1,7 +1,8 @@
 """One forked worker beside this process, sharing the work of a sequence.
 
-``cli`` renders a float trajectory's odd chunks in one and ``verify``
-runs three of its four float RK4 runs in one, both through ``shared``,
+``cli`` renders a float trajectory's odd chunks in one, and labels the
+odd chunks of ``classify``'s and ``invariants``' points, and ``verify``
+runs three of its four float RK4 runs in one, all through ``shared``,
 where ``second_core`` holds.  It is forked, not spawned: a new interpreter
 costs more to start than the work it would take.
 """

@@ -66,7 +66,11 @@ EDGE_TEXTS = ["1/0", "0/0", "+1/2", "1/-2", " 1/2 ", "1 / 2", "1_000/3",
               # the exponent bound: a power of ten is not built past it
               "1e400", "-2.5E-400", "1e10000", "1e-10_000 ", "1e10001",
               "1e+999999999", "1e-999999999", "e99999", "1e 99999",
-              "1e99999/2", "1e1" + "0" * 4500]
+              "1e99999/2", "1e1" + "0" * 4500,
+              # canonical integers and fractions, and texts just outside
+              "0", "-0", "1/00", "-007", "+3/4", " 3/4", "3/4 ", "1_0/3",
+              "٣/٤", "1e5", "-" + "1" * 5000, "0" * 5000 + "1",
+              "1" * 5000 + "/0"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

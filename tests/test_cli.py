@@ -838,6 +838,20 @@ def test_huge_exponent_is_refused_at_once():
         "'1e999999999': exponent beyond ±10000\n")
 
 
+def test_float_grid_of_too_many_points_is_refused_at_once(capsys, deadline):
+    # 1e300 points cannot strictly increase (float(i) repeats past 2**53):
+    # refused before a point is scanned
+    began = time.monotonic()
+    code, out, err = run(capsys, "simulate", "--picture", "time", "--state",
+                         "1,1", "--k", "1", "--y", "1", "--backend", "float",
+                         "--range", "0:1", "--step", "1e-300")
+    assert time.monotonic() - began < 1
+    assert (code, out) == (1, "")
+    assert err == ("aristotle-orbits: error: step 1e-300 does not advance "
+                   "the float grid from 0.0 to 1.0; the trajectory parameter "
+                   "must be strictly increasing\n")
+
+
 @pytest.mark.parametrize("target", ["missing", "directory"])
 @pytest.mark.parametrize("argv", [
     ("classify", "1,1,1,1,1"),

@@ -1,7 +1,7 @@
 """The CLI's processes: float trajectory rows rendered by two processes,
-verify's float RK4 runs shared with a forked worker, the console script's
-exit without interpreter teardown, and a reader that closes standard
-output early.
+classify's and invariants' point chunks labelled by two, verify's float
+RK4 runs shared with a forked worker, the console script's exit without
+interpreter teardown, and a reader that closes standard output early.
 
 Every wait is bounded: subprocesses by a timeout, in-process runs by the
 ``deadline`` fixture's timer.
@@ -9,6 +9,7 @@ Every wait is bounded: subprocesses by a timeout, in-process runs by the
 
 import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -21,8 +22,8 @@ from pathlib import Path
 import pytest
 
 import aristotle_orbits
-from aristotle_orbits import verify, worker
-from aristotle_orbits.cli import CHUNK_TEXTS, main
+from aristotle_orbits import cli, verify, worker
+from aristotle_orbits.cli import CHUNK_POINTS, CHUNK_TEXTS, main
 
 TIMEOUT_S = 60
 LINUX = sys.platform.startswith("linux")
@@ -152,6 +153,22 @@ def _worker_dies_mid_frame(write_end, *_args):
     os._exit(3)
 
 
+_SERVE = worker._serve  # the worker's loop, before a test replaces it
+
+
+def _dies_before_its_frame(_write_end, items, work, theirs):
+    # the work of the first item it takes, and no frame
+    work(next(item for index, item in enumerate(items) if theirs(index)))
+    os._exit(3)
+
+
+def _dies_mid_frame(write_end, items, work, theirs):
+    # the whole frame of the first item it takes, then part of the next one
+    _SERVE(os.dup(write_end), islice(items, 2), work, theirs)
+    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
+    os._exit(3)
+
+
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
 def test_lifecycle_success_leaves_no_child_and_no_fd(capsys, monkeypatch,
                                                      deadline, forks):
@@ -197,6 +214,181 @@ def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
     assert _open_fds() == before
 
 
+# ------------------------------------------- classify's and invariants' points
+
+# one chunk, one chunk and a point, and many chunks
+POINT_COUNTS = (CHUNK_POINTS, CHUNK_POINTS + 1, 1000)
+
+
+def _point(index: int) -> list:
+    """The coordinates of a point, as texts; every class turns up, and
+    exact zeros."""
+    return [f"{index % 13 - 6}/{index % 5 + 1}", f"{3 * index - 500}/7",
+            "0" if index % 3 == 0 else f"{index % 11 - 5}/3",
+            "0" if index % 4 == 0 else f"-{index % 9 + 1}/2",
+            "0" if index % 5 == 0 else f"{index % 7 + 1}/4"]
+
+
+def _point_input(tmp_path, kind: str, points: list) -> tuple:
+    """argv that gives ``points`` (texts of 5 fields) inline, as a CSV file
+    or as a JSON file."""
+    if kind == "inline":
+        return tuple(map(",".join, points))
+    if kind == "csv":
+        path = tmp_path / "points.csv"
+        lines = ["p,e,f,k,y", *map(",".join, points)]
+        lines.insert(2, "")  # a blank line is skipped, and counted
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points), encoding="utf-8")
+    return "--in", str(path)
+
+
+@pytest.mark.parametrize("count", POINT_COUNTS)
+@pytest.mark.parametrize("kind", ["inline", "csv", "json"])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_point_chunks_on_two_processes_write_the_bytes_of_one(
+        tmp_path, capsys, monkeypatch, deadline, forks, command,
+        output_format, backend, kind, count):
+    argv = (command, *_point_input(tmp_path, kind,
+                                   list(map(_point, range(count)))),
+            "--backend", backend, "--format", output_format)
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        out_path = tmp_path / f"{cpus}.out"
+        assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
+        assert out_path.read_bytes() == out.encode("utf-8")
+        written[cpus] = out
+        # a worker only where there is a second chunk for it
+        assert len(forks) == (2 if cpus == 2 and count > CHUNK_POINTS
+                              else 0)
+    assert written[1] == written[2]
+    points_written = (written[1].count("\r\n") - 1 if output_format == "csv"
+                      else len(json.loads(written[1])["points"]))
+    assert points_written == count
+    _no_child_left()
+
+
+_PARSE_ERROR = "1,2,3,4,bogus"
+_NOT_FINITE = "1e200,1e200,1e200,1e-200,1e200"  # psi = 2 - inf + inf
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("later", [CHUNK_POINTS + 9, 2 * CHUNK_POINTS + 1,
+                                   3 * CHUNK_POINTS + 2],
+                         ids=["same-chunk", "next-chunk", "worker-chunk"])
+@pytest.mark.parametrize("kind", ["inline", "csv", "json"])
+@pytest.mark.parametrize("bad, message", [
+    (_PARSE_ERROR, ", field 5: cannot parse scalar 'bogus'"),
+    (_NOT_FINITE, ": a computed value is not finite: nan"),
+], ids=["parse-error", "not-finite"])
+def test_first_error_in_a_worker_chunk_is_the_one_reported(
+        tmp_path, capsys, monkeypatch, deadline, forks, bad, message, kind,
+        later):
+    # the first failing point is in the worker's first chunk; a later one
+    # fails too, in the same chunk, the next (this process's) or the
+    # worker's next
+    first = CHUNK_POINTS + 3
+    points = list(map(_point, range(4 * CHUNK_POINTS)))
+    points[first] = bad.split(",")
+    points[later] = _PARSE_ERROR.split(",")
+    if kind == "json" and bad == _NOT_FINITE:
+        points[first] = [1e200, 1e200, 1e200, 1e-200, 1e200]
+    argv = ("classify", *_point_input(tmp_path, kind, points), "--backend",
+            "float")
+    where = {"inline": f"point {first + 1}",
+             "csv": f"{tmp_path / 'points.csv'}: line {first + 3}",
+             "json": f"{tmp_path / 'points.json'}: entry {first + 1}"}[kind]
+    if kind == "json" and bad == _PARSE_ERROR:
+        message = ": cannot parse scalar 'bogus'"  # an entry has no fields
+    expected = f"aristotle-orbits: error: {where}{message}"
+    before = _open_fds()
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        out_path = tmp_path / "never-written"
+        for out in ((), ("--out", str(out_path))):
+            code, stdout, err = _run(capsys, (*argv, *out))
+            assert (code, stdout) == (1, "")
+            assert err.startswith(expected) and err.count("\n") == 1
+        assert not out_path.exists()
+        assert len(forks) == 2 * (cpus - 1)
+        _no_child_left()
+    assert _open_fds() == before
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("death", [_worker_dies, _dies_before_its_frame,
+                                   _dies_mid_frame])
+def test_dead_point_worker_is_exit_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, deadline, forks, death):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(worker, "_serve", death)
+    argv = ("invariants", *_point_input(tmp_path, "csv",
+                                        list(map(_point, range(1000)))))
+    before = _open_fds()
+    out_path = tmp_path / "points.out"
+    for out in ((), ("--out", str(out_path))):
+        code, stdout, err = _run(capsys, (*argv, *out))
+        assert (code, stdout) == (2, "")
+        assert err == ("aristotle-orbits: error: the rendering worker ended "
+                       "before its last chunk\n")
+    assert len(forks) == 2 and not out_path.exists()
+    _no_child_left()
+    assert _open_fds() == before
+
+
+def test_points_stay_in_one_process_beside_another_thread(
+        tmp_path, capsys, monkeypatch, deadline, forks):
+    # a fork copies only the calling thread
+    _cpus(monkeypatch, 2)
+    argv = ("classify", *_point_input(tmp_path, "csv",
+                                      list(map(_point, range(1000)))))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(TIMEOUT_S,))
+    other.start()
+    try:
+        result = _run(capsys, argv)
+    finally:
+        release.set()
+        other.join(TIMEOUT_S)
+    assert not other.is_alive()
+    assert forks == []
+    assert result == _run(capsys, argv)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_points_stay_in_one_process_when_classify_is_wrapped(
+        tmp_path, capsys, monkeypatch, deadline, forks, command):
+    # a tracer wraps classify and sees the calls of its own process only
+    _cpus(monkeypatch, 2)
+    argv = (command, *_point_input(tmp_path, "json",
+                                   list(map(_point, range(1000)))))
+    whole = _run(capsys, argv)
+    assert len(forks) == 1
+    calls = []
+
+    @functools.wraps(cli.classify)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return counted.__wrapped__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", counted)
+    assert _run(capsys, argv) == whole
+    assert len(forks) == 1
+    assert len(calls) == (1000 if command == "classify" else 0)
+    _no_child_left()
+
+
 # ------------------------------------------------- verify's float runs
 
 @pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
@@ -217,22 +409,6 @@ def test_verify_with_a_worker_writes_the_bytes_of_one(
     assert written[1] == written[2]
     assert written[1][0] == (2 if mutation else 0)
     assert "integrator-tolerance" in written[1][1]
-
-
-_SERVE = worker._serve  # the worker's loop, before a test replaces it
-
-
-def _dies_before_its_frame(_write_end, items, work, theirs):
-    # the work of the first run it takes, and no frame
-    work(next(item for index, item in enumerate(items) if theirs(index)))
-    os._exit(3)
-
-
-def _dies_mid_frame(write_end, items, work, theirs):
-    # the whole frame of the first run it takes, then part of the next one
-    _SERVE(os.dup(write_end), islice(items, 2), work, theirs)
-    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
-    os._exit(3)
 
 
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
@@ -341,6 +517,7 @@ def test_new_tests_pass_in_development_mode():
         "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest", "-q",
         "-p", "no:cacheprovider", __file__, "-k",
         "lifecycle or closed_stdout or dead_verify_worker "
+        "or dead_point_worker or error_in_a_worker_chunk "
         "or two_processes and 2049",
         timeout=TIMEOUT_S * 4)
     assert result.returncode == 0, result.stdout[-3000:]

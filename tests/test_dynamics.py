@@ -1,5 +1,6 @@
 """Flows, closed forms, right-hand sides, Hamiltonians, integrator."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ from aristotle_orbits.dynamics import (
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
-from aristotle_orbits.dynamics import _chart_invariant, _exact_rows
+from aristotle_orbits.dynamics import (
+    _chart_invariant, _exact_rows, _float_grid, _grid_advances,
+)
 from aristotle_orbits.orbits import (
     DualElement, OrbitClass, classify, coadjoint_printed, invariants,
 )
@@ -452,6 +455,80 @@ def _reference_float_grid(start, stop, h):
     else:
         grid.append(stop)
     return grid
+
+
+def _scan_advances(start, stop, h) -> bool:
+    """Whether the float grid strictly increases, every point compared."""
+    grid = _reference_float_grid(start, stop, h)
+    return all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def _grid_verdict(start, stop, h) -> bool:
+    try:
+        _float_grid(start, stop, h)
+    except InputFormatError as exc:
+        assert "does not advance" in str(exc)
+        return False
+    return True
+
+
+def _decided(start, stop, h) -> "bool | None":
+    """``_grid_advances`` on the grid that ``_float_grid`` builds."""
+    count = int((stop - start) / h + 1e-9)
+    if abs(start + count * h - stop) > 1e-9 * h:
+        count += 1
+    return _grid_advances(start, h, count, start if stop == start else stop)
+
+
+@pytest.mark.parametrize("start", [0.0, -0.0, 3.0, -7.5, 0.1, 1e16, -1e16,
+                                   2.0 ** 60, -(2.0 ** 60), 1e300, -1e300,
+                                   5e-324, 2.0 ** -1000])
+def test_float_grid_verdict_is_the_scans_beside_the_step_threshold(start):
+    # steps from half the rounding at the grid's points to far above it:
+    # below about twice the rounding the points are scanned, above it the
+    # verdict is proved; either way it is the scan's
+    sides = set()
+    for factor in (0.5, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 8, 12, 16, 64, 2 ** 20):
+        for rows in (0, 1, 2, 3, 50, 1000):
+            h = math.ulp(start) * factor
+            for stop in (start + rows * h, start + (rows + 0.5) * h):
+                if not (h > 0 and stop >= start):
+                    continue  # half the smallest subnormal is 0
+                assert _grid_verdict(start, stop, h) == \
+                    _scan_advances(start, stop, h)
+                decided = _decided(start, stop, h)
+                assert decided in (None, _scan_advances(start, stop, h))
+                sides.add(decided is None)
+    assert sides == {True, False}
+
+
+@given(st.floats(-1e20, 1e20), st.floats(1e-30, 1e6),
+       st.integers(0, 300), st.floats(0, 1))
+@settings(max_examples=300)
+def test_float_grid_verdict_is_the_scans(start, h, rows, part):
+    stop = start + (rows + part) * h
+    if stop >= start and math.isfinite((stop - start) / h):
+        assert _grid_verdict(start, stop, h) == _scan_advances(start, stop, h)
+
+
+def test_float_grid_past_2_to_the_53_points_is_refused_at_once():
+    # float(i) repeats past 2**53, so two points coincide: a scan would
+    # meet the pair at 2**53 and 2**53 + 1
+    assert 0.0 + 2 ** 53 * 1.0 == 0.0 + (2 ** 53 + 1) * 1.0
+    assert _decided(0.0, 2.0 ** 53 + 2, 1.0) is False
+    with pytest.raises(InputFormatError, match="does not advance"):
+        _float_grid(0.0, 2.0 ** 53 + 2, 1.0)
+    with pytest.raises(InputFormatError, match="does not advance"):
+        _float_grid(0.0, 1.0, 1e-300)
+    # over 1e15 points the count itself rounds: the last regular point
+    # passes stop, a pair that a scan would meet last
+    start, stop, h = 0.0, 441698295697359.6, 0.38480427929821126
+    count = int((stop - start) / h + 1e-9) + 1
+    assert start + (count - 1) * h > stop
+    assert _decided(start, stop, h) is False
+    # up to 2**53 + 1 points float(i) is exact, and the points are scanned
+    assert _grid_advances(0.0, 1.0, 2 ** 53 + 1, 2.0 ** 53 + 2) is None
+    assert _decided(0.0, 2.0 ** 53, 1.0) is None
 
 
 def _reference_rk4(picture, state, params, grid):
