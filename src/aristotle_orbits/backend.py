@@ -38,6 +38,14 @@ NOT_FINITE = "a computed value is not finite"
 #: exact ``1e999999999`` would be a billion digits.  Doubles end near 1e±324.
 MAX_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+#: Most digits of an integer in exact text (a numerator, a denominator, a
+#: part of a decimal): Python's default text-to-int limit, made explicit
+#: so that the CLI can lift that limit for its output.
+MAX_DIGITS = 4300
+_DIGITS = re.compile(r"\d+(?:_\d+)*")
+#: Longest text an error message quotes whole.
+QUOTE_CHARS = 24
 _CANONICAL = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 #: Relative tolerance used for zero tests in orbit classification on the
@@ -49,15 +57,23 @@ class InputFormatError(ValueError):
     """An input failed to parse or cannot be used; carries diagnostics."""
 
 
+def quoted(text) -> str:
+    """``repr(text)``, or a long text's first QUOTE_CHARS and its length."""
+    if isinstance(text, str) and len(text) > QUOTE_CHARS:
+        return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
 def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
     """Parse one scalar in the requested backend.
 
     Accepts numbers, plain integer strings, ``"n/d"`` fractions and
     decimal strings; a bool, None or any other type is an input error.
     On the rational backend decimal text is read exactly (``"0.1"``
-    becomes 1/10), and text ending in an exponent beyond MAX_EXPONENT in
-    magnitude is an input error.  The float backend rejects NaN,
-    infinities and values that overflow a double.
+    becomes 1/10); an integer in it of more than MAX_DIGITS digits, or
+    text ending in an exponent beyond MAX_EXPONENT in magnitude, is an
+    input error.  The float backend rejects NaN, infinities and values
+    that overflow a double.  A message quotes the text by ``quoted``.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -75,16 +91,24 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
             return Fraction(repr(text))
         return _fraction(text) if isinstance(text, str) else Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
+        # Python's own reasons quote the whole text
+        reason = str(exc).replace(repr(text), quoted(text))
+        raise InputFormatError(
+            f"cannot parse scalar {quoted(text)}: {reason}") from exc
 
 
 def _fraction(text: str, to_float: bool = False) -> Scalar:
     """``Fraction(text)``, or its float.  Canonical ``[-]digits`` and
     ``[-]digits/digits`` text with a nonzero denominator is read by two
     ``int`` calls instead of the literal regex, and its float is their
-    quotient, correctly rounded without the reduction.  Text ending in an
-    exponent beyond MAX_EXPONENT is a ValueError, raised before
+    quotient, correctly rounded without the reduction.  An integer of
+    more than MAX_DIGITS digits, or text ending in an exponent beyond
+    MAX_EXPONENT, is a ValueError, raised before ``int`` would read it or
     ``Fraction`` would build the power of ten."""
+    if len(text) > MAX_DIGITS and any(
+            len(run) - run.count("_") > MAX_DIGITS
+            for run in _DIGITS.findall(text)):
+        raise ValueError(f"an integer of more than {MAX_DIGITS} digits")
     canonical = _CANONICAL.fullmatch(text)
     if canonical:
         num, den = int(canonical[1]), int(canonical[2] or 1)

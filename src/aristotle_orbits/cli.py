@@ -39,7 +39,7 @@ from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
-    is_float_backed, json_scalar, json_text, parse_scalar, ratio_text,
+    is_float_backed, json_scalar, json_text, parse_scalar, quoted, ratio_text,
 )
 from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams,
@@ -119,7 +119,8 @@ def _source_point(where: str, source, backend: str) -> DualElement:
 
 def _json_points(path: str, text: str) -> list:
     try:
-        data = json.loads(text)
+        # an integer is kept as its text, for parse_scalar's digit bound
+        data = json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
@@ -351,7 +352,7 @@ def _parse_flag(text: str, backend: str, flag: str):
 def _parse_range(text: str, backend: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 2:
-        raise InputFormatError(f"--range: expected A:B, got {text!r}")
+        raise InputFormatError(f"--range: expected A:B, got {quoted(text)}")
     return tuple(_parse_flag(part.strip(), backend, "--range")
                  for part in parts)
 
@@ -437,16 +438,14 @@ def _cmd_verify(args) -> int:
         known = ", ".join(sorted(verify_mod.MUTATIONS))
         raise InputFormatError(
             f"unknown mutation id {args.mutate!r}; known: {known}")
-    report = verify_mod.run_suite(seed=args.seed, samples=args.samples,
-                                  mutation=args.mutate)
+    report = verify_mod.run_suite(mutation=args.mutate)
     _emit_report(args, report, verify_mod.render_text)
     return EXIT_OK if report["all_passed"] else EXIT_FAILED
 
 
 def _cmd_errata(args) -> int:
     _require_rational(args, "errata")
-    _emit_report(args, errata_mod.build_report(seed=args.seed),
-                 errata_mod.render_text)
+    _emit_report(args, errata_mod.build_report(), errata_mod.render_text)
     return EXIT_OK
 
 
@@ -529,10 +528,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the structural self-check suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: every check is a proof")
     p.add_argument("--samples", type=int, default=1000,
-                   help="reported, read by no check: every rational check "
-                        "is a proof (default 1000)")
+                   help="ignored, but at least 1: every check is a proof")
     p.add_argument("--mutate", metavar="ID",
                    help="run against a deliberately broken structure tensor")
     _add_output_options(p, ("text", "json"), "text")
@@ -540,7 +539,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("errata",
                        help="audit printed formulas against derived ones")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: every finding is a proof")
     _add_output_options(p, ("text", "json"), "text")
     p.set_defaults(func=_cmd_errata)
 
@@ -557,6 +557,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # parse_scalar bounds every accepted integer's digits, so Python's
+    # int-to-text limit (3.10.7 on) is lifted and exact output prints whole
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InputFormatError, ChartUndefinedError) as exc:
@@ -565,6 +570,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, ChildProcessError) as exc:
         print(f"aristotle-orbits: error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint():

@@ -11,8 +11,9 @@ y/k or f/y are proved the same way: by a zero numerator.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 
 def monomial_name(alpha: tuple, names) -> str:
@@ -160,7 +161,23 @@ class Ratio:
         return -self + other
 
     def __str__(self) -> str:
-        return f"({self.num})/({self.den})"
+        """num/den with the monomial common to both divided out and "/1"
+        left out; a part in parentheses unless it is one term (num) or one
+        factor (den)."""
+        num, den = self.num, self.den
+        if not isinstance(num, Poly) and not isinstance(den, Poly):
+            return str(Fraction(num, den))
+        num, den = map((num if isinstance(num, Poly) else den)._lift,
+                       (num, den))
+        common = tuple(map(min, zip(*num.terms, *den.terms)))
+        num, den = (Poly({tuple(map(sub, alpha, common)): coeff
+                          for alpha, coeff in part.terms.items()}, part.names)
+                    for part in (num, den))
+        if den == 1 or num == 0:
+            return str(num)
+        top, bottom = str(num), str(den)
+        return (f"({top})" if len(num.terms) > 1 else top) + "/" + (
+            bottom if re.fullmatch(r"[\w'^]+", bottom) else f"({bottom})")
 
     __repr__ = __str__
 

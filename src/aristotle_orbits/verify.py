@@ -3,10 +3,10 @@
 Every check on rational claims runs the package's own code on
 indeterminates (``poly.Poly``, and ``poly.Ratio`` where a formula
 divides) and proves its identities for every input: a zero residual is a
-proof, a nonzero one the counterexample itself.  Only orbit-dimension
-draws its class representatives from a per-check counter-based stream,
-so the seed determines the report; ``samples`` is reported and read by
-no check.  integrator-tolerance proves that one RK4 step is the flow and
+proof, a nonzero one the counterexample itself.  Nothing is sampled, so
+the report is determined by the mutation alone; ``symbols`` and
+``chart_symbols`` make the indeterminates, for the errata audit too.
+integrator-tolerance proves that one RK4 step is the flow and
 then measures the float integrator's rounding on four runs, the last
 three of which a forked worker (``worker.shared``) runs from the suite's
 start where a second CPU is free; the report is the same either way.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -37,9 +37,8 @@ from .lie_core import (
 )
 from .orbits import (
     OrbitClass, DualElement, classify, coadjoint, coadjoint_generators,
-    coadjoint_matrix, coadjoint_printed, invariants, orbit_dimension,
+    coadjoint_matrix, coadjoint_printed, invariants,
 )
-from .rng import SplitMix64
 from .worker import shared
 
 HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
@@ -59,7 +58,6 @@ MUTATIONS = {"Eq2.4": _mutated_eq24}
 
 
 class _Context(NamedTuple):
-    rng: SplitMix64
     tensor: StructureTensor
     float_runs: Iterator  # the results of FLOAT_RUNS, in order
 
@@ -80,7 +78,7 @@ def _check_nilpotency(ctx: _Context):
     return worst == 0, f"{DIM ** 4} nested 4-letter brackets, max norm {worst}"
 
 
-def _symbols(groups: int, dual: bool = False) -> tuple:
+def symbols(groups: int, dual: bool = False) -> tuple:
     """The first ``groups`` of g, h, w, then mu if ``dual``, whose
     coordinates are indeterminates over exactly those elements."""
     names = [name + prime for prime in ("", "'", "''")[:groups]
@@ -95,7 +93,7 @@ def _symbols(groups: int, dual: bool = False) -> tuple:
 def _prove(*identities) -> tuple:
     """Pass iff each (name, lhs, rhs) has a zero residual in every component.
 
-    On the indeterminates of ``_symbols`` a zero residual proves the
+    On the indeterminates of ``symbols`` a zero residual proves the
     identity for all inputs; a nonzero one is the counterexample itself.
     """
     for name, lhs, rhs in identities:
@@ -108,7 +106,7 @@ def _prove(*identities) -> tuple:
 
 
 def _check_associativity(ctx: _Context):
-    g, h, w = _symbols(3)
+    g, h, w = symbols(3)
     return _prove(
         ("(g*h)*w = g*(h*w)", compose(compose(g, h), w),
          compose(g, compose(h, w))),
@@ -117,7 +115,7 @@ def _check_associativity(ctx: _Context):
 
 
 def _check_group_axioms(_ctx: _Context):
-    (g,) = _symbols(1)
+    (g,) = symbols(1)
     e, gi = GroupElement.identity(), inverse(g)
     return _prove(("e*g = g", compose(e, g), g), ("g*e = g", compose(g, e), g),
                   ("g*g^-1 = e", compose(g, gi), e),
@@ -125,7 +123,7 @@ def _check_group_axioms(_ctx: _Context):
 
 
 def _check_adjoint(_ctx: _Context):
-    g, h = _symbols(2)
+    g, h = symbols(2)
     m = adjoint_of_group(g).rows
     cube = linalg.mat_pow(linalg.mat_sub(m, linalg.identity(DIM)), 3)
     # Ad(g) is lower triangular: det = 1 is a zero upper triangle and a
@@ -140,7 +138,7 @@ def _check_adjoint(_ctx: _Context):
 
 
 def _check_coadjoint_action(_ctx: _Context):
-    g, h, mu = _symbols(2, dual=True)
+    g, h, mu = symbols(2, dual=True)
     return _prove(
         # a left action over the first-extension law on (x, t, zeta)
         ("coadjoint_printed is a left action",
@@ -168,7 +166,7 @@ def _kept(mu: DualElement) -> dict:
 
 
 def _check_invariant_preservation(_ctx: _Context):
-    g, mu = _symbols(1, dual=True)
+    g, mu = symbols(1, dual=True)
     identities = []
     for stratum, zeros in STRATA:
         point = mu._replace(**zeros)
@@ -182,37 +180,58 @@ def _check_invariant_preservation(_ctx: _Context):
 
 
 def _check_u_equals_pi_v(_ctx: _Context):
-    (mu,) = _symbols(0, dual=True)
+    (mu,) = symbols(0, dual=True)
     inv = invariants(mu)
     return _prove(("U = pi v where k, y != 0", [inv.u], [inv.pi * inv.v]))
 
 
-def _check_orbit_dimension(ctx: _Context):
-    r = ctx.rng
-    reps = [
-        (DualElement(r.rational(), r.rational(), r.rational(),
-                     r.nonzero_rational(), r.nonzero_rational()),
-         OrbitClass.GENERIC, 2),
-        (DualElement(r.rational(), r.rational(), r.rational(),
-                     r.nonzero_rational(), 0), OrbitClass.HOOKE_ONLY, 2),
-        (DualElement(r.rational(), r.rational(), r.rational(), 0,
-                     r.nonzero_rational()), OrbitClass.YANK_ONLY, 2),
-        (DualElement(r.rational(), r.rational(), r.nonzero_rational(), 0, 0),
-         OrbitClass.FORCE_ONLY, 2),
-        (DualElement(r.rational(), r.rational(), 0, 0, 0),
-         OrbitClass.FIXED_POINT, 0),
-        (DualElement(0, 0, 0, 0, 0), OrbitClass.FIXED_POINT, 0),
-    ]
-    failures = 0
-    for mu, expected_class, expected_dim in reps:
-        if classify(mu) is not expected_class:
-            failures += 1
-        elif orbit_dimension(mu) != expected_dim:
-            failures += 1
-        elif linalg.rank(coadjoint_generators(mu)) != expected_dim:
-            failures += 1
-    return failures == 0, (f"{len(reps)} seeded class representatives, "
-                           f"{failures} failures")
+# classify's strata: the class, its conditions, the zeros that cut it out
+# and a coordinate it holds nonzero
+CLASS_STRATA = (
+    (OrbitClass.GENERIC, "k, y != 0", {}, "k"),
+    (OrbitClass.HOOKE_ONLY, "y = 0, k != 0", {"y": 0}, "k"),
+    (OrbitClass.YANK_ONLY, "k = 0, y != 0", {"k": 0}, "y"),
+    (OrbitClass.FORCE_ONLY, "k = y = 0, f != 0", {"k": 0, "y": 0}, "f"),
+    (OrbitClass.FIXED_POINT, "f = k = y = 0", dict.fromkeys("fky", 0), None))
+
+
+def _check_orbit_dimension(_ctx: _Context):
+    (mu,) = symbols(0, dual=True)
+    rows = coadjoint_generators(mu)
+    m = [row[:3] for row in rows]
+    pairs = tuple(combinations(range(3), 2))
+    minors = [m[r][i] * m[s][j] - m[r][j] * m[s][i]
+              for r, s in pairs for i, j in pairs]
+    norm = mu.f * mu.f + mu.k * mu.k + mu.y * mu.y
+    passed, proof = _prove(
+        ("the generators fix k and y", [c for row in rows for c in row[3:]],
+         repeat(0)),
+        ("det of their (p, e, f) block = 0",  # along its last row
+         [m[2][0] * minors[2] - m[2][1] * minors[1] + m[2][2] * minors[0]],
+         [0]),
+        ("its squared 2x2 minors sum to (f^2 + k^2 + y^2)^2",
+         [sum(minor * minor for minor in minors)], [norm * norm]),
+        ("its squared entries sum to 2(f^2 + k^2 + y^2)",
+         [sum(c * c for row in m for c in row)], [2 * norm]))
+    if not passed:
+        return passed, proof
+    for cls, where, zeros, nonzero in CLASS_STRATA:
+        point = mu._replace(**zeros)
+        # a sum of squares: 0 if it is the zero polynomial, else > 0 if it
+        # has the square of a coordinate the stratum holds nonzero
+        squares = point.f * point.f + point.k * point.k + point.y * point.y
+        held = nonzero and getattr(mu, nonzero) * getattr(mu, nonzero)
+        rank = (0 if squares == 0 else 2 if nonzero and held.terms.keys()
+                <= squares.terms.keys() else "undetermined")
+        got = classify(point)
+        if got is not cls or got.dimension != rank:
+            return False, (f"{cls.value} where {where}: classify gives "
+                           f"{got.value} of dimension {got.dimension}, but "
+                           f"the generators have rank {rank}")
+    return True, (f"{proof}; so the generators have rank 2 where f^2 + k^2 "
+                  f"+ y^2 != 0, else 0, classify's dimension on " + "; ".join(
+                      f"{cls.value} where {where}"
+                      for cls, where, *_ in CLASS_STRATA))
 
 
 def _pictures(params: OrbitParams, a0, b0) -> tuple:
@@ -226,14 +245,14 @@ def _pictures(params: OrbitParams, a0, b0) -> tuple:
              lambda state, x: space_rhs(SpaceState(*state, x), params)))
 
 
-def _chart_symbols(*names: str) -> tuple:
+def chart_symbols(*names: str) -> tuple:
     """Orbit labels (k, y) as OrbitParams, then indeterminates ``names``."""
     k, y, *rest = poly.indeterminates(("k", "y") + names)
     return (OrbitParams(k, y), *rest)
 
 
 def _check_closed_form_flow(_ctx: _Context):
-    params, q0, p0, e0, t, tau0, x = _chart_symbols(
+    params, q0, p0, e0, t, tau0, x = chart_symbols(
         "q0", "p0", "e0", "t", "tau0", "x")
     k, y = params
     mu0, nu0 = (DualElement(p0, e0, k * q0, k, y),
@@ -254,7 +273,7 @@ def _check_closed_form_flow(_ctx: _Context):
 def _check_rhs_consistency(_ctx: _Context):
     # the closed forms are quadratic in the parameter, so the centered
     # difference with a symbolic step h is their exact derivative
-    params, a0, b0, at, h = _chart_symbols("a0", "b0", "at", "h")
+    params, a0, b0, at, h = chart_symbols("a0", "b0", "at", "h")
     return _prove(*(
         (f"d/d{var} {name}_closed_form = {name}_rhs",
          [exact_div(a - b, 2 * h)
@@ -299,7 +318,7 @@ def _float_run(run: tuple) -> tuple:
 def _check_integrator(ctx: Optional[_Context]):
     # the fields are affine with a nilpotent linear part, so RK4's
     # order-4 Taylor truncation is the flow itself
-    params, a0, b0, h = _chart_symbols("a0", "b0", "h")
+    params, a0, b0, h = chart_symbols("a0", "b0", "h")
     exact, proof = _prove(*(
         (f"one RK4 step of {name}_rhs = {name}_closed_form",
          _rk4_step(rhs, (a0, b0), h), solution(h))
@@ -334,17 +353,8 @@ CHECKS: "tuple[tuple[str, Callable], ...]" = (
 )
 
 
-def hash_name(name: str) -> int:
-    """Stable 64-bit stream offset for a check name (not Python's hash)."""
-    value = 0
-    for ch in name.encode():
-        value = (value * 131 + ch) & 0xFFFFFFFFFFFFFFFF
-    return value
-
-
-def run_suite(seed: int = 0, samples: int = 1000,
-              mutation: Optional[str] = None) -> dict:
-    """Run every check; the report is fully determined by the arguments."""
+def run_suite(mutation: Optional[str] = None) -> dict:
+    """Run every check; the report is fully determined by the mutation."""
     if mutation is not None and mutation not in MUTATIONS:
         raise KeyError(f"unknown mutation id: {mutation}")
     tensor = MUTATIONS[mutation]() if mutation else StructureTensor.default()
@@ -357,11 +367,8 @@ def run_suite(seed: int = 0, samples: int = 1000,
     with shared(iter(FLOAT_RUNS), _float_run, lambda index: fork and index > 0,
                 "the integrator worker ended before its last run") as runs:
         for name, func in CHECKS:
-            # each check gets its own stream: reordering one never shifts
-            # another
             try:
-                passed, detail = func(_Context(
-                    SplitMix64(seed ^ hash_name(name)), tensor, runs))
+                passed, detail = func(_Context(tensor, runs))
             except ArithmeticError as exc:
                 # a derivation that breaks down (a mutated tensor, say)
                 # fails its check; the rest of the report still runs
@@ -369,8 +376,6 @@ def run_suite(seed: int = 0, samples: int = 1000,
             checks.append({"name": name, "passed": passed, "detail": detail})
     return {
         "backend": "rational",
-        "seed": seed,
-        "samples": samples,
         "mutation": mutation,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
@@ -381,8 +386,7 @@ def render_text(report: dict) -> str:
     lines = [
         "verification report",
         "===================",
-        f"backend: {report['backend']}   seed: {report['seed']}   "
-        f"samples: {report['samples']}",
+        f"backend: {report['backend']}",
     ]
     if report["mutation"]:
         lines.append(f"mutation: {report['mutation']}")

@@ -43,6 +43,14 @@ def _finish(number: int, started: float, budget: float, description: str):
           f"{description}")
 
 
+def _nonzero(rng) -> Fraction:
+    """The next of rng's rationals that is not zero."""
+    while True:
+        value = rng.rational()
+        if value != 0:
+            return value
+
+
 def _random_group(rng) -> GroupElement:
     return GroupElement._make(rng.rationals(5))
 
@@ -53,7 +61,7 @@ def _random_dual(rng) -> DualElement:
 
 def _random_generic(rng) -> DualElement:
     return DualElement(rng.rational(), rng.rational(), rng.rational(),
-                       rng.nonzero_rational(), rng.nonzero_rational())
+                       _nonzero(rng), _nonzero(rng))
 
 
 def test_criterion_01_algebra_validity():
@@ -85,7 +93,7 @@ def test_criterion_02_group_law():
     g3 = GroupElement(0, 1, 0, 0, 0)
     assert compose_printed(compose_printed(g1, g2), g3) \
         != compose_printed(g1, compose_printed(g2, g3))
-    finding = [f for f in build_report(seed=0)["findings"]
+    finding = [f for f in build_report()["findings"]
                if f["id"] == "Eq2.6-associativity"][0]
     assert finding["verdict"] == CONTRADICTS
     assert any(r != "0" for r in finding["residual"])
@@ -155,14 +163,14 @@ def test_criterion_05_orbit_geometry():
     rng = SplitMix64(505)
     reps = [
         (DualElement(rng.rational(), rng.rational(), rng.rational(),
-                     rng.nonzero_rational(), rng.nonzero_rational()),
+                     _nonzero(rng), _nonzero(rng)),
          OrbitClass.GENERIC),
         (DualElement(rng.rational(), rng.rational(), rng.rational(),
-                     rng.nonzero_rational(), 0), OrbitClass.HOOKE_ONLY),
+                     _nonzero(rng), 0), OrbitClass.HOOKE_ONLY),
         (DualElement(rng.rational(), rng.rational(), rng.rational(), 0,
-                     rng.nonzero_rational()), OrbitClass.YANK_ONLY),
+                     _nonzero(rng)), OrbitClass.YANK_ONLY),
         (DualElement(rng.rational(), rng.rational(),
-                     rng.nonzero_rational(), 0, 0), OrbitClass.FORCE_ONLY),
+                     _nonzero(rng), 0, 0), OrbitClass.FORCE_ONLY),
     ]
     for mu, expected in reps:
         assert classify(mu) is expected
@@ -177,7 +185,7 @@ def test_criterion_06_dynamics_consistency():
     rng = SplitMix64(606)
     h = Fraction(1, 3)
     for _ in range(300):
-        k, y = rng.nonzero_rational(), rng.nonzero_rational()
+        k, y = _nonzero(rng), _nonzero(rng)
         params = OrbitParams(k, y)
         q0, p0, e0, t = rng.rationals(4)
         mu = time_flow(DualElement(p0, e0, k * q0, k, y), t)
@@ -199,8 +207,8 @@ def test_criterion_06_dynamics_consistency():
     # float central differences at h_fd = 1e-4 agree within 1e-6
     h_fd = 1e-4
     for _ in range(50):
-        params = OrbitParams(float(rng.nonzero_rational()),
-                             float(rng.nonzero_rational()))
+        params = OrbitParams(float(_nonzero(rng)),
+                             float(_nonzero(rng)))
         q0, p0, t = (float(c) for c in rng.rationals(3))
         qp, pp = time_closed_form(q0, p0, params, t + h_fd)
         qm, pm = time_closed_form(q0, p0, params, t - h_fd)
@@ -240,7 +248,7 @@ def test_criterion_07_integration():
 
 def test_criterion_08_errata_deliverable():
     started = time.perf_counter()
-    report = build_report(seed=0)
+    report = build_report()
     ids = {f["id"] for f in report["findings"]}
     required = {
         "Eq2.5-exp-xK", "Eq2.6-b-component", "Eq2.6-associativity",

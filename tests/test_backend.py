@@ -9,21 +9,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import (
-    BACKENDS, FLOAT, MAX_EXPONENT, InputFormatError, format_scalar,
-    json_scalar, json_text, parse_scalar, ratio_text,
+    BACKENDS, FLOAT, MAX_DIGITS, MAX_EXPONENT, QUOTE_CHARS, InputFormatError,
+    format_scalar, json_scalar, json_text, parse_scalar, ratio_text,
 )
 
 
 def _reference_fraction(text):
-    """Fraction(text), but text ending in an exponent beyond MAX_EXPONENT is
-    refused first: after its last e or E, trailing space aside, a sign and
-    groups of decimal digits joined by single underscores."""
+    """Fraction(text), but two texts are refused first: one with an integer
+    of more than MAX_DIGITS digits (a run of decimal digits and
+    underscores), and one ending in an exponent beyond MAX_EXPONENT: after
+    its last e or E, trailing space aside, a sign and groups of decimal
+    digits joined by single underscores."""
+    runs = "".join(c if c.isdecimal() or c == "_" else " " for c in text)
+    if any(sum(map(str.isdecimal, run)) > MAX_DIGITS for run in runs.split()):
+        raise ValueError(f"an integer of more than {MAX_DIGITS} digits")
     tail = text[max(text.rfind("e"), text.rfind("E")) + 1:].rstrip()
     groups = (tail[1:] if tail[:1] in ("+", "-") else tail).split("_")
     if (len(tail) < len(text.rstrip()) and all(g.isdecimal() for g in groups)
             and abs(int(tail)) > MAX_EXPONENT):
         raise ValueError(f"exponent beyond ±{MAX_EXPONENT}")
     return Fraction(text)
+
+
+def _reference_quote(text):
+    # a long text is quoted by a prefix and its length
+    if isinstance(text, str) and len(text) > QUOTE_CHARS:
+        return repr(text[:QUOTE_CHARS]) + f"... ({len(text)} characters)"
+    return repr(text)
 
 
 def _reference_parse(text, backend):
@@ -40,7 +52,10 @@ def _reference_parse(text, backend):
         return _reference_fraction(text) if isinstance(text, str) \
             else Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputFormatError(f"cannot parse scalar {text!r}: {exc}") from exc
+        # Python's own reasons quote the text whole; both quotes are bounded
+        reason = str(exc).replace(repr(text), _reference_quote(text))
+        raise InputFormatError(
+            f"cannot parse scalar {_reference_quote(text)}: {reason}") from exc
 
 
 def _outcome(parse, text, backend):
@@ -70,7 +85,11 @@ EDGE_TEXTS = ["1/0", "0/0", "+1/2", "1/-2", " 1/2 ", "1 / 2", "1_000/3",
               # canonical integers and fractions, and texts just outside
               "0", "-0", "1/00", "-007", "+3/4", " 3/4", "3/4 ", "1_0/3",
               "٣/٤", "1e5", "-" + "1" * 5000, "0" * 5000 + "1",
-              "1" * 5000 + "/0"]
+              "1" * 5000 + "/0",
+              # the digit bound: each integer in the text, not the text
+              "1" * 4300, "1" * 4301, "-" + "1" * 4300 + "/" + "3" * 4300,
+              "1_" * 4300 + "1", "1" * 3000 + "." + "1" * 3000,
+              "0." + "1" * 4301, "1" * 4301 + "x"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

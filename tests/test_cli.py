@@ -838,6 +838,91 @@ def test_huge_exponent_is_refused_at_once():
         "'1e999999999': exponent beyond ±10000\n")
 
 
+# an integer of 2200 digits is accepted; psi's numerator, about 4400
+# digits, is beyond Python's default int-to-text limit of 4300
+HUGE = "7" * 2200
+
+
+def _unlimited_fraction(text: str) -> Fraction:
+    """Fraction(text) with Python's int-from-text digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command, output_format", [
+    ("classify", "json"), ("classify", "csv"), ("invariants", "csv")])
+def test_huge_exact_point_prints_exactly(capsys, command, output_format):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, command, ",".join([HUGE] * 5),
+                         "--format", output_format)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # restored after the run
+    if output_format == "json":
+        psi = json.loads(out)["points"][0]["invariants"]["psi"]
+    else:
+        psi = next(csv.DictReader(io.StringIO(out)))["psi"]
+    b = Fraction(int(HUGE))
+    assert _unlimited_fraction(psi) == 2 * b * b - b * b + 2 * b * b
+
+
+def test_huge_exact_closed_form_prints_exactly(capsys):
+    q0, k = HUGE + "1", HUGE
+    code, out, err = run(capsys, "simulate", "--picture", "time",
+                         "--closed-form", f"--state={q0},1", f"--k={k}",
+                         "--y=1", "--range", "0:1", "--step", "1/2")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["t"] for row in rows] == ["0", "1/2", "1"]
+    # p(t) = p0 - k q0 t + y t^2 / 2
+    expected = 1 - Fraction(int(k)) * int(q0) + Fraction(1, 2)
+    assert _unlimited_fraction(rows[-1]["p"]) == expected
+
+
+def test_huge_exact_point_in_a_fresh_interpreter():
+    result = _fresh_interpreter("-m", "aristotle_orbits", "classify",
+                                ",".join([HUGE] * 5))
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert json.loads(result.stdout)["points"][0]["class"] == "GENERIC"
+
+
+@pytest.mark.parametrize("field", ["1" * 5000, "1" * 4301 + "/3",
+                                   "x" * 5000, "0." + "1" * 5000],
+                         ids=["digits", "numerator", "letters", "decimal"])
+def test_overlong_field_is_one_bounded_error_line(capsys, field):
+    code, out, err = run(capsys, "classify", f"{field},0,0,0,0")
+    assert (code, out) == (1, "")
+    assert err.count("aristotle-orbits: error:") == 1
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("aristotle-orbits: error: point 1, field 1: "
+                          "cannot parse scalar ")
+    assert f"... ({len(field)} characters)" in err
+
+
+def test_overlong_json_integer_is_one_bounded_error_line(tmp_path, capsys):
+    # JSON integers are read as text, under the same digit bound
+    path = tmp_path / "points.json"
+    path.write_text(f"[[{'9' * 5000}, 0, 0, 0, 0]]", encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"aristotle-orbits: error: {path}: entry 1: cannot parse "
+                   f"scalar '{'9' * 24}'... (5000 characters): an integer of "
+                   f"more than 4300 digits\n")
+
+
+def test_json_integers_parse_as_before(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text('[[1, -2, "3/4", 0.5, 7]]', encoding="utf-8")
+    for backend, value in (("rational", "-2"), ("float", -2.0)):
+        code, out, _ = run(capsys, "classify", "--in", str(path),
+                           "--backend", backend)
+        assert code == 0
+        assert json.loads(out)["points"][0]["input"][1] == value
+
+
 def test_float_grid_of_too_many_points_is_refused_at_once(capsys, deadline):
     # 1e300 points cannot strictly increase (float(i) repeats past 2**53):
     # refused before a point is scanned
@@ -1200,6 +1285,13 @@ def test_derive_law_matches_golden(capsys, fmt, name):
 
 
 # ------------------------------------------------- determinism and misc
+
+def test_seed_and_samples_are_accepted_and_ignored(capsys):
+    # every check and finding is a proof on indeterminates
+    assert run(capsys, "verify", "--seed", "1", "--samples", "3") == \
+        run(capsys, "verify", "--seed", "2")
+    assert run(capsys, "errata", "--seed", "1") == run(capsys, "errata")
+
 
 def test_seeded_outputs_are_byte_identical(capsys):
     first = run(capsys, "errata", "--seed", "3", "--format", "json")

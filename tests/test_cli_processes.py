@@ -442,12 +442,12 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
     _cpus(monkeypatch, 2)
     before = _open_fds()
     checks = verify.CHECKS
-    whole = verify.run_suite(seed=7, samples=50)
+    whole = verify.run_suite()
     assert len(forks) == 1
     _no_child_left()
     # checks replaced by wrappers, as the benchmark's tracer does
     monkeypatch.setattr(verify, "CHECKS", _wrapped(verify.CHECKS))
-    assert verify.run_suite(seed=7, samples=50) == whole
+    assert verify.run_suite() == whole
     assert len(forks) == 2
     _no_child_left()
     # integrate wrapped as the tracer wraps it: it sees all four runs, so
@@ -461,19 +461,19 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
         return real(*args)
 
     monkeypatch.setattr(verify, "integrate", counted)
-    assert verify.run_suite(seed=7, samples=50) == whole
+    assert verify.run_suite() == whole
     assert (len(runs), len(forks)) == (4, 2)
     monkeypatch.setattr(verify, "integrate", real)
     # checks without the integrator's: no worker
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1])
-    assert verify.run_suite(seed=7, samples=50)["checks"] == \
+    assert verify.run_suite()["checks"] == \
         whole["checks"][:-1]
     assert len(forks) == 2
     _no_child_left()
     monkeypatch.setattr(verify, "CHECKS", checks)
     # the RK4-step proof fails, so no float run's result is read
     monkeypatch.setattr(verify, "_rk4_step", lambda _rhs, state, _h: state)
-    report = verify.run_suite(seed=7, samples=50)
+    report = verify.run_suite()
     assert report["checks"][-1]["passed"] is False
     assert "one RK4 step of time_rhs = time_closed_form fails" in \
         report["checks"][-1]["detail"]
@@ -482,7 +482,7 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
     # a check raises, and the suite with it
     monkeypatch.setattr(verify, "jacobi_residual", _raise_runtime_error)
     with pytest.raises(RuntimeError, match="a check broke"):
-        verify.run_suite(seed=7, samples=50)
+        verify.run_suite()
     assert len(forks) == 4
     _no_child_left()
     assert _open_fds() == before

@@ -1,12 +1,13 @@
-"""Errata engine: fixed finding order, frozen residuals, determinism."""
-
-from fractions import Fraction
+"""Errata engine: fixed finding order, symbolic residuals, determinism."""
 
 import pytest
 
+from aristotle_orbits import errata
 from aristotle_orbits.errata import (
     ASSUMPTION, CONFIRMS, CONTRADICTS, build_report, render_text,
 )
+from aristotle_orbits.lie_core import compose, compose_printed
+from aristotle_orbits.verify import symbols
 
 EXPECTED_IDS = (
     "Eq2.3-quotient-law",
@@ -55,7 +56,7 @@ EXPECTED_VERDICTS = {
 
 @pytest.fixture(scope="module")
 def report():
-    return build_report(seed=0)
+    return build_report()
 
 
 def by_id(report, finding_id):
@@ -92,53 +93,63 @@ def test_every_finding_has_a_sample(report):
 
 
 def test_b_component_residual(report):
+    # the printed b'' minus the derived one, for all g and h
+    g, h = symbols(2)
+    residual = compose_printed(g, h).b - compose(g, h).b
     finding = by_id(report, "Eq2.6-b-component")
-    assert finding["residual"] == ["0", "0", "0", "0", "1/2"]
-    assert finding["sample"]["printed_product"] == "(1, 1, 1, 1/2, 1/2)"
-    assert finding["sample"]["derived_product"] == "(1, 1, 1, 1/2, 0)"
+    assert finding["residual"] == ["0", "0", "0", "0", str(residual)]
+    assert finding["sample"]["g"] == "(x, t, zeta, a, b)"
+    assert finding["sample"]["h"] == "(x', t', zeta', a', b')"
+    assert finding["sample"]["printed_product"].endswith(
+        ", b' + b + t'*zeta' + 1/2*x*t'^2)")
 
 
 def test_associativity_defect(report):
+    g1, g2, g3 = symbols(3)
+    residual = (compose_printed(compose_printed(g1, g2), g3).b
+                - compose_printed(g1, compose_printed(g2, g3)).b)
     finding = by_id(report, "Eq2.6-associativity")
-    assert finding["residual"] == ["0", "0", "0", "0", "-1"]
+    assert finding["residual"] == ["0", "0", "0", "0", str(residual)]
+    assert residual != 0
     assert finding["note"].endswith("yes")
 
 
 def test_time_rhs_residual(report):
     finding = by_id(report, "Eq3.5b-rhs")
-    assert finding["residual"] == ["-1"]
-    assert finding["sample"]["printed_dp"] == "-1"
-    assert finding["sample"]["derived_dp"] == "0"
+    assert finding["residual"] == ["-y*t"]
+    assert finding["sample"]["printed_dp"] == "-y*t - k*q"
+    assert finding["sample"]["derived_dp"] == "-k*q"
 
 
 def test_hamilton_finding_tabulates_all_three(report):
     finding = by_id(report, "Eq3.6-hamilton-residual")
-    assert finding["sample"]["flow_rhs"] == "(-1, 0)"
-    assert finding["sample"]["printed_3_5b_rhs"] == "(-1, -1)"
-    assert finding["sample"]["hamilton_rhs"] == "(-1, 1)"
-    assert finding["residual"] == ["0", "1"]
+    assert finding["sample"]["flow_rhs"] == "(-y/k, -k*q)"
+    assert finding["sample"]["printed_3_5b_rhs"] == "(-y/k, -y*t - k*q)"
+    assert finding["sample"]["hamilton_rhs"] == "(-y/k, y*t - k*q)"
+    assert finding["residual"] == ["0", "y*t"]
 
 
 def test_space_rhs_and_hamilton(report):
-    assert by_id(report, "Eq3.13b-rhs")["residual"] == ["1"]
+    assert by_id(report, "Eq3.13b-rhs")["residual"] == ["k*x"]
     hamilton = by_id(report, "Eq3.17-hamilton-residual")
-    assert hamilton["residual"] == ["0", "1"]
+    assert hamilton["residual"] == ["0", "k*x"]
     assert hamilton["sample"]["hamilton_rhs"] == \
         hamilton["sample"]["printed_3_13b_rhs"]
 
 
 def test_tau_sign(report):
     finding = by_id(report, "Table-tau-sign")
-    assert finding["residual"] == ["-2"]
-    assert finding["sample"]["table_tau"] == "-1"
-    assert finding["sample"]["derived_tau"] == "1"
-    assert finding["sample"]["flow_readout"] == "1"
+    assert finding["residual"] == ["-2*k*x/y"]
+    assert finding["sample"]["table_tau"] == "(y*tau0 - k*x)/y"
+    assert finding["sample"]["derived_tau"] == "(y*tau0 + k*x)/y"
+    assert finding["sample"]["flow_readout"] == "(y*tau0 + k*x)/y"
 
 
 def test_table_header_finding(report):
     finding = by_id(report, "Table-O-y-U-header")
     assert finding["residual"] is None
-    assert finding["sample"]["pi"] == "-5/4"
+    assert finding["sample"]["mu"] == "(p, e, f, 0, y)"
+    assert finding["sample"]["pi"] == "(-1/2*f^2 + p*y)/y"
     assert finding["sample"]["U"].startswith("undefined")
 
 
@@ -149,19 +160,22 @@ def test_exp_xk_assumption_in_header_and_finding(report):
     assert finding["residual"] == ["0"] * 5
 
 
-def test_determinism_same_seed():
-    assert build_report(seed=7) == build_report(seed=7)
+def test_determinism(report):
+    assert build_report() == report
+    assert "seed" not in report
 
 
-def test_seed_changes_samples_not_verdicts():
-    base = build_report(seed=0)
-    other = build_report(seed=1)
-    assert [f["id"] for f in base["findings"]] == \
-        [f["id"] for f in other["findings"]]
-    assert [f["verdict"] for f in base["findings"]] == \
-        [f["verdict"] for f in other["findings"]]
-    assert by_id(base, "Eq2.3-quotient-law")["sample"]["g"] != \
-        by_id(other, "Eq2.3-quotient-law")["sample"]["g"]
+def test_printed_law_bound_to_the_derived_one_confirms(monkeypatch):
+    # the two contradictions of the printed law are its own, not the
+    # audit's: with the derived law in its place both findings confirm
+    monkeypatch.setattr(errata, "compose_printed", compose)
+    report = build_report()
+    for finding_id in ("Eq2.6-b-component", "Eq2.6-associativity"):
+        finding = by_id(report, finding_id)
+        assert finding["verdict"] == CONFIRMS, finding_id
+        assert finding["residual"] == ["0"] * 5
+    assert report["counts"] == {"findings": 19, "contradicts": 6,
+                                "confirms": 13}
 
 
 def test_render_text(report):
@@ -172,4 +186,5 @@ def test_render_text(report):
     for finding_id in EXPECTED_IDS:
         assert finding_id in text
     assert "[CONTRADICTS] Eq2.6-b-component" in text
-    assert "residual: 0, 0, 0, 0, 1/2" in text
+    assert "residual: 0, 0, 0, 0, t'*zeta' - 1/2*zeta*t' + " in text
+    assert "\n  residual: -2*k*x/y\n" in text

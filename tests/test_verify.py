@@ -7,11 +7,9 @@ import pytest
 from aristotle_orbits import verify
 from aristotle_orbits.dynamics import time_rhs_printed
 from aristotle_orbits.lie_core import compose_printed
-from aristotle_orbits.orbits import invariants
+from aristotle_orbits.orbits import OrbitClass, classify, invariants
 from aristotle_orbits.poly import monomial_name
-from aristotle_orbits.verify import (
-    CHECKS, MUTATIONS, hash_name, render_text, run_suite,
-)
+from aristotle_orbits.verify import CHECKS, MUTATIONS, render_text, run_suite
 
 CHECK_NAMES = (
     "jacobi",
@@ -31,7 +29,7 @@ CHECK_NAMES = (
 
 @pytest.fixture(scope="module")
 def report():
-    return run_suite(seed=0, samples=60)
+    return run_suite()
 
 
 def test_registry_names(report):
@@ -47,16 +45,15 @@ def test_default_suite_passes(report):
 
 def test_report_shape(report):
     assert report["backend"] == "rational"
-    assert report["seed"] == 0
-    assert report["samples"] == 60
     assert report["mutation"] is None
+    assert set(report) == {"backend", "mutation", "checks", "all_passed"}
     for check in report["checks"]:
         assert set(check) == {"name", "passed", "detail"}
         assert check["detail"]
 
 
 def test_mutation_breaks_algebra_checks():
-    report = run_suite(seed=0, samples=10, mutation="Eq2.4")
+    report = run_suite(mutation="Eq2.4")
     by_name = {c["name"]: c for c in report["checks"]}
     assert not by_name["jacobi"]["passed"]
     assert "residual 1" in by_name["jacobi"]["detail"]
@@ -78,17 +75,7 @@ def test_mutation_registry():
 
 
 def test_determinism():
-    assert run_suite(seed=5, samples=30) == run_suite(seed=5, samples=30)
-
-
-def test_seed_independence_of_outcome():
-    assert run_suite(seed=123, samples=30)["all_passed"]
-
-
-def test_hash_name_frozen():
-    # per-check stream offsets must never move across platforms or releases
-    assert hash_name("jacobi") == 4118216874166
-    assert hash_name("integrator-tolerance") == 1328727611283037475
+    assert run_suite() == run_suite()
 
 
 def test_render_text(report):
@@ -96,7 +83,7 @@ def test_render_text(report):
     assert text.startswith("verification report")
     assert "[PASS] jacobi" in text
     assert text.endswith("all checks passed")
-    mutated = render_text(run_suite(seed=0, samples=10, mutation="Eq2.4"))
+    mutated = render_text(run_suite(mutation="Eq2.4"))
     assert "[FAIL] jacobi" in mutated
     assert "mutation: Eq2.4" in mutated
     assert mutated.endswith("FAILURES PRESENT")
@@ -117,17 +104,16 @@ def test_integrator_check_streams_its_rows():
 
 PROVED = ("associativity", "group-axioms", "adjoint-homomorphism",
           "coadjoint-action-laws", "invariant-preservation", "u-equals-pi-v",
-          "closed-form-flow", "rhs-consistency", "integrator-tolerance")
+          "orbit-dimension", "closed-form-flow", "rhs-consistency",
+          "integrator-tolerance")
 
 
-def test_group_law_checks_are_proofs_independent_of_samples():
-    few = {c["name"]: c for c in run_suite(seed=1, samples=1)["checks"]}
-    many = {c["name"]: c for c in run_suite(seed=2, samples=80)["checks"]}
+def test_group_law_checks_are_proofs(report):
+    checks = {c["name"]: c for c in report["checks"]}
     for name in PROVED:
-        assert few[name]["passed"]
-        assert few[name]["detail"].startswith("proved on indeterminates: ")
-        assert few[name] == many[name]
-    strata = few["invariant-preservation"]["detail"]
+        assert checks[name]["passed"]
+        assert checks[name]["detail"].startswith("proved on indeterminates: ")
+    strata = checks["invariant-preservation"]["detail"]
     for stratum in ("k, y != 0", "k = 0", "y = 0", "k = y = 0"):
         assert f"kept where {stratum};" in strata + ";"
 
@@ -137,7 +123,7 @@ def test_arithmetic_error_in_a_proof_fails_only_its_check(monkeypatch):
         raise ArithmeticError("conjugation by exp(x*P) produced a P component")
 
     monkeypatch.setattr(verify, "compose_bch", breaks_down)
-    report = run_suite(seed=0, samples=5)
+    report = run_suite()
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["associativity"] == {
         "name": "associativity", "passed": False,
@@ -160,11 +146,11 @@ def test_invariant_preservation_fails_on_a_chart_coordinate(monkeypatch):
 def test_failed_proof_prints_its_residual_polynomial(monkeypatch):
     # the printed law is not associative; its b'' residual is the witness
     monkeypatch.setattr(verify, "compose", compose_printed)
-    g, h, w = verify._symbols(3)
+    g, h, w = verify.symbols(3)
     residual = (compose_printed(compose_printed(g, h), w).b
                 - compose_printed(g, compose_printed(h, w)).b)
     assert residual != 0
-    check = {c["name"]: c for c in run_suite(seed=0, samples=5)["checks"]}
+    check = {c["name"]: c for c in run_suite()["checks"]}
     assert not check["associativity"]["passed"]
     detail = check["associativity"]["detail"]
     assert detail.startswith("(g*h)*w = g*(h*w) fails: component 4")
@@ -186,3 +172,45 @@ def test_printed_damping_rhs_fails_the_flow_proofs(monkeypatch):
     assert not passed
     assert detail.startswith("one RK4 step of time_rhs = time_closed_form "
                              "fails: component 1 has residual ")
+
+
+def test_orbit_dimension_proves_the_rank_on_every_stratum():
+    passed, detail = dict(CHECKS)["orbit-dimension"](None)
+    assert passed
+    assert ("det of their (p, e, f) block = 0; its squared 2x2 minors sum "
+            "to (f^2 + k^2 + y^2)^2") in detail
+    for stratum in ("GENERIC where k, y != 0", "HOOKE_ONLY where y = 0, k != 0",
+                    "YANK_ONLY where k = 0, y != 0",
+                    "FORCE_ONLY where k = y = 0, f != 0",
+                    "FIXED_POINT where f = k = y = 0"):
+        assert stratum in detail
+
+
+@pytest.mark.parametrize("stratum, wrong", [
+    (OrbitClass.GENERIC, OrbitClass.FIXED_POINT),
+    (OrbitClass.FORCE_ONLY, OrbitClass.YANK_ONLY),
+    (OrbitClass.FIXED_POINT, OrbitClass.FORCE_ONLY),
+])
+def test_orbit_dimension_fails_on_a_misclassified_stratum(monkeypatch,
+                                                          stratum, wrong):
+    # classify is right on every stratum but one
+    def misclassify(mu, tol=0.0):
+        cls = classify(mu)
+        return wrong if cls is stratum else cls
+
+    monkeypatch.setattr(verify, "classify", misclassify)
+    passed, detail = dict(CHECKS)["orbit-dimension"](None)
+    assert not passed
+    assert detail.startswith(f"{stratum.value} where ")
+    assert f"classify gives {wrong.value} of dimension {wrong.dimension}" \
+        in detail
+
+
+def test_orbit_dimension_fails_on_a_wrong_generator(monkeypatch):
+    # a generator block of rank 3 contradicts the 2-dimensional orbits
+    monkeypatch.setattr(verify, "coadjoint_generators", lambda mu: (
+        (mu.k, -mu.f, -mu.k, 0, 0), (mu.f, 0, mu.y, 0, 0),
+        (mu.k, -mu.y, 0, 0, 0)))
+    passed, detail = dict(CHECKS)["orbit-dimension"](None)
+    assert not passed
+    assert detail.startswith("det of their (p, e, f) block = 0 fails: ")
