@@ -11,12 +11,13 @@ to standard output (or ``--out``); diagnostics go to standard error.
 Identical invocations produce byte-identical output.
 
 Output is written in chunks, of CHUNK_TEXTS trajectory rows or of
-CHUNK_POINTS points, by one writer loop (``_emit_texts``).  A float
-trajectory's rows cost mostly their reprs, and points do not depend on
-each other, so where a second CPU is free a forked worker
-(``worker.shared``) renders the odd chunks of either and this process
-the even ones (``_chunk_results``); ``verify`` runs three of its four
-float RK4 runs in such a worker.  An ``--out`` file that cannot be
+CHUNK_POINTS points, by one writer loop (``_emit_texts``).  Points do not
+depend on each other, and a trajectory's chunks cost their cells, which
+an exact trajectory makes from any row on (``Trajectory.cell_chunks``)
+and a float one costs mostly in reprs; so where a second CPU is free a
+forked worker (``worker.shared``) renders the odd chunks of either and
+this process the even ones (``_chunk_results``).  ``verify`` runs three
+of its four float RK4 runs in such a worker.  An ``--out`` file that cannot be
 written is exit 1.  The console script ends by ``os._exit`` after its
 last flush, without the interpreter's teardown.
 """
@@ -24,7 +25,6 @@ last flush, without the interpreter's teardown.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -71,7 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
     A token of ``-`` followed by a digit or ``.digit`` is a value, not an
     option (no option is spelled that way), so ``classify -1,2,3,4,5`` and
-    ``simulate --k -3/2`` parse.
+    ``simulate --k -3/2`` parse.  argparse quotes a bad value whole
+    (``%r``); ``error`` quotes it again by ``quoted``, so a long one is
+    its prefix and its length.
     """
 
     def __init__(self, *args, **kwargs):
@@ -80,7 +82,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = _REPR.sub(_requoted, message)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+_REPR = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+
+
+def _requoted(match) -> str:
+    """``quoted`` of the text whose ``repr`` is ``match``; a match that is
+    no ``repr`` (raw text between two apostrophes) is kept."""
+    import ast
+    try:
+        return quoted(ast.literal_eval(match[0]))
+    except (SyntaxError, ValueError):
+        return match[0]
 
 
 # ---------------------------------------------------------------- input
@@ -118,6 +134,7 @@ def _source_point(where: str, source, backend: str) -> DualElement:
 
 
 def _json_points(path: str, text: str) -> list:
+    import json  # here and in the JSON writers only: text and CSV skip it
     try:
         # an integer is kept as its text, for parse_scalar's digit bound
         data = json.loads(text, parse_int=str)
@@ -173,6 +190,7 @@ def _point_sources(args) -> list:
 
 def _dump_json(payload: dict) -> str:
     """RFC 8259 JSON; a NaN or infinity is an input error, not output."""
+    import json
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -200,10 +218,8 @@ def _emit(text: str, out_path: Optional[str]):
         handle.write(text)
 
 
-@contextmanager
-def _chunk_results(items: Iterator, size: int, work: Callable, fork: bool):
-    """Yields ``work(chunk)`` for each chunk of ``size`` of ``items``, in
-    order.
+def _chunk_results(chunks: Iterator, work: Callable, fork: bool = True):
+    """A context yielding ``work(chunk)`` for each of ``chunks``, in order.
 
     With ``fork``, where a second CPU is free and there is a second chunk,
     a forked worker (``worker.shared``) takes the odd chunks while this
@@ -211,11 +227,8 @@ def _chunk_results(items: Iterator, size: int, work: Callable, fork: bool):
     so it runs at most a pipe's worth ahead.  A worker that ends before
     its last chunk is a ``ChildProcessError``.
     """
-    chunks = iter(lambda: list(islice(items, size)), [])
-    with shared(chunks, work, lambda index: fork and index % 2,
-                "the rendering worker ended before its last chunk"
-                ) as results:
-        yield results
+    return shared(chunks, work, lambda index: fork and index % 2,
+                  "the rendering worker ended before its last chunk")
 
 
 def _emit_texts(opening: str, texts: Iterable[str], separator: str,
@@ -257,6 +270,7 @@ def _item_template(skeleton, quoted: bool = False) -> str:
     item of an array held by the top-level object, first line unindented.
     Each ``"%s"`` string in ``skeleton`` is a slot for a JSON text, or with
     ``quoted`` for the text of a JSON string."""
+    import json
     text = json.dumps([[skeleton]], indent=2)
     return text[len("[\n  [\n    "):-len("\n  ]\n]")].replace(
         "%", "%%").replace('"%%s"', '"%s"' if quoted else "%s")
@@ -330,9 +344,11 @@ def _cmd_points(args) -> int:
             return None, str(exc)
 
     texts = []
+    sources = iter(_point_sources(args))
+    chunks = iter(lambda: list(islice(sources, CHUNK_POINTS)), [])
     # a wrapped classify (a tracer's timer, say) sees the calls of its own
     # process only, so then every point stays here
-    with _chunk_results(iter(_point_sources(args)), CHUNK_POINTS, label,
+    with _chunk_results(chunks, label,
                         not hasattr(classify, "__wrapped__")) as results:
         for text, error in results:
             if error is not None:
@@ -390,10 +406,8 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
-    # every check above ran before the first byte; cells stream out.  Float
-    # cells cost their reprs, which a second process shares; an exact
-    # trajectory's cost is its cells, which a second process would repeat
-    fork = is_float_backed(*trajectory.params.values())
+    # every check above ran before the first byte; chunks of cells stream
+    # out, the odd ones rendered by a worker where a second CPU is free
     if args.format == "json":
         head = {"picture": trajectory.picture,
                 "columns": list(trajectory.columns),
@@ -402,16 +416,49 @@ def _cmd_simulate(args) -> int:
                 "params": {name: json_scalar(value)
                            for name, value in trajectory.params.items()}}
         opening, separator, closing = _json_layout(head, "rows")
-        row = _item_template(["%s"] * len(trajectory.columns))
-        render = lambda cells: row % tuple(map(json_text, cells))  # noqa: E731
+        template = _item_template(["%s"] * len(trajectory.columns))
+        texts = lambda cells: tuple(map(json_text, cells))  # noqa: E731
     else:
         opening, separator, closing = _csv_line(trajectory.columns), "", ""
-        render = _csv_line(["%s"] * len(trajectory.columns)).__mod__
-    with _chunk_results(trajectory.cell_factory(), CHUNK_TEXTS,
-                        lambda chunk: separator.join(map(render, chunk)),
-                        fork) as texts:
-        _emit_texts(opening, texts, separator, closing, args.out)
+        template, texts = _csv_line(["%s"] * len(trajectory.columns)), tuple
+    if is_float_backed(*trajectory.params.values()):
+        render = _float_chunk_renderer(template, texts, separator)
+    else:
+        render = lambda chunk: separator.join(  # noqa: E731
+            map(template.__mod__, map(texts, chunk)))
+    with _chunk_results(trajectory.cell_chunks(CHUNK_TEXTS),
+                        render) as results:
+        _emit_texts(opening, results, separator, closing, args.out)
     return EXIT_OK
+
+
+def _float_chunk_renderer(template: str, texts: Callable,
+                          separator: str) -> Callable:
+    """The text of a chunk of float rows: each row by ``template``, whose
+    slots take ``texts(cells)``, joined by ``separator``.
+
+    A row's last two cells, invariant and drift, are rendered once per
+    invariant value in the chunk: drift is |inv - inv0|, so equal
+    invariants have equal tails.  0.0 == -0.0, but the two print
+    differently, so a zero invariant's tail is rendered afresh.  One RK4
+    step is the flow (``verify``'s ``integrator-tolerance``), so the
+    invariant moves only by rounding and its doubles repeat in a chunk.
+    """
+    cut = template.rindex("%s", 0, template.rindex("%s"))
+    head, tail = template[:cut], template[cut:]
+
+    def render(chunk: list) -> str:
+        tails, lines = {}, []
+        for row in chunk:
+            inv = row[-2]
+            text = tails.get(inv) if inv else None
+            if text is None:
+                text = tail % texts(row[-2:])
+                if inv:
+                    tails[inv] = text
+            lines.append(head % texts(row[:-2]) + text)
+        return separator.join(lines)
+    return render
 
 
 def _require_rational(args, what: str):
@@ -473,7 +520,8 @@ def _tolerance(text: str) -> float:
     """``--tol``: a zero tolerance, finite and at least 0."""
     tol = float(text)
     if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r}: not a finite number >= 0")
+        raise argparse.ArgumentTypeError(
+            f"{quoted(text)}: not a finite number >= 0")
     return tol
 
 

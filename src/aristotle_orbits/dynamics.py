@@ -21,8 +21,8 @@ public formulas and every trajectory evaluate.  Trajectories are lazy
 streams of rows: RK4 rows from one fused stepping loop, sampled rows
 from one row generator.  An exact trajectory runs its closures once on
 the polynomial parameter start + step*i; each column's coefficients give
-the integer forward differences that tabulate its rows and output cells.
-A float trajectory with a non-finite value in its range is refused when
+the integer forward differences that tabulate its rows and output cells,
+from any row on, so its output chunks start by a jump.  A float trajectory with a non-finite value in its range is refused when
 it is built, from its rows at the range ends and the columns' vertices.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
@@ -136,20 +136,25 @@ class Trajectory:
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
     ``row_factory()`` produces the rows one at a time, afresh on each call;
-    ``rows`` holds them all, built on first use.  ``cell_factory()``
-    produces the same rows as output cells: on an exact trajectory each
-    cell is the canonical text of its value (``format_scalar``), and
-    otherwise it is ``row_factory``.  Fields are read-only.
+    ``rows`` holds them all, built on first use.  ``cell_chunks(size)``
+    produces the same rows as output cells, in chunks of ``size`` rows
+    (None: one chunk).  On an exact trajectory each cell is the canonical
+    text of its value (``format_scalar``) and each chunk is lazy, started
+    at its first row by a jump, so a chunk never iterated costs nothing;
+    otherwise the chunks are lists drawn from ``row_factory``.  Fields are
+    read-only.
     """
 
     def __init__(self, picture: str, columns: tuple, invariant_name: str,
                  method: str, params: dict,
                  row_factory: Callable[[], Iterator[tuple]],
-                 cell_factory: Optional[Callable[[], Iterator[tuple]]] = None):
+                 cell_chunks: Optional[Callable[[Optional[int]],
+                                                Iterator]] = None):
         vars(self).update(picture=picture, columns=columns,
                           invariant_name=invariant_name, method=method,
                           params=params, row_factory=row_factory,
-                          cell_factory=cell_factory or row_factory)
+                          cell_chunks=cell_chunks
+                          or partial(_drawn_chunks, row_factory))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
@@ -157,6 +162,16 @@ class Trajectory:
     @cached_property
     def rows(self) -> tuple:
         return tuple(self.row_factory())
+
+    def cell_factory(self) -> Iterator[tuple]:
+        """The output cells of every row, in one stream."""
+        return chain.from_iterable(self.cell_chunks(None))
+
+
+def _drawn_chunks(row_factory: Callable, size: Optional[int]) -> Iterator:
+    """Lists of ``size`` rows drawn in turn from one ``row_factory()``."""
+    rows = row_factory()
+    return iter(lambda: list(islice(rows, size)), [])
 
 
 # ------------------------------------------------------------- dual flows
@@ -336,17 +351,25 @@ def _grid_advances(start: float, h: float, count: int,
     increases, where that is provable without the points; else None.
 
     Past index 2**53 ``float(i)`` repeats (float(2**53 + 1) == 2**53), so
-    two points coincide.  Up to it fl(i*h) and fl(start + fl(i*h)) are
-    monotone in i, so neighbours can only coincide, and they cannot where
-    h exceeds the rounding of i*h at the largest product plus that of the
-    sum at the largest point; a step above twice that is taken as proof.
-    The last step, to ``last``, is checked as it is.
+    two points coincide.  Up to it ``float(i)`` is exact, and the exact
+    products i*h of neighbours are h apart.  Each is rounded by at most
+    half of ulp(span), span the largest product (rounding to nearest
+    keeps a value's binade or reaches the next power of two), so the
+    rounded products differ by more than h - ulp(span).  Where start == 0
+    a point is its product, so h > ulp(span) proves the points increase.
+    Otherwise each sum start + fl(i*h) lies between start and start +
+    span and is rounded by at most half of ulp(max(|start|, |top|)), top
+    the largest point; so h > ulp(span) + ulp(max(|start|, |top|))
+    proves it.  The last step, to ``last``, is checked as it is.
     """
     if count - 1 > 2**53:
         return False
     span = (count - 1) * h
     top = start + span
-    if h > 2 * (math.ulp(span) + math.ulp(max(abs(start), abs(top)))):
+    rounding = math.ulp(span)
+    if start != 0:
+        rounding += math.ulp(max(abs(start), abs(top)))
+    if h > rounding:
         return top < last
     return None
 
@@ -367,20 +390,25 @@ def _quadratic_columns(param: Poly, sample: Callable,
 
 def _exact_rows(config: IntegratorConfig, sample: Callable,
                 invariant: Callable) -> tuple:
-    """Row and cell factories for exact rows on start + i*step for
-    i < n = ceil((stop - start)/step), then stop; a float step is read as
-    its decimal text.
+    """Row and cell-chunk factories (see ``Trajectory``) for exact rows on
+    start + i*step for i < n = ceil((stop - start)/step), then stop; a
+    float step is read as its decimal text.
 
     ``sample`` and ``invariant`` run once, on the polynomial parameter
     start + step*i.  Each column is c0 + c1 i + c2 i^2, so its rows are
     tabulated by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one
     denominator per column, numerators advanced by two integer additions
     per row, each read as a ``Fraction`` for a row and as text for a cell.
-    The row at stop is read off the coefficients.
+    The numerator and its difference at any row are read off the
+    coefficients too, so a chunk starts at its first row by a jump and no
+    row before it is made.  The row at stop, also read off the
+    coefficients, ends the last chunk.  The rows, as values, are the
+    chunk of all of them.
     """
     step = parse_scalar(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
     at = (stop - start) / step  # the index of stop
+    count = math.ceil(at)
     index, = indeterminates("i")
     columns = _quadratic_columns(start + step * index, sample, invariant)
     # per column (param, coords, invariant, drift): den, N0, dN, d2N, op
@@ -395,23 +423,44 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
     last = [c0 + c1 * at + c2 * at * at for c0, c1, c2 in columns]
     last.append(abs(last[-1] - columns[-1][0]))
 
-    def produce(as_text: bool, stop_row: tuple) -> Iterator:
-        cells = (_column(*table, as_text) for table in tables)
-        return chain(islice(zip(*cells), math.ceil(at)), (stop_row,))
-    return (partial(produce, False, tuple(last)),
-            partial(produce, True, tuple(map(str, last))))
+    def chunks(as_text: bool, size: Optional[int]) -> Iterator:
+        cells = [_column(*table, as_text) for table in tables]
+        stop_row = tuple(map(str, last)) if as_text else tuple(last)
+        size = size or count + 1
+        for first in range(0, count + 1, size):
+            end = first + size
+            yield _exact_chunk(cells, first, min(end, count) - first,
+                               (stop_row,) if end > count else ())
+    return (lambda: chain.from_iterable(chunks(False, None)),
+            partial(chunks, True))
 
 
 def _column(den: int, n0: int, d1: int, d2: int, op: Callable,
-            as_text: bool) -> Iterator:
-    """op(n0 + j*d1 + C(j, 2)*d2) / den for j = 0, 1, ..., two additions
-    each, as a ``Fraction`` or as its text (``ratio_text``)."""
+            as_text: bool) -> Callable[[int], Iterator]:
+    """j -> op(N_i) / den for i = j, j + 1, ..., where N_i = n0 + i*d1 +
+    C(i, 2)*d2, as a ``Fraction`` or as its text (``ratio_text``): N_j and
+    its difference d1 + j*d2 by a jump, then two additions a row.  A
+    constant column's cell is made once, here."""
     if d1 == d2 == 0:
         value = Fraction(op(n0), den)
-        return repeat(str(value) if as_text else value)
-    numerators = map(op, accumulate(accumulate(repeat(d2), initial=d1),
-                                    initial=n0))
-    return map(ratio_text if as_text else Fraction, numerators, repeat(den))
+        cell = str(value) if as_text else value
+        return lambda _first: repeat(cell)
+    convert = ratio_text if as_text else Fraction
+
+    def cells(first: int) -> Iterator:
+        numerators = accumulate(
+            accumulate(repeat(d2), initial=d1 + first * d2),
+            initial=n0 + first * d1 + first * (first - 1) // 2 * d2)
+        return map(convert, map(op, numerators), repeat(den))
+    return cells
+
+
+def _exact_chunk(cells: list, first: int, length: int,
+                 tail: tuple) -> Iterator[tuple]:
+    """``length`` rows of the columns ``cells`` from row ``first``, then
+    ``tail``; made only as the chunk is iterated."""
+    yield from islice(zip(*(column(first) for column in cells)), length)
+    yield from tail
 
 
 def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
@@ -459,13 +508,13 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
     rows, or floats over a checked grid if an input is a float."""
     config = config or IntegratorConfig()
     if not is_float_backed(*inputs):
-        rows, cells = _exact_rows(config, *model(*inputs))
+        rows, chunks = _exact_rows(config, *model(*inputs))
     else:
         span, inputs = _float_images(config, inputs)
         sample, invariant = _require_finite(span, model, inputs)
         grid = _float_grid(*span)
-        rows = cells = lambda: _rows(grid(), sample, invariant)  # noqa: E731
-    return _trajectory(picture, "closed-form", *inputs[:2], rows, cells)
+        rows, chunks = lambda: _rows(grid(), sample, invariant), None
+    return _trajectory(picture, "closed-form", *inputs[:2], rows, chunks)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -548,10 +597,10 @@ def _check_picture(picture: str):
 
 def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
                 row_factory: Callable,
-                cell_factory: Optional[Callable] = None) -> Trajectory:
+                cell_chunks: Optional[Callable] = None) -> Trajectory:
     columns, invariant = _LAYOUTS[picture]
     return Trajectory(picture, columns + (invariant, "drift"), invariant,
-                      method, {"k": k, "y": y}, row_factory, cell_factory)
+                      method, {"k": k, "y": y}, row_factory, cell_chunks)
 
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,

@@ -1,9 +1,10 @@
 """One forked worker beside this process, sharing the work of a sequence.
 
-``cli`` renders a float trajectory's odd chunks in one, and labels the
-odd chunks of ``classify``'s and ``invariants``' points, and ``verify``
-runs three of its four float RK4 runs in one, all through ``shared``,
-where ``second_core`` holds.  It is forked, not spawned: a new interpreter
+``cli`` renders every trajectory's odd chunks in one (an exact chunk is
+made only by the process that renders it) and labels the odd chunks of
+``classify``'s and ``invariants``' points, and ``verify`` runs three of
+its four float RK4 runs in one, all through ``shared``, where
+``second_core`` holds.  It is forked, not spawned: a new interpreter
 costs more to start than the work it would take.
 """
 

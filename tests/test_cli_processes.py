@@ -1,7 +1,8 @@
-"""The CLI's processes: float trajectory rows rendered by two processes,
+"""The CLI's processes: trajectory rows rendered by two processes,
 classify's and invariants' point chunks labelled by two, verify's float
 RK4 runs shared with a forked worker, the console script's exit without
-interpreter teardown, and a reader that closes standard output early.
+interpreter teardown, a reader that closes standard output early, the
+modules a fresh interpreter imports, and bounded usage errors.
 
 Every wait is bounded: subprocesses by a timeout, in-process runs by the
 ``deadline`` fixture's timer.
@@ -22,14 +23,14 @@ from pathlib import Path
 import pytest
 
 import aristotle_orbits
-from aristotle_orbits import cli, verify, worker
+from aristotle_orbits import backend, cli, dynamics, verify, worker
 from aristotle_orbits.cli import CHUNK_POINTS, CHUNK_TEXTS, main
 
 TIMEOUT_S = 60
 LINUX = sys.platform.startswith("linux")
 
-# float trajectories, whose rows two processes render: RK4 on both
-# pictures and both backends, and the float closed form and dual flow
+# float trajectories: RK4 on both pictures and both backends, and the
+# float closed form and dual flow
 _CHART = ("--state=1/4,-7/4", "--k=3/2", "--y=-5/4")
 FLOAT_MODES = {
     **{f"rk4-{picture}-{backend}": ("--picture", picture, *_CHART,
@@ -40,6 +41,15 @@ FLOAT_MODES = {
     "dual-float": ("--picture", "time", "--dual",
                    "--mu=1/4,-3/4,5/4,3/2,-5/4", "--backend", "float"),
 }
+# exact trajectories, whose chunks start by a jump: the closed form on and
+# off the orbit, and the dual flow
+EXACT_MODES = {
+    "closed-form": ("--picture", "space", *_CHART, "--closed-form"),
+    "off-orbit": ("--picture", "space", *_CHART, "--closed-form",
+                  "--f0=2/3"),
+    "dual": ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
+}
+MODES = {**FLOAT_MODES, **EXACT_MODES}
 # one chunk short, one chunk, one row into the second, two chunks and a
 # row, eight chunks and a row
 BOUNDARY_ROWS = (255, 256, 257, 513, 2049)
@@ -77,7 +87,7 @@ def _open_fds() -> int:
 
 @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-@pytest.mark.parametrize("mode", FLOAT_MODES.values(), ids=FLOAT_MODES.keys())
+@pytest.mark.parametrize("mode", MODES.values(), ids=MODES.keys())
 def test_two_processes_write_the_bytes_of_one(tmp_path, capsys, monkeypatch,
                                               deadline, forks, mode,
                                               output_format, rows):
@@ -101,17 +111,119 @@ def test_two_processes_write_the_bytes_of_one(tmp_path, capsys, monkeypatch,
     _no_child_left()
 
 
-@pytest.mark.parametrize("mode", [
-    ("--picture", "space", *_CHART, "--closed-form"),
-    ("--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4"),
-], ids=["closed-form", "dual"])
-def test_exact_trajectories_stay_in_one_process(capsys, monkeypatch,
-                                                deadline, forks, mode):
-    # an exact trajectory's cost is its cells: a worker would repeat it
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("mode", MODES.values(), ids=MODES.keys())
+def test_stop_off_the_step_grid_ends_a_worker_chunk(
+        tmp_path, capsys, monkeypatch, deadline, forks, mode, output_format):
+    # 301 rows on the grid, then the stop: row 301, in the worker's chunk
+    argv = ("simulate", *mode, "--range", "0:601/128", "--step", "1/64",
+            "--format", output_format)
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        written[cpus] = _run(capsys, argv)
+        out_path = tmp_path / f"{cpus}.out"
+        assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
+        assert out_path.read_bytes() == written[cpus][1].encode("utf-8")
+        assert len(forks) == 2 * (cpus - 1)
+    assert written[1] == written[2]
+    code, out, err = written[1]
+    assert (code, err) == (0, "")
+    if output_format == "csv":
+        lines = out.split("\r\n")
+        assert len(lines) == 1 + 302 + 1
+        assert lines[-2].split(",")[0] in ("601/128", repr(601 / 128))
+    else:
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 302 and rows[-1][0] in ("601/128", 601 / 128)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("rows", [CHUNK_TEXTS, CHUNK_TEXTS + 1, 2049])
+@pytest.mark.parametrize("mode", EXACT_MODES.values(), ids=EXACT_MODES.keys())
+def test_exact_trajectories_fork_once_for_a_second_chunk(
+        capsys, monkeypatch, deadline, forks, mode, rows):
+    # a worker makes only the cells of its own chunks, so an exact
+    # trajectory shares them as a float one does
     _cpus(monkeypatch, 2)
-    code, out, _ = _run(capsys, ("simulate", *mode, *_grid(2049)))
-    assert code == 0 and out.count("\r\n") == 2050
-    assert forks == []
+    code, out, _ = _run(capsys, ("simulate", *mode, *_grid(rows)))
+    assert code == 0 and out.count("\r\n") == rows + 1
+    assert len(forks) == (rows > CHUNK_TEXTS)
+    _no_child_left()
+
+
+ZERO_INVARIANT = ("simulate", "--picture", "time", "--state", "0,0", "--k",
+                  "1", "--y", "-1", "--backend", "float")
+# argv, and the trajectory it writes, built directly
+PLAIN_CASES = {
+    "zero-invariant": (ZERO_INVARIANT, lambda config: dynamics.integrate(
+        "time", (0.0, 0.0), dynamics.OrbitParams(1.0, -1.0), config)),
+    "zero-closed-form": ((*ZERO_INVARIANT, "--closed-form"),
+                         lambda config: dynamics.closed_form_trajectory(
+                             "time", (0.0, 0.0),
+                             dynamics.OrbitParams(1.0, -1.0), config)),
+    "rk4": (LONG_RK4[:-4], lambda config: dynamics.integrate(
+        "time", (0.25, -1.75), dynamics.OrbitParams(1.5, -1.25), config)),
+}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("argv, build", PLAIN_CASES.values(),
+                         ids=PLAIN_CASES.keys())
+def test_float_rows_are_the_plain_row_template(capsys, monkeypatch, deadline,
+                                               forks, argv, build,
+                                               output_format):
+    # a conserved tail is rendered once per invariant value in a chunk;
+    # the invariant -0.0 (first row) and 0.0 (second) print differently
+    argv = (*argv, "--range", "0:10", "--format", output_format)
+    trajectory = build(dynamics.IntegratorConfig(step=0.001, start=0.0,
+                                                 stop=10.0))
+    rows = list(trajectory.rows)
+    if argv[:len(ZERO_INVARIANT)] == ZERO_INVARIANT:
+        assert [repr(row[-2]) for row in rows[:2]] == ["-0.0", "0.0"]
+    else:
+        assert len({row[-2] for row in rows}) < len(rows) / 2  # repeats
+    if output_format == "csv":
+        template = cli._csv_line(["%s"] * len(trajectory.columns))
+        plain = cli._csv_line(trajectory.columns) + "".join(
+            template % row for row in rows)
+    else:
+        plain = json.dumps(
+            {"picture": trajectory.picture,
+             "columns": list(trajectory.columns),
+             "invariant": trajectory.invariant_name,
+             "method": trajectory.method,
+             "params": trajectory.params,
+             "rows": [list(row) for row in rows]}, indent=2) + "\n"
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        forks.clear()
+        assert _run(capsys, argv) == (0, plain, "")
+        assert len(forks) == cpus - 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("chunk", [
+    [(0.0, 1.0, 2.0, -0.0, 0.0), (0.5, 1.0, 2.0, 0.0, 0.0),
+     (1.0, 1.0, 2.0, -0.0, 0.0), (1.5, 3.0, 2.5, 0.25, 0.25),
+     (2.0, 3.0, 2.5, 0.25, 0.25), (2.5, 1e300, -2e-300, 0.25, 0.25),
+     (3.0, 1.0, 2.0, -0.25, 0.25), (3.5, 1.0, 2.0, 0.0, 0.0)],
+    [(0.0, 0.1, 0.2, 0.30000000000000004, 0.0)],
+], ids=["signed-zeros", "one-row"])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_float_chunk_renderer_is_the_row_template(chunk, output_format):
+    if output_format == "csv":
+        template, texts, separator = cli._csv_line(["%s"] * 5), tuple, ""
+    else:
+        template = cli._item_template(["%s"] * 5)
+        separator = ",\n    "
+
+        def texts(cells):
+            return tuple(map(backend.json_text, cells))
+    render = cli._float_chunk_renderer(template, texts, separator)
+    assert render(chunk) == separator.join(template % texts(row)
+                                           for row in chunk)
 
 
 def test_no_worker_beside_another_thread(capsys, monkeypatch, deadline,
@@ -193,11 +305,8 @@ def test_lifecycle_parent_write_error_leaves_no_child_and_no_fd(
     assert _open_fds() == before
 
 
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
-def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
-        capsys, monkeypatch, deadline, forks, death):
-    argv = ("simulate", *FLOAT_MODES["rk4-space-float"], *_grid(2049))
+def _dead_worker_keeps_what_was_written(capsys, monkeypatch, forks, death,
+                                        argv):
     _cpus(monkeypatch, 1)
     whole = _run(capsys, argv)[1]
     _cpus(monkeypatch, 2)
@@ -212,6 +321,25 @@ def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
     assert whole.startswith(out)
     _no_child_left()
     assert _open_fds() == before
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
+def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
+        capsys, monkeypatch, deadline, forks, death):
+    _dead_worker_keeps_what_was_written(
+        capsys, monkeypatch, forks, death,
+        ("simulate", *FLOAT_MODES["rk4-space-float"], *_grid(2049)))
+
+
+@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
+@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
+@pytest.mark.parametrize("mode", EXACT_MODES.values(), ids=EXACT_MODES.keys())
+def test_lifecycle_dead_worker_on_an_exact_leg_keeps_what_was_written(
+        capsys, monkeypatch, deadline, forks, mode, death):
+    _dead_worker_keeps_what_was_written(
+        capsys, monkeypatch, forks, death,
+        ("simulate", *mode, *_grid(2049)))
 
 
 # ------------------------------------------- classify's and invariants' points
@@ -518,7 +646,9 @@ def test_new_tests_pass_in_development_mode():
         "-p", "no:cacheprovider", __file__, "-k",
         "lifecycle or closed_stdout or dead_verify_worker "
         "or dead_point_worker or error_in_a_worker_chunk "
-        "or two_processes and 2049",
+        "or two_processes and 2049 or off_the_step_grid "
+        "or fork_once_for_a_second_chunk or plain_row_template "
+        "or first_row_at_once",
         timeout=TIMEOUT_S * 4)
     assert result.returncode == 0, result.stdout[-3000:]
     assert b"passed" in result.stdout and b"Warning" not in result.stdout
@@ -612,3 +742,107 @@ def test_closed_stdout_is_a_quiet_exit_1_with_no_worker_left(argv):
         if proc.poll() is None:
             proc.kill()
             proc.wait(TIMEOUT_S)
+
+
+FINE_GRID = ("simulate", "--picture", "time", "--state", "1,1", "--k", "1",
+             "--y", "1", "--backend", "float", "--range", "0:1", "--step",
+             "2e-16")
+
+
+def test_fine_grid_from_zero_writes_its_first_row_at_once():
+    # about 5e15 rows, proved to advance without a scan: the header and the
+    # first row come at once, and a reader that closes early ends the run
+    began = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aristotle_orbits", *FINE_GRID],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_environment(),
+        start_new_session=True)
+    try:
+        assert proc.stdout.readline() == b"t,q,p,U,drift\r\n"
+        assert proc.stdout.readline() == b"0.0,1.0,1.0,0.5,0.0\r\n"
+        assert time.monotonic() - began < 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=TIMEOUT_S)
+        assert (proc.returncode, err) == (1, b"")
+        _no_session_left(proc.pid)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(TIMEOUT_S)
+
+
+def _no_session_left(pid: int):
+    """Wait until no process of the session led by ``pid`` is left."""
+    ends = time.monotonic() + TIMEOUT_S
+    while True:
+        try:
+            os.killpg(pid, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < ends, "a process of the run is left"
+        time.sleep(0.05)
+
+
+# ------------------------------------------------------- json on demand
+
+_MODULES_AFTER = """
+import sys
+assert "json" not in sys.modules
+from aristotle_orbits.cli import main
+imported = "json" in sys.modules
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stdout.flush()
+sys.stderr.write(f"{code} {imported} {'json' in sys.modules}")
+"""
+
+
+@pytest.mark.parametrize("argv, imports_json", [
+    ((), False),
+    (("verify",), False),
+    (("errata",), False),
+    (("derive-law", "--samples", "5"), False),
+    (("simulate", *FLOAT_MODES["rk4-time-float"], *_grid(600)), False),
+    (("simulate", *EXACT_MODES["dual"], *_grid(600)), False),
+    (("classify", "1,2,3,4,5", "--format", "csv"), False),
+    (("classify", "1,2,3,4,5"), True),
+    (("simulate", *EXACT_MODES["dual"], "--format", "json"), True),
+], ids=["import", "verify", "errata", "derive-law", "simulate-rk4",
+        "simulate-exact", "classify-csv", "classify-json", "simulate-json"])
+def test_json_is_imported_only_to_read_or_write_json(argv, imports_json):
+    result = _fresh_interpreter("-S", "-c", _MODULES_AFTER, *argv)
+    assert result.stderr.decode() == f"0 False {imports_json}"
+
+
+# ------------------------------------------------- bounded usage errors
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", _NINES),
+    ("classify", "1,1,1,1,1", "--tol", _NINES),
+    ("simulate", "--picture", _NINES),
+    ("simulate", "--picture", "'" + _NINES + '"'),
+    ("classify", "1,1,1,1,1", f"--tol={_NINES}e9"),
+], ids=["int", "tolerance", "choice", "quotes", "tolerance-inline"])
+def test_usage_error_quotes_a_long_value_by_its_prefix(capsys, argv):
+    # the usage is the one a short bad value gets; the error line quotes
+    # the value by its first characters and its length
+    usage, error = _usage_error(capsys, argv)
+    short = [arg.replace(_NINES, "x") for arg in argv]
+    assert usage == _usage_error(capsys, short)[0]
+    assert usage.startswith(f"usage: aristotle-orbits {argv[0]} ")
+    assert error.startswith(f"aristotle-orbits {argv[0]}: error: argument ")
+    assert len(error) < 200 and " characters)" in error
+
+
+def _usage_error(capsys, argv) -> tuple:
+    """(usage, error line) that ``main(argv)`` writes as it exits 1."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err[:-1].rsplit("\n", 1)
+    assert "error:" not in usage
+    return usage, error

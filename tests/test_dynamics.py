@@ -17,6 +17,7 @@ from aristotle_orbits.dynamics import (
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
+from aristotle_orbits import dynamics
 from aristotle_orbits.dynamics import (
     _chart_invariant, _exact_rows, _float_grid, _grid_advances,
 )
@@ -531,6 +532,60 @@ def test_float_grid_past_2_to_the_53_points_is_refused_at_once():
     assert _decided(0.0, 2.0 ** 53, 1.0) is None
 
 
+def _rounding(start, stop, h) -> float:
+    """ulp(span) + ulp(max(|start|, |top|)) of the grid ``_float_grid``
+    builds: the bound above which a step is proved to advance it."""
+    count = int((stop - start) / h + 1e-9)
+    if abs(start + count * h - stop) > 1e-9 * h:
+        count += 1
+    span = (count - 1) * h
+    return math.ulp(span) + math.ulp(max(abs(start), abs(start + span)))
+
+
+@pytest.mark.parametrize("start", [
+    2.0 ** 52 - 300, 2.0 ** 52 - 300.5, -(2.0 ** 52) + 200.25,
+    2.0 ** 60 - 2.0 ** 17, -(2.0 ** 60) + 2.0 ** 16, 1e16 + 2.0, 2.0 ** 52,
+    -(2.0 ** 53)])
+def test_float_grid_verdict_is_the_scans_near_large_magnitudes(start):
+    # about 1000 points whose rounding is ulp(start) or the next binade's:
+    # steps on both sides of the proof's bound ulp(span) + ulp(max(|start|,
+    # |top|)) and of twice it, the bound the proof used to need
+    sides, sharper = set(), False
+    for factor in (0.25, 0.5, 0.75, 1, 1.25, 1.5, 2, 2.5, 3, 4, 5):
+        h = math.ulp(start) * factor
+        bound = _rounding(start, start + 1000 * h, h)
+        for step in (h, bound, math.nextafter(bound, math.inf), 2 * bound,
+                     math.nextafter(2 * bound, math.inf)):
+            for rows in (999, 1000, 1000.5):
+                stop = start + rows * step
+                scan = _scan_advances(start, stop, step)
+                assert _grid_verdict(start, stop, step) == scan
+                decided = _decided(start, stop, step)
+                assert decided in (None, scan)
+                sides.add(decided is None)
+                rounding = _rounding(start, stop, step)
+                assert (decided is None) == (step <= rounding)
+                sharper |= rounding < step <= 2 * rounding
+    assert sides == {True, False} and sharper
+
+
+def test_float_grid_from_zero_needs_only_the_products_rounding():
+    # from 0 each point is one rounding of i*h: h > ulp(span) proves the
+    # grid, where the general bound would scan about 5e15 points
+    start, stop, h = 0.0, 1.0, 2e-16
+    count = int((stop - start) / h + 1e-9)
+    if abs(start + count * h - stop) > 1e-9 * h:
+        count += 1
+    span = (count - 1) * h
+    assert math.ulp(span) < h <= math.ulp(span) + math.ulp(start + span)
+    assert _decided(start, stop, h) is True
+    assert _decided(-0.0, stop, h) is True
+    _float_grid(start, stop, h)  # at once, before any point
+    # the last 200 000 points, where the products round most
+    tail = [start + i * h for i in range(count - 200_000, count)] + [stop]
+    assert all(a < b for a, b in zip(tail, tail[1:]))
+
+
 def _reference_rk4(picture, state, params, grid):
     """Generic classical RK4 on time_rhs/space_rhs, one row per parameter."""
     def rhs(s):
@@ -701,6 +756,69 @@ def test_exact_cells_of_integral_rows(picture, count):
         cells += (cell for row in traj.cell_factory() for cell in row)
     assert any(cell.startswith("-") and "/" not in cell for cell in cells)
     assert any(cell.isdigit() and cell != "0" for cell in cells)
+
+
+@given(pictures, params_st(), small_fractions, small_fractions,
+       small_fractions, dual_points, small_fractions, long_steps,
+       st.integers(0, 40), lattice_offsets, st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_exact_cell_chunks_of_any_size_are_the_cells(
+        picture, params, a0, b0, f0, mu0, start, step, count, offset, size):
+    # each chunk starts at its first row by a jump; the stop row ends the
+    # last chunk, on the lattice or off it
+    stop = start + (count + offset) * step
+    for traj, expected in _exact_cases(picture, start, stop, step,
+                                       (a0, b0), params, f0, mu0):
+        chunks = [list(chunk) for chunk in traj.cell_chunks(size)]
+        assert [len(chunk) for chunk in chunks[:-1]] == \
+            [size] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= size
+        assert [cell for chunk in chunks for cell in chunk] == \
+            [tuple(map(format_scalar, row)) for row in expected]
+
+
+def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
+    # a chunk is made as it is iterated: a process that renders one chunk
+    # of many makes the cells of that chunk only
+    made = []
+
+    def counted(num, den):
+        made.append(num)
+        return real(num, den)
+
+    real = dynamics.ratio_text
+    monkeypatch.setattr(dynamics, "ratio_text", counted)
+    params = OrbitParams(Fraction(3, 2), Fraction(-5, 4))
+    config = IntegratorConfig(step=Fraction(1, 64), start=0,
+                              stop=Fraction(2000, 64) + Fraction(1, 128))
+    for traj in (closed_form_trajectory("space", (Fraction(1, 4), 2),
+                                        params, config),
+                 dual_flow_trajectory(DualElement(1, -3, 7, *params),
+                                      "time", config)):
+        whole = list(traj.cell_factory())
+        chunks = traj.cell_chunks(256)
+        made.clear()
+        for _ in range(3):
+            next(chunks)
+        assert made == []
+        fourth = list(next(chunks))
+        # one text a row for each column that is not constant
+        varying = sum(len({row[column] for row in whole}) > 1
+                      for column in range(len(whole[0])))
+        assert len(made) == 256 * varying
+        assert fourth == whole[768:1024]
+        last = list(list(chunks)[-1])
+        assert last == whole[1792:] and len(last) == 2002 - 1792
+
+
+def test_float_cell_chunks_are_lists_of_the_rows():
+    config = IntegratorConfig(step=0.125, start=0, stop=100.0625)
+    traj = integrate("time", (0.25, -1.75), OrbitParams(1.5, -1.25), config)
+    chunks = list(traj.cell_chunks(256))
+    assert all(type(chunk) is list for chunk in chunks)
+    assert [len(chunk) for chunk in chunks] == [256, 256, 256, 802 - 768]
+    assert [row for chunk in chunks for row in chunk] == list(traj.rows)
+    assert list(traj.cell_factory()) == list(traj.rows)
 
 
 def test_difference_guard_rejects_a_cubic_sampler():
