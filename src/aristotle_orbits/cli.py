@@ -39,7 +39,7 @@ from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
     BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
-    is_float_backed, json_scalar, json_text, parse_scalar, quoted, ratio_text,
+    json_scalar, json_text, parse_scalar, quoted, ratio_text,
 )
 from .dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams,
@@ -91,12 +91,13 @@ _REPR = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
 
 def _requoted(match) -> str:
     """``quoted`` of the text whose ``repr`` is ``match``; a match that is
-    no ``repr`` (raw text between two apostrophes) is kept."""
+    no ``repr`` (raw text the user typed between two quotes) is kept."""
     import ast
     try:
-        return quoted(ast.literal_eval(match[0]))
+        value = ast.literal_eval(match[0])
     except (SyntaxError, ValueError):
         return match[0]
+    return quoted(value) if repr(value) == match[0] else match[0]
 
 
 # ---------------------------------------------------------------- input
@@ -421,28 +422,26 @@ def _cmd_simulate(args) -> int:
     else:
         opening, separator, closing = _csv_line(trajectory.columns), "", ""
         template, texts = _csv_line(["%s"] * len(trajectory.columns)), tuple
-    if is_float_backed(*trajectory.params.values()):
-        render = _float_chunk_renderer(template, texts, separator)
-    else:
-        render = lambda chunk: separator.join(  # noqa: E731
-            map(template.__mod__, map(texts, chunk)))
     with _chunk_results(trajectory.cell_chunks(CHUNK_TEXTS),
-                        render) as results:
+                        _chunk_renderer(template, texts, separator)
+                        ) as results:
         _emit_texts(opening, results, separator, closing, args.out)
     return EXIT_OK
 
 
-def _float_chunk_renderer(template: str, texts: Callable,
-                          separator: str) -> Callable:
-    """The text of a chunk of float rows: each row by ``template``, whose
-    slots take ``texts(cells)``, joined by ``separator``.
+def _chunk_renderer(template: str, texts: Callable,
+                    separator: str) -> Callable:
+    """The text of a chunk of rows: each row by ``template``, whose slots
+    take ``texts(cells)``, joined by ``separator``.
 
     A row's last two cells, invariant and drift, are rendered once per
-    invariant value in the chunk: drift is |inv - inv0|, so equal
-    invariants have equal tails.  0.0 == -0.0, but the two print
-    differently, so a zero invariant's tail is rendered afresh.  One RK4
-    step is the flow (``verify``'s ``integrator-tolerance``), so the
-    invariant moves only by rounding and its doubles repeat in a chunk.
+    invariant cell in the chunk: drift is |inv - inv0|, so equal
+    invariants have equal tails.  An exact cell is its text; a float one
+    is a double, and 0.0 == -0.0 though the two print differently, so a
+    zero invariant's tail is rendered afresh.  One RK4 step is the flow
+    (``verify``'s ``integrator-tolerance``), so the invariant moves only
+    by rounding and its doubles repeat in a chunk; on the chart closed
+    forms and the dual flows the invariant is constant.
     """
     cut = template.rindex("%s", 0, template.rindex("%s"))
     head, tail = template[:cut], template[cut:]

@@ -163,10 +163,6 @@ class Trajectory:
     def rows(self) -> tuple:
         return tuple(self.row_factory())
 
-    def cell_factory(self) -> Iterator[tuple]:
-        """The output cells of every row, in one stream."""
-        return chain.from_iterable(self.cell_chunks(None))
-
 
 def _drawn_chunks(row_factory: Callable, size: Optional[int]) -> Iterator:
     """Lists of ``size`` rows drawn in turn from one ``row_factory()``."""

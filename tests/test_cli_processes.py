@@ -210,9 +210,11 @@ def test_float_rows_are_the_plain_row_template(capsys, monkeypatch, deadline,
      (2.0, 3.0, 2.5, 0.25, 0.25), (2.5, 1e300, -2e-300, 0.25, 0.25),
      (3.0, 1.0, 2.0, -0.25, 0.25), (3.5, 1.0, 2.0, 0.0, 0.0)],
     [(0.0, 0.1, 0.2, 0.30000000000000004, 0.0)],
-], ids=["signed-zeros", "one-row"])
+    [("0", "1/2", "-3", "7/4", "0"), ("1/8", "5/8", "-3", "7/4", "0"),
+     ("1/4", "3/4", "-3", "-1/4", "2"), ("3/8", "7/8", "-3", "7/4", "0")],
+], ids=["signed-zeros", "one-row", "exact"])
 @pytest.mark.parametrize("output_format", ["csv", "json"])
-def test_float_chunk_renderer_is_the_row_template(chunk, output_format):
+def test_chunk_renderer_is_the_row_template(chunk, output_format):
     if output_format == "csv":
         template, texts, separator = cli._csv_line(["%s"] * 5), tuple, ""
     else:
@@ -221,7 +223,7 @@ def test_float_chunk_renderer_is_the_row_template(chunk, output_format):
 
         def texts(cells):
             return tuple(map(backend.json_text, cells))
-    render = cli._float_chunk_renderer(template, texts, separator)
+    render = cli._chunk_renderer(template, texts, separator)
     assert render(chunk) == separator.join(template % texts(row)
                                            for row in chunk)
 
@@ -834,6 +836,26 @@ def test_usage_error_quotes_a_long_value_by_its_prefix(capsys, argv):
     assert usage.startswith(f"usage: aristotle-orbits {argv[0]} ")
     assert error.startswith(f"aristotle-orbits {argv[0]}: error: argument ")
     assert len(error) < 200 and " characters)" in error
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("verify", '"ab"'),
+     'aristotle-orbits: error: unrecognized arguments: "ab"'),
+    (("verify", r"'\x41'"),
+     r"aristotle-orbits: error: unrecognized arguments: '\x41'"),
+    (("verify", "'ab'", '"'),
+     "aristotle-orbits: error: unrecognized arguments: 'ab' \""),
+    (("simulate", "--picture", '"ab"'),
+     """aristotle-orbits simulate: error: argument --picture: invalid """
+     """choice: '"ab"' (choose from 'time', 'space')"""),
+    (("classify", "1,1,1,1,1", "--tol", r"'\x41'"),
+     "aristotle-orbits classify: error: argument --tol: invalid "
+     "_tolerance value: " + repr(r"'\x41'")),
+], ids=["raw-double", "raw-escape", "raw-apostrophes", "choice", "tolerance"])
+def test_usage_error_keeps_a_short_value_as_typed(capsys, argv, expected):
+    # a quoted span of the message that is no repr is the user's raw
+    # token, kept as it was typed
+    assert _usage_error(capsys, argv)[1] == expected
 
 
 def _usage_error(capsys, argv) -> tuple:

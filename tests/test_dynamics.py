@@ -675,9 +675,15 @@ def _reference_exact_grid(start, stop, step):
     return grid + [stop]
 
 
+def _cells(traj) -> list:
+    """The output cells of every row: the one chunk of them all."""
+    chunk, = traj.cell_chunks(None)
+    return list(chunk)
+
+
 def _assert_cells_are_the_formatted_rows(traj):
     rows = list(traj.rows)
-    assert list(traj.cell_factory()) == \
+    assert _cells(traj) == \
         [tuple(map(format_scalar, row)) for row in rows]
     return rows
 
@@ -753,7 +759,7 @@ def test_exact_cells_of_integral_rows(picture, count):
                                        (Fraction(-3), Fraction(5)), params,
                                        Fraction(3), mu0):
         assert _assert_cells_are_the_formatted_rows(traj) == expected
-        cells += (cell for row in traj.cell_factory() for cell in row)
+        cells += (cell for row in _cells(traj) for cell in row)
     assert any(cell.startswith("-") and "/" not in cell for cell in cells)
     assert any(cell.isdigit() and cell != "0" for cell in cells)
 
@@ -795,7 +801,7 @@ def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
                                         params, config),
                  dual_flow_trajectory(DualElement(1, -3, 7, *params),
                                       "time", config)):
-        whole = list(traj.cell_factory())
+        whole = _cells(traj)
         chunks = traj.cell_chunks(256)
         made.clear()
         for _ in range(3):
@@ -818,7 +824,7 @@ def test_float_cell_chunks_are_lists_of_the_rows():
     assert all(type(chunk) is list for chunk in chunks)
     assert [len(chunk) for chunk in chunks] == [256, 256, 256, 802 - 768]
     assert [row for chunk in chunks for row in chunk] == list(traj.rows)
-    assert list(traj.cell_factory()) == list(traj.rows)
+    assert _cells(traj) == list(traj.rows)
 
 
 def test_difference_guard_rejects_a_cubic_sampler():
