@@ -17,9 +17,10 @@ an exact trajectory makes from any row on (``Trajectory.cell_chunks``)
 and a float one costs mostly in reprs; so where a second CPU is free a
 forked worker (``worker.shared``) renders the odd chunks of either and
 this process the even ones (``_chunk_results``).  ``verify`` runs three
-of its four float RK4 runs in such a worker.  An ``--out`` file that cannot be
-written is exit 1.  The console script ends by ``os._exit`` after its
-last flush, without the interpreter's teardown.
+of its four float RK4 runs in such a worker.  Every error is one line,
+written by ``main``, that echoes a long token of the command line by its
+prefix and its length (``_bounded``).  The console script ends by
+``os._exit`` after its last flush, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -64,16 +65,18 @@ CHUNK_TEXTS = 256
 # process, 128 by 0.1 MiB; 64-point chunks left it as it was and ran
 # fastest of 32, 64, 128 and 256.
 CHUNK_POINTS = 64
+#: Longest token of the command line that an error line echoes whole,
+#: enough for an ordinary path (``_bounded``).
+ECHO_CHARS = 100
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract is 1.
+    """argparse's usage error is raised to ``main`` (``_UsageError``), which
+    writes it and exits with status 1, not argparse's 2.
 
     A token of ``-`` followed by a digit or ``.digit`` is a value, not an
     option (no option is spelled that way), so ``classify -1,2,3,4,5`` and
-    ``simulate --k -3/2`` parse.  argparse quotes a bad value whole
-    (``%r``); ``error`` quotes it again by ``quoted``, so a long one is
-    its prefix and its length.
+    ``simulate --k -3/2`` parse.
     """
 
     def __init__(self, *args, **kwargs):
@@ -81,23 +84,25 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        message = _REPR.sub(_requoted, message)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self, message)
 
 
-_REPR = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+class _UsageError(Exception):
+    """argparse's usage error: the parser that met it, and its message."""
 
 
-def _requoted(match) -> str:
-    """``quoted`` of the text whose ``repr`` is ``match``; a match that is
-    no ``repr`` (raw text the user typed between two quotes) is kept."""
-    import ast
-    try:
-        value = ast.literal_eval(match[0])
-    except (SyntaxError, ValueError):
-        return match[0]
-    return quoted(value) if repr(value) == match[0] else match[0]
+def _bounded(message: str, argv: list) -> str:
+    """``message`` with each token of ``argv`` longer than ECHO_CHARS, and
+    each such value of an inline ``--flag=value``, as typed or as its
+    ``repr``, replaced by ``quoted``: its first characters and its length."""
+    forms = {}
+    for token in argv:
+        for text in (token, token.partition("=")[2]):
+            if len(text) > ECHO_CHARS:
+                forms[text] = forms[repr(text)] = quoted(text)
+    for text in sorted(forms, key=len, reverse=True):  # a repr before its text
+        message = message.replace(text, forms[text])
+    return message
 
 
 # ---------------------------------------------------------------- input
@@ -117,14 +122,10 @@ def _parse_fields(text: str, count: int, backend: str, where: str) -> list:
     return values
 
 
-def _parse_point(text: str, backend: str, where: str) -> DualElement:
-    return DualElement._make(_parse_fields(text, 5, backend, where))
-
-
 def _source_point(where: str, source, backend: str) -> DualElement:
     """The point of a source: its "p,e,f,k,y" text, or a JSON entry."""
     if isinstance(source, str):
-        return _parse_point(source, backend, where)
+        return DualElement._make(_parse_fields(source, 5, backend, where))
     if len(source) != 5:
         raise InputFormatError(
             f"{where}: expected 5 values, got {len(source)}")
@@ -180,8 +181,9 @@ def _point_sources(args) -> list:
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:  # str(OSError) has the path
+        raise InputFormatError(
+            f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
     if path.lower().endswith(".json"):
         return _json_points(path, text)
     return _csv_points(path, text.splitlines())
@@ -212,11 +214,6 @@ def _output(out_path: Optional[str]):
             yield handle
     else:
         yield sys.stdout
-
-
-def _emit(text: str, out_path: Optional[str]):
-    with _output(out_path) as handle:
-        handle.write(text)
 
 
 def _chunk_results(chunks: Iterator, work: Callable, fork: bool = True):
@@ -366,16 +363,12 @@ def _parse_flag(text: str, backend: str, flag: str):
         raise InputFormatError(f"{flag}: {exc}") from exc
 
 
-def _parse_range(text: str, backend: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InputFormatError(f"--range: expected A:B, got {quoted(text)}")
-    return tuple(_parse_flag(part.strip(), backend, "--range")
-                 for part in parts)
-
-
 def _cmd_simulate(args) -> int:
-    start, stop = _parse_range(args.range, args.backend)
+    parts = args.range.split(":")
+    if len(parts) != 2:
+        raise InputFormatError(f"--range: expected A:B, got {args.range!r}")
+    start, stop = (_parse_flag(part.strip(), args.backend, "--range")
+                   for part in parts)
     step = _parse_flag(args.step, args.backend, "--step")
     try:
         config = IntegratorConfig(step=step, start=start, stop=stop)
@@ -390,7 +383,7 @@ def _cmd_simulate(args) -> int:
     if args.dual:
         if args.mu is None:
             raise InputFormatError("--dual requires --mu \"p,e,f,k,y\"")
-        mu = _parse_point(args.mu, args.backend, "--mu")
+        mu = DualElement._make(_parse_fields(args.mu, 5, args.backend, "--mu"))
         trajectory = dual_flow_trajectory(mu, args.picture, config)
     else:
         if args.state is None or args.k is None or args.y is None:
@@ -460,26 +453,24 @@ def _chunk_renderer(template: str, texts: Callable,
     return render
 
 
-def _require_rational(args, what: str):
+def _check_adjudication(args):
+    """The rational backend, and ``--samples`` at least 1 where it is taken."""
     if args.backend != RATIONAL:
-        raise InputFormatError(f"{what} adjudicates exactly and runs on the "
-                               f"rational backend only")
-
-
-def _require_samples(args):
-    if args.samples < 1:
+        raise InputFormatError(f"{args.command} adjudicates exactly and runs "
+                               f"on the rational backend only")
+    if getattr(args, "samples", 1) < 1:
         raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
 
 
 def _emit_report(args, report: dict, render_text: Callable):
     """An adjudication report as JSON, or as ``render_text`` lays it out."""
-    _emit(_dump_json(report) if args.format == "json"
-          else render_text(report) + "\n", args.out)
+    with _output(args.out) as handle:
+        handle.write(_dump_json(report) if args.format == "json"
+                     else render_text(report) + "\n")
 
 
 def _cmd_verify(args) -> int:
-    _require_rational(args, "verify")
-    _require_samples(args)
+    _check_adjudication(args)
     if args.mutate is not None and args.mutate not in verify_mod.MUTATIONS:
         known = ", ".join(sorted(verify_mod.MUTATIONS))
         raise InputFormatError(
@@ -490,14 +481,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_errata(args) -> int:
-    _require_rational(args, "errata")
+    _check_adjudication(args)
     _emit_report(args, errata_mod.build_report(), errata_mod.render_text)
     return EXIT_OK
 
 
 def _cmd_derive_law(args) -> int:
-    _require_rational(args, "derive-law")
-    _require_samples(args)
+    _check_adjudication(args)
     _emit_report(args, derive_law_mod.build_report(seed=args.seed,
                                                    samples=args.samples),
                  derive_law_mod.render_text)
@@ -520,7 +510,7 @@ def _tolerance(text: str) -> float:
     tol = float(text)
     if not 0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(
-            f"{quoted(text)}: not a finite number >= 0")
+            f"{text!r}: not a finite number >= 0")
     return tol
 
 
@@ -603,23 +593,31 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # parse_scalar bounds every accepted integer's digits, so Python's
-    # int-to-text limit (3.10.7 on) is lifted and exact output prints whole
+    argv = sys.argv[1:] if argv is None else list(argv)
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
+        # parse_scalar bounds every accepted integer's digits, so Python's
+        # int-to-text limit (3.10.7 on), which read the flags' ints, is
+        # lifted for exact output
+        if limit:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
+    except _UsageError as exc:
+        parser, message = exc.args
+        parser.print_usage(sys.stderr)
+        prog, code = parser.prog, None
     except (InputFormatError, ChartUndefinedError) as exc:
-        print(f"aristotle-orbits: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        prog, message, code = "aristotle-orbits", str(exc), EXIT_USAGE
     except (ArithmeticError, ChildProcessError) as exc:
-        print(f"aristotle-orbits: error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        prog, message, code = "aristotle-orbits", str(exc), EXIT_FAILED
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    print(f"{prog}: error: {_bounded(message, argv)}", file=sys.stderr)
+    if code is None:  # a usage error leaves by SystemExit, as argparse's do
+        sys.exit(EXIT_USAGE)
+    return code
 
 
 def entrypoint():

@@ -48,6 +48,9 @@ from .orbits import DualElement, point_arithmetic, psi_value
 from .poly import Poly, indeterminates
 
 HALF = Fraction(1, 2)
+#: Most points of a float grid scanned to see that it advances (about 25 ms
+#: on a 2-CPU Xeon); a longer grid whose step is not proved is refused.
+SCAN_POINTS = 2**18
 
 
 class ChartUndefinedError(ValueError):
@@ -318,7 +321,9 @@ def _float_grid(start: float, stop: float,
     Rerunnable.  A range and step that give no advancing float grid are an
     input error, raised here, before any row exists.  The verdict is read
     off the grid's ends where it can be proved (``_grid_advances``); only
-    in the band between its two tests are the points scanned.
+    in the band between its two tests are the points scanned, at most
+    SCAN_POINTS of them: a longer grid there is refused, with the step it
+    would need.
     """
     if not (h > 0 and math.isfinite((stop - start) / h)):
         raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
@@ -333,6 +338,12 @@ def _float_grid(start: float, stop: float,
 
     advances = _grid_advances(start, h, count, last)
     if advances is None:
+        if count >= SCAN_POINTS:  # the grid has count + 1 points
+            bound = _grid_rounding(start, (count - 1) * h)
+            raise InputFormatError(
+                f"step {h!r} is too fine to prove that the float grid from "
+                f"{start!r} to {stop!r} advances: a grid of more than "
+                f"{SCAN_POINTS} points needs a step above {bound!r}")
         advances = all(starmap(operator.lt, pairwise(grid())))
     if not advances:
         raise InputFormatError(
@@ -361,13 +372,18 @@ def _grid_advances(start: float, h: float, count: int,
     if count - 1 > 2**53:
         return False
     span = (count - 1) * h
-    top = start + span
+    if h > _grid_rounding(start, span):
+        return start + span < last
+    return None
+
+
+def _grid_rounding(start: float, span: float) -> float:
+    """The step above which the grid from ``start`` whose largest product
+    is ``span`` is proved to advance (``_grid_advances``)."""
     rounding = math.ulp(span)
     if start != 0:
-        rounding += math.ulp(max(abs(start), abs(top)))
-    if h > rounding:
-        return top < last
-    return None
+        rounding += math.ulp(max(abs(start), abs(start + span)))
+    return rounding
 
 
 def _quadratic_columns(param: Poly, sample: Callable,

@@ -650,7 +650,8 @@ def test_new_tests_pass_in_development_mode():
         "or dead_point_worker or error_in_a_worker_chunk "
         "or two_processes and 2049 or off_the_step_grid "
         "or fork_once_for_a_second_chunk or plain_row_template "
-        "or first_row_at_once",
+        "or first_row_at_once or bounded_error_line "
+        "or off_zero_is_refused_at_once",
         timeout=TIMEOUT_S * 4)
     assert result.returncode == 0, result.stdout[-3000:]
     assert b"passed" in result.stdout and b"Warning" not in result.stdout
@@ -773,6 +774,35 @@ def test_fine_grid_from_zero_writes_its_first_row_at_once():
             proc.wait(TIMEOUT_S)
 
 
+BAND_GRID = ("simulate", "--picture", "time", "--state", "1,1", "--k", "1",
+             "--y", "1", "--backend", "float", "--range", "1:1.001",
+             "--step", "2.221556272274938e-16")
+
+
+def test_fine_grid_off_zero_is_refused_at_once():
+    # about 4.5e12 points whose step neither bound decides: refused before
+    # a point is scanned, naming the step that would prove the grid
+    began = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aristotle_orbits", *BAND_GRID],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_environment(),
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=TIMEOUT_S)
+        assert time.monotonic() - began < 1
+        assert (proc.returncode, out) == (1, b"")
+        assert err == (
+            b"aristotle-orbits: error: step 2.221556272274938e-16 is too fine "
+            b"to prove that the float grid from 1.0 to 1.001 advances: a grid "
+            b"of more than 262144 points needs a step above "
+            b"2.222614453595284e-16\n")
+        _no_session_left(proc.pid)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(TIMEOUT_S)
+
+
 def _no_session_left(pid: int):
     """Wait until no process of the session led by ``pid`` is left."""
     ends = time.monotonic() + TIMEOUT_S
@@ -868,3 +898,68 @@ def _usage_error(capsys, argv) -> tuple:
     usage, error = captured.err[:-1].rsplit("\n", 1)
     assert "error:" not in usage
     return usage, error
+
+
+_LONG_TOKENS = {
+    "unrecognized": ("verify", _NINES),
+    "in": ("classify", "--in", _NINES),
+    "out": ("simulate", "--picture", "time", "--state", "1,1", "--k", "1",
+            "--y", "1", "--out", "/nonexistent/" + _NINES),
+    "in-inline": ("classify", f"--in={_NINES}"),
+    "mutation": ("verify", "--mutate", _NINES),
+}
+
+
+@pytest.mark.parametrize("argv", _LONG_TOKENS.values(), ids=_LONG_TOKENS)
+def test_long_token_is_one_bounded_error_line(capsys, argv):
+    # a path, an unrecognized argument or a value of over ECHO_CHARS
+    # characters is echoed by its prefix and its length: exit 1 with one
+    # error line of under 200 bytes, in process and from the console script
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if " error: " in line]
+    assert (code, captured.out, len(errors)) == (1, "", 1)
+    assert captured.err.endswith(errors[0] + "\n")
+    assert errors[0].startswith("aristotle-orbits: error: ")
+    assert len(errors[0].encode("utf-8")) < 200
+    long = argv[-1].partition("=")[2] or argv[-1]
+    assert f"{long[:cli.ECHO_CHARS]!r}" not in errors[0]
+    assert f"{long[:24]!r}... ({len(long)} characters)" in errors[0]
+    result = _fresh_interpreter("-m", "aristotle_orbits", *argv)
+    assert (result.returncode, result.stdout.decode(),
+            result.stderr.decode()) == (code, captured.out, captured.err)
+
+
+@pytest.mark.skipif(not LINUX, reason="the reasons are Linux's strerror")
+def test_unreadable_in_names_its_path_once(tmp_path, capsys, monkeypatch):
+    # the reason is the error's own, without the path it would repeat; a
+    # file that is not UTF-8 is an input error too, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.d").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"1,2,3,4,\xe9\n")
+    for path, reason in [
+            ("absent.csv", "No such file or directory"),
+            ("points.d", "Is a directory"),
+            ("latin1.csv", "'utf-8' codec can't decode byte 0xe9 in "
+                           "position 8: invalid continuation byte")]:
+        assert _run(capsys, ("classify", "--in", path)) == (
+            1, "", f"aristotle-orbits: error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("length", [cli.ECHO_CHARS, cli.ECHO_CHARS + 1])
+@pytest.mark.parametrize("argv, line, typed", [
+    (("verify",), "aristotle-orbits: error: unrecognized arguments: {}", str),
+    (("simulate", "--picture"), "aristotle-orbits simulate: error: argument "
+     "--picture: invalid choice: {} (choose from 'time', 'space')", repr),
+], ids=["raw", "repr"])
+def test_a_token_is_echoed_whole_up_to_echo_chars(capsys, argv, line, typed,
+                                                  length):
+    # as typed or as its repr, a token of ECHO_CHARS characters is echoed
+    # whole, and one of a character more by its first 24 and its length
+    token = "9" * length
+    shown = (f"'{'9' * 24}'... ({length} characters)"
+             if length > cli.ECHO_CHARS else typed(token))
+    assert _usage_error(capsys, (*argv, token))[1] == line.format(shown)

@@ -19,7 +19,7 @@ from aristotle_orbits.dynamics import (
 )
 from aristotle_orbits import dynamics
 from aristotle_orbits.dynamics import (
-    _chart_invariant, _exact_rows, _float_grid, _grid_advances,
+    SCAN_POINTS, _chart_invariant, _exact_rows, _float_grid, _grid_advances,
 )
 from aristotle_orbits.orbits import (
     DualElement, OrbitClass, classify, coadjoint_printed, invariants,
@@ -567,6 +567,29 @@ def test_float_grid_verdict_is_the_scans_near_large_magnitudes(start):
                 assert (decided is None) == (step <= rounding)
                 sharper |= rounding < step <= 2 * rounding
     assert sides == {True, False} and sharper
+
+
+def test_float_grid_in_the_band_scans_at_most_scan_points():
+    # from 1.0 by ulp(1.0) neither bound decides, and every point is exact:
+    # a grid of SCAN_POINTS points is scanned, one of a point more is
+    # refused at once, naming the step that would prove it
+    start, h = 1.0, math.ulp(1.0)
+    scanned = start + (SCAN_POINTS - 1) * h
+    assert _decided(start, scanned, h) is None
+    _float_grid(start, scanned, h)
+    stop = start + SCAN_POINTS * h
+    assert _decided(start, stop, h) is None and _scan_advances(start, stop, h)
+    bound = _rounding(start, stop, h)
+    with pytest.raises(InputFormatError) as excinfo:
+        _float_grid(start, stop, h)
+    assert str(excinfo.value) == (
+        f"step {h!r} is too fine to prove that the float grid from 1.0 to "
+        f"{stop!r} advances: a grid of more than {SCAN_POINTS} points "
+        f"needs a step above {bound!r}")
+    # just above that step the grid is proved without a scan
+    step = math.nextafter(bound, 1.0)
+    assert _decided(start, stop, step) is True
+    _float_grid(start, stop, step)
 
 
 def test_float_grid_from_zero_needs_only_the_products_rounding():
