@@ -91,8 +91,8 @@ def parse_scalar(text: "str | int | float", backend: str = RATIONAL) -> Scalar:
             return Fraction(repr(text))
         return _fraction(text) if isinstance(text, str) else Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        # Python's own reasons quote the whole text
-        reason = str(exc).replace(repr(text), quoted(text))
+        # Python's own reasons end by quoting the whole text, named above
+        reason = str(exc).removesuffix(f": {text!r}")
         raise InputFormatError(
             f"cannot parse scalar {quoted(text)}: {reason}") from exc
 

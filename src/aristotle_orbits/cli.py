@@ -17,10 +17,12 @@ an exact trajectory makes from any row on (``Trajectory.cell_chunks``)
 and a float one costs mostly in reprs; so where a second CPU is free a
 forked worker (``worker.shared``) renders the odd chunks of either and
 this process the even ones (``_chunk_results``).  ``verify`` runs three
-of its four float RK4 runs in such a worker.  Every error is one line,
-written by ``main``, that echoes a long token of the command line by its
-prefix and its length (``_bounded``).  The console script ends by
-``os._exit`` after its last flush, without the interpreter's teardown.
+of its four float RK4 runs in such a worker.  argparse checks each
+flag's value (a ``type`` or ``choices``); commands check combinations.
+Every error is one line, written by ``main``, that echoes a long token of
+the command line by its prefix and its length (``_bounded``).  The
+console script ends by ``os._exit`` after its last flush, without the
+interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import derive_law as derive_law_mod
 from . import errata as errata_mod
 from . import verify as verify_mod
 from .backend import (
-    BACKENDS, EPS_CLASS, NOT_FINITE, RATIONAL, InputFormatError,
+    BACKENDS, EPS_CLASS, NOT_FINITE, QUOTE_CHARS, RATIONAL, InputFormatError,
     json_scalar, json_text, parse_scalar, quoted, ratio_text,
 )
 from .dynamics import (
@@ -68,6 +70,8 @@ CHUNK_POINTS = 64
 #: Longest token of the command line that an error line echoes whole,
 #: enough for an ordinary path (``_bounded``).
 ECHO_CHARS = 100
+#: Bytes below which an error line keeps its tokens (``_bounded``).
+LINE_BYTES = 200
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,18 +95,24 @@ class _UsageError(Exception):
     """argparse's usage error: the parser that met it, and its message."""
 
 
-def _bounded(message: str, argv: list) -> str:
-    """``message`` with each token of ``argv`` longer than ECHO_CHARS, and
+def _bounded(line: str, argv: list) -> str:
+    """``line`` with each token of ``argv`` longer than ECHO_CHARS, and
     each such value of an inline ``--flag=value``, as typed or as its
-    ``repr``, replaced by ``quoted``: its first characters and its length."""
-    forms = {}
-    for token in argv:
-        for text in (token, token.partition("=")[2]):
-            if len(text) > ECHO_CHARS:
-                forms[text] = forms[repr(text)] = quoted(text)
-    for text in sorted(forms, key=len, reverse=True):  # a repr before its text
-        message = message.replace(text, forms[text])
-    return message
+    ``repr``, replaced by ``quoted``: its first characters and its length.
+    A line that still holds LINE_BYTES bytes (several tokens, or a long
+    message round one) has each one longer than QUOTE_CHARS replaced."""
+    for limit in (ECHO_CHARS, QUOTE_CHARS):
+        forms = {}
+        for token in argv:
+            for text in (token, token.partition("=")[2]):
+                if len(text) > limit:
+                    forms[text] = forms[repr(text)] = quoted(text)
+        bounded = line
+        for text in sorted(forms, key=len, reverse=True):  # a repr first
+            bounded = bounded.replace(text, forms[text])
+        if len(bounded.encode("utf-8", "surrogatepass")) < LINE_BYTES:
+            break
+    return bounded
 
 
 # ---------------------------------------------------------------- input
@@ -364,11 +374,8 @@ def _parse_flag(text: str, backend: str, flag: str):
 
 
 def _cmd_simulate(args) -> int:
-    parts = args.range.split(":")
-    if len(parts) != 2:
-        raise InputFormatError(f"--range: expected A:B, got {args.range!r}")
-    start, stop = (_parse_flag(part.strip(), args.backend, "--range")
-                   for part in parts)
+    start, stop = (_parse_flag(part, args.backend, "--range")
+                   for part in args.range)
     step = _parse_flag(args.step, args.backend, "--step")
     try:
         config = IntegratorConfig(step=step, start=start, stop=stop)
@@ -453,51 +460,21 @@ def _chunk_renderer(template: str, texts: Callable,
     return render
 
 
-def _check_adjudication(args):
-    """The rational backend, and ``--samples`` at least 1 where it is taken."""
-    if args.backend != RATIONAL:
-        raise InputFormatError(f"{args.command} adjudicates exactly and runs "
-                               f"on the rational backend only")
-    if getattr(args, "samples", 1) < 1:
-        raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
-
-
-def _emit_report(args, report: dict, render_text: Callable):
-    """An adjudication report as JSON, or as ``render_text`` lays it out."""
+def _cmd_report(args) -> int:
+    """``verify``, ``errata`` and ``derive-law``: the report ``args.build``
+    makes, as JSON or as ``args.render`` lays it out; exit 2 where its
+    checks do not all pass."""
+    report = args.build(args)
     with _output(args.out) as handle:
         handle.write(_dump_json(report) if args.format == "json"
-                     else render_text(report) + "\n")
-
-
-def _cmd_verify(args) -> int:
-    _check_adjudication(args)
-    if args.mutate is not None and args.mutate not in verify_mod.MUTATIONS:
-        known = ", ".join(sorted(verify_mod.MUTATIONS))
-        raise InputFormatError(
-            f"unknown mutation id {args.mutate!r}; known: {known}")
-    report = verify_mod.run_suite(mutation=args.mutate)
-    _emit_report(args, report, verify_mod.render_text)
-    return EXIT_OK if report["all_passed"] else EXIT_FAILED
-
-
-def _cmd_errata(args) -> int:
-    _check_adjudication(args)
-    _emit_report(args, errata_mod.build_report(), errata_mod.render_text)
-    return EXIT_OK
-
-
-def _cmd_derive_law(args) -> int:
-    _check_adjudication(args)
-    _emit_report(args, derive_law_mod.build_report(seed=args.seed,
-                                                   samples=args.samples),
-                 derive_law_mod.render_text)
-    return EXIT_OK
+                     else args.render(report) + "\n")
+    return EXIT_OK if report.get("all_passed", True) else EXIT_FAILED
 
 
 # -------------------------------------------------------------- wiring
 
-def _add_output_options(parser, formats, default_format):
-    parser.add_argument("--backend", choices=BACKENDS, default=RATIONAL,
+def _add_output_options(parser, formats, default_format, backends=BACKENDS):
+    parser.add_argument("--backend", choices=backends, default=RATIONAL,
                         help="numeric backend (default rational)")
     parser.add_argument("--format", choices=formats, default=default_format,
                         help=f"output format (default {default_format})")
@@ -512,6 +489,22 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"{text!r}: not a finite number >= 0")
     return tol
+
+
+def _range(text: str) -> list:
+    """``--range``: "A:B", as the texts of A and B."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
+    return [part.strip() for part in parts]
+
+
+def _samples(text: str) -> int:
+    """``--samples``: an integer, at least 1."""
+    samples = int(text)
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: not an integer >= 1")
+    return samples
 
 
 def _add_point_options(parser):
@@ -553,7 +546,7 @@ def build_parser() -> _Parser:
                                 "defaults to the on-orbit value y*tau0)")
     p.add_argument("--mu", metavar="P,E,F,K,Y",
                    help="dual point for --dual mode")
-    p.add_argument("--range", default="0:10", metavar="A:B",
+    p.add_argument("--range", type=_range, default="0:10", metavar="A:B",
                    help="parameter range (default 0:10)")
     p.add_argument("--step", default="0.001", metavar="H",
                    help="grid step (default 0.001)")
@@ -567,27 +560,31 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the structural self-check suite")
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: every check is a proof")
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_samples, default=1000,
                    help="ignored, but at least 1: every check is a proof")
-    p.add_argument("--mutate", metavar="ID",
+    p.add_argument("--mutate", choices=verify_mod.MUTATIONS, metavar="ID",
                    help="run against a deliberately broken structure tensor")
-    _add_output_options(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_verify)
+    _add_output_options(p, ("text", "json"), "text", (RATIONAL,))
+    p.set_defaults(func=_cmd_report, render=verify_mod.render_text,
+                   build=lambda args: verify_mod.run_suite(args.mutate))
 
     p = sub.add_parser("errata",
                        help="audit printed formulas against derived ones")
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: every finding is a proof")
-    _add_output_options(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_errata)
+    _add_output_options(p, ("text", "json"), "text", (RATIONAL,))
+    p.set_defaults(func=_cmd_report, render=errata_mod.render_text,
+                   build=lambda args: errata_mod.build_report())
 
     p = sub.add_parser("derive-law",
                        help="reconstruct the group law's polynomials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_samples, default=1000,
                    help="fresh verification points (default 1000)")
-    _add_output_options(p, ("text", "json"), "text")
-    p.set_defaults(func=_cmd_derive_law)
+    _add_output_options(p, ("text", "json"), "text", (RATIONAL,))
+    p.set_defaults(func=_cmd_report, render=derive_law_mod.render_text,
+                   build=lambda args: derive_law_mod.build_report(
+                       seed=args.seed, samples=args.samples))
 
     return parser
 
@@ -614,7 +611,7 @@ def main(argv=None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    print(f"{prog}: error: {_bounded(message, argv)}", file=sys.stderr)
+    print(_bounded(f"{prog}: error: {message}", argv), file=sys.stderr)
     if code is None:  # a usage error leaves by SystemExit, as argparse's do
         sys.exit(EXIT_USAGE)
     return code

@@ -22,8 +22,10 @@ streams of rows: RK4 rows from one fused stepping loop, sampled rows
 from one row generator.  An exact trajectory runs its closures once on
 the polynomial parameter start + step*i; each column's coefficients give
 the integer forward differences that tabulate its rows and output cells,
-from any row on, so its output chunks start by a jump.  A float trajectory with a non-finite value in its range is refused when
-it is built, from its rows at the range ends and the columns' vertices.
+from any row on, so its output chunks start by a jump.  A float
+trajectory with a non-finite value in its range is refused when it is
+built, from its rows at the range ends and the columns' vertices, and an
+RK4 one also by a bound on its stages.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -138,14 +141,13 @@ class Trajectory:
     ``columns`` names the row entries in order; ``method`` records how the
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
-    ``row_factory()`` produces the rows one at a time, afresh on each call;
-    ``rows`` holds them all, built on first use.  ``cell_chunks(size)``
-    produces the same rows as output cells, in chunks of ``size`` rows
-    (None: one chunk).  On an exact trajectory each cell is the canonical
-    text of its value (``format_scalar``) and each chunk is lazy, started
-    at its first row by a jump, so a chunk never iterated costs nothing;
-    otherwise the chunks are lists drawn from ``row_factory``.  Fields are
-    read-only.
+    ``row_factory()`` produces the rows one at a time, afresh on each call.
+    ``cell_chunks(size)`` produces the same rows as output cells, in chunks
+    of ``size`` rows (None: one chunk).  On an exact trajectory each cell
+    is the canonical text of its value (``format_scalar``) and each chunk
+    is lazy, started at its first row by a jump, so a chunk never iterated
+    costs nothing; otherwise the chunks are lists drawn from
+    ``row_factory``.  Fields are read-only.
     """
 
     def __init__(self, picture: str, columns: tuple, invariant_name: str,
@@ -161,10 +163,6 @@ class Trajectory:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
-
-    @cached_property
-    def rows(self) -> tuple:
-        return tuple(self.row_factory())
 
 
 def _drawn_chunks(row_factory: Callable, size: Optional[int]) -> Iterator:
@@ -486,10 +484,11 @@ def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
         yield (param, *coords, inv, abs(inv - inv0))
 
 
-def _require_finite(span: tuple, model: Callable, inputs: tuple) -> tuple:
+def _require_finite(span: tuple, model: Callable, inputs: tuple,
+                    origin: float = 0.0) -> tuple:
     """``model(*inputs)``, a (sample, invariant) pair on floats, refused
     before any row if a row over the range of ``span`` (start, stop, step)
-    holds a NaN or an infinity.
+    holds a NaN or an infinity, named by its parameter plus ``origin``.
 
     Each column, and each product in the invariant (a column times a
     constant, or the square of a line), has degree <= 2 in the parameter:
@@ -509,7 +508,8 @@ def _require_finite(span: tuple, model: Callable, inputs: tuple) -> tuple:
     for row in _rows(probes, sample, invariant):
         if not all(map(math.isfinite, row)):
             raise InputFormatError(
-                f"{NOT_FINITE}: the row at {row[0]!r} is {row[1:]!r}")
+                f"{NOT_FINITE}: the row at {row[0] + origin!r} is "
+                f"{row[1:]!r}")
     return sample, invariant
 
 
@@ -621,18 +621,32 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
 
     Rows carry the chart invariant and its drift; the rhs is an affine
     polynomial field, so at h = 1e-3 the scheme tracks the closed forms
-    to roundoff.
+    to roundoff.  Before the first row, as the field ignores the
+    parameter, the closed form from 0 over the range's length is checked
+    finite; so are RK4's stages, which overflow first.  a moves at a
+    constant rate, so |a| is largest at an end of the range (``reach``),
+    each stage is at most |gain| reach, the stage sum 6 times that and b's
+    increment h times it: kept under half the largest double, a binade of
+    headroom for rounding.
     """
     span, inputs = _float_images(config or IntegratorConfig(),
                                  (params.k, params.y, *state0))
-    _require_finite(span, partial(_chart_model, picture), inputs)
     grid = _float_grid(*span)
+    start, stop, step = span
+    length = stop - start
+    _require_finite((0.0, length, step), partial(_chart_model, picture),
+                    inputs, origin=start)
     params = OrbitParams(*inputs[:2])
     slope, half_force = _chart_constants(picture, params)
     rate, gain = ((-params.v, -params.k) if picture == "time"
                   else (params.s, params.y))
+    reach = max(abs(inputs[2]), abs(inputs[2] + rate * length))
+    largest = max(6.0, min(step, length)) * abs(gain) * reach
+    if length and not 2 * largest <= sys.float_info.max:
+        raise InputFormatError(f"{NOT_FINITE}: an RK4 stage reaches "
+                               f"{largest!r}, over half the largest double")
     return _trajectory(
-        picture, f"rk4 h={span[2]!r}", params.k, params.y,
+        picture, f"rk4 h={step!r}", params.k, params.y,
         lambda: _rk4_rows(grid(), inputs[2:], rate, gain, slope, half_force))
 
 

@@ -13,11 +13,12 @@ evaluates them at g's (x, t, zeta).  ``verify`` proves on indeterminates
 that the closed form and the reference are one polynomial map, as
 ``PRINTED_ACTION_CONVENTION`` records.
 
-``invariant_pairs`` evaluates rational points on integer numerators and
-denominators, and ``invariants`` reduces each value once; any other point
-(a float coordinate, or a symbolic one in a proof) takes the formulas as
-written, with the zero test, division and 1/2 that ``point_arithmetic``
-picks for it once.
+``invariants`` takes the formulas as written at every point (rational,
+float, mixed, or symbolic in a proof), with the zero test, division and
+1/2 that ``point_arithmetic`` picks for it once.  ``invariant_pairs``
+evaluates a rational point's invariants on integer numerators and
+denominators, unreduced, for the CLI's cells: a second computation that
+the tests hold against the first.
 """
 
 from __future__ import annotations
@@ -165,22 +166,30 @@ def classify(mu: DualElement, tol: float = EPS_CLASS) -> OrbitClass:
 
 
 def invariants(mu: DualElement, tol: float = EPS_CLASS) -> InvariantSet:
-    """All invariants defined at mu; see InvariantSet for the presence rules.
-
-    A rational point's values are ``invariant_pairs`` reduced by one
-    ``Fraction`` each; any other point takes the formulas as written.  A
-    point mixing floats with exact values too large for them, whose float
-    arithmetic overflows, is an ``InputFormatError``.
+    """All invariants defined at mu, by the formulas as written with
+    ``point_arithmetic``'s zero test, division and 1/2 at mu; see
+    InvariantSet for the presence rules.  A point mixing floats with exact
+    values too large for them, whose float arithmetic overflows, is an
+    ``InputFormatError``.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in mu):
-        try:
-            return _formula_invariants(mu, tol)
-        except OverflowError as exc:
-            raise InputFormatError(
-                f"point ({', '.join(map(str, mu))}): a float invariant "
-                f"overflows: {exc}") from exc
-    return InvariantSet(**{name: Fraction(*pair)
-                           for name, pair in invariant_pairs(mu).items()})
+    p, e, f, k, y = mu
+    zero, div, half = point_arithmetic(mu, tol)
+    k_zero, y_zero = zero(k), zero(y)
+    v = s = q = tau = u = pi = None
+    try:
+        if not k_zero:
+            v, q = div(y, k), div(f, k)
+            u = e - half * k * q * q + p * v
+        if not y_zero:
+            s, tau = div(k, y), div(f, y)
+            pi = p - half * y * tau * tau + e * s
+        psi = psi_value(*mu)
+    except OverflowError as exc:
+        raise InputFormatError(
+            f"point ({', '.join(map(str, mu))}): a float invariant "
+            f"overflows: {exc}") from exc
+    return InvariantSet(k, y, psi, v, s, q, tau, u, pi,
+                        f if k_zero and y_zero else None)
 
 
 def invariant_pairs(mu: DualElement) -> dict:
@@ -228,27 +237,6 @@ def _chart_value(a: tuple, c: tuple, x: tuple, w: tuple, z: tuple) -> tuple:
 def psi_value(p: Scalar, e: Scalar, f: Scalar, k: Scalar, y: Scalar) -> Scalar:
     """psi = 2ke - f^2 + 2py, the invariant defined on every orbit."""
     return 2 * k * e - f * f + 2 * p * y
-
-
-def _formula_invariants(mu: DualElement, tol: float) -> InvariantSet:
-    """invariants by the formulas as written, with ``point_arithmetic``'s
-    zero test, division and 1/2 at mu."""
-    p, e, f, k, y = mu
-    zero, div, half = point_arithmetic(mu, tol)
-    k_zero, y_zero = zero(k), zero(y)
-    v = s = q = tau = u = pi = f_echo = None
-    if not k_zero:
-        v = div(y, k)
-        q = div(f, k)
-        u = e - half * k * q * q + p * v
-    if not y_zero:
-        s = div(k, y)
-        tau = div(f, y)
-        pi = p - half * y * tau * tau + e * s
-    if k_zero and y_zero:
-        f_echo = f
-    psi = psi_value(*mu)
-    return InvariantSet(k=k, y=y, psi=psi, v=v, s=s, q=q, tau=tau, u=u, pi=pi, f=f_echo)
 
 
 def coadjoint_generators(mu: DualElement) -> tuple:

@@ -237,10 +237,11 @@ def test_criterion_07_integration():
         else:
             exact = space_closed_form(state0[0], state0[1],
                                       params.y * state0[0], params, 10.0)
-        final = trajectory.rows[-1]
+        rows = list(trajectory.row_factory())
+        final = rows[-1]
         assert rel_err(final[1], exact[0]) <= 1e-8
         assert rel_err(final[2], exact[1]) <= 1e-8
-        assert max(row[-1] for row in trajectory.rows) <= 1e-8
+        assert max(row[-1] for row in rows) <= 1e-8
     _finish(7, started, 10.0,
             "RK4 at h=1e-3 over [0,10] within 1e-8 of closed forms, "
             "invariant drift <= 1e-8, both pictures")

@@ -52,8 +52,9 @@ def _reference_parse(text, backend):
         return _reference_fraction(text) if isinstance(text, str) \
             else Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        # Python's own reasons quote the text whole; both quotes are bounded
-        reason = str(exc).replace(repr(text), _reference_quote(text))
+        # Python's own reasons end by quoting the text, which the message
+        # names once, bounded
+        reason = str(exc).removesuffix(f": {text!r}")
         raise InputFormatError(
             f"cannot parse scalar {_reference_quote(text)}: {reason}") from exc
 

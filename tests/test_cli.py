@@ -53,6 +53,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv) -> str:
+    """The error line of ``main(argv)``'s usage error: exit 1, nothing on
+    stdout, and the subcommand's usage before the line."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err[:-1].rsplit("\n", 1)
+    assert usage.startswith(f"usage: aristotle-orbits {argv[0]} ")
+    return error
+
+
 @lru_cache(maxsize=None)
 def _validator(schema_name: str) -> Draft202012Validator:
     schema = json.loads((SCHEMAS / schema_name).read_text(encoding="utf-8"))
@@ -463,6 +476,28 @@ def test_non_finite_result_is_input_error_not_json(tmp_path, capsys, argv,
     assert err.startswith("aristotle-orbits: error: ")
     assert err.count("\n") == 1 and "not finite" in err
     assert not out_path.exists()
+
+
+# RK4's stage sum is about 6|k q| (time) or 6|y tau| (space), so it
+# overflows where every row of the closed form is finite
+OVERFLOWING_STAGES = [
+    ("--picture", "time", "--state=0.5,0", "--k=1.7976931348623157e308",
+     "--y=1"),
+    ("--picture", "space", "--state=1,0", "--k=1",
+     "--y=1.7976931348623157e308"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_STAGES, ids=["time", "space"])
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_rk4_run_whose_stages_overflow_writes_nothing(capsys, argv,
+                                                      output_format):
+    code, out, err = run(capsys, "simulate", "--backend", "float", *argv,
+                         "--range=0:1", "--step=1/2",
+                         f"--format={output_format}")
+    assert (code, out) == (1, "")
+    assert err == ("aristotle-orbits: error: a computed value is not finite: "
+                   "an RK4 stage reaches inf, over half the largest double\n")
 
 
 def _refuse(constant):
@@ -902,15 +937,18 @@ def test_overlong_field_is_one_bounded_error_line(capsys, field):
     assert f"... ({len(field)} characters)" in err
 
 
-def test_overlong_json_integer_is_one_bounded_error_line(tmp_path, capsys):
-    # JSON integers are read as text, under the same digit bound
-    path = tmp_path / "points.json"
-    path.write_text(f"[[{'9' * 5000}, 0, 0, 0, 0]]", encoding="utf-8")
-    code, out, err = run(capsys, "classify", "--in", str(path))
+def test_overlong_json_integer_is_one_bounded_error_line(tmp_path, capsys,
+                                                         monkeypatch):
+    # JSON integers are read as text, under the same digit bound; the path
+    # is relative, so the line's length does not depend on tmp_path's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.json").write_text(f"[[{'9' * 5000}, 0, 0, 0, 0]]",
+                                          encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--in", "points.json")
     assert (code, out) == (1, "")
-    assert err == (f"aristotle-orbits: error: {path}: entry 1: cannot parse "
-                   f"scalar '{'9' * 24}'... (5000 characters): an integer of "
-                   f"more than 4300 digits\n")
+    assert err == (f"aristotle-orbits: error: points.json: entry 1: cannot "
+                   f"parse scalar '{'9' * 24}'... (5000 characters): an "
+                   f"integer of more than 4300 digits\n")
 
 
 def test_json_integers_parse_as_before(tmp_path, capsys):
@@ -1006,7 +1044,8 @@ def test_streamed_csv_equals_formatted_rows(tmp_path, capsys, argv, build):
     trajectory = build()
     expected = "".join(",".join(cells) + "\r\n" for cells in (
         [trajectory.columns]
-        + [[format_scalar(c) for c in row] for row in trajectory.rows]))
+        + [[format_scalar(c) for c in row]
+           for row in trajectory.row_factory()]))
     code, out, err = run(capsys, "simulate", *argv)
     assert code == 0, err
     assert out == expected
@@ -1026,7 +1065,8 @@ def _trajectory_payload(trajectory) -> dict:
         "method": trajectory.method,
         "params": {name: json_scalar(value)
                    for name, value in trajectory.params.items()},
-        "rows": [[json_scalar(c) for c in row] for row in trajectory.rows],
+        "rows": [[json_scalar(c) for c in row]
+                 for row in trajectory.row_factory()],
     }
 
 
@@ -1152,11 +1192,11 @@ def test_exact_csv_builds_no_fraction_per_row(tmp_path, capsys, monkeypatch,
 
 
 def test_simulate_bad_range(capsys):
-    code, _, err = run(capsys, "simulate", "--picture", "time",
+    assert usage_error(capsys, "simulate", "--picture", "time",
                        "--state", "0,0", "--k", "1", "--y", "1",
-                       "--range", "5")
-    assert code == 1
-    assert "A:B" in err
+                       "--range", "5") == (
+        "aristotle-orbits simulate: error: argument --range: expected A:B, "
+        "got '5'")
 
 
 # ------------------------------------------------- verify and mutation
@@ -1194,10 +1234,9 @@ def test_verify_mutation_exits_2(capsys):
 @pytest.mark.parametrize("command", ["verify", "derive-law"])
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_samples_below_one_is_usage_error(capsys, command, samples):
-    code, out, err = run(capsys, command, "--samples", samples)
-    assert code == 1
-    assert out == ""
-    assert "--samples" in err
+    assert usage_error(capsys, command, "--samples", samples) == (
+        f"aristotle-orbits {command}: error: argument --samples: "
+        f"{samples!r}: not an integer >= 1")
 
 
 def test_verify_mutation_fails_the_group_law_proof(capsys):
@@ -1225,15 +1264,15 @@ def test_verify_arithmetic_error_is_a_failed_check(capsys, monkeypatch):
 
 
 def test_verify_unknown_mutation_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--mutate", "Eq9.9")
-    assert code == 1
-    assert "unknown mutation" in err
+    assert usage_error(capsys, "verify", "--mutate", "Eq9.9") == (
+        "aristotle-orbits verify: error: argument --mutate: invalid choice: "
+        "'Eq9.9' (choose from 'Eq2.4')")
 
 
 def test_verify_rejects_float_backend(capsys):
-    code, _, err = run(capsys, "verify", "--backend", "float")
-    assert code == 1
-    assert "rational" in err
+    assert usage_error(capsys, "verify", "--backend", "float") == (
+        "aristotle-orbits verify: error: argument --backend: invalid choice: "
+        "'float' (choose from 'rational')")
 
 
 # --------------------------------------------------------------- errata
@@ -1250,12 +1289,18 @@ def test_errata_goldens(capsys):
 
 
 def test_errata_rejects_float_backend(capsys):
-    code, _, err = run(capsys, "errata", "--backend", "float")
-    assert code == 1
-    assert "rational" in err
+    assert usage_error(capsys, "errata", "--backend", "float") == (
+        "aristotle-orbits errata: error: argument --backend: invalid choice: "
+        "'float' (choose from 'rational')")
 
 
 # ----------------------------------------------------------- derive-law
+
+def test_derive_law_rejects_float_backend(capsys):
+    assert usage_error(capsys, "derive-law", "--backend", "float") == (
+        "aristotle-orbits derive-law: error: argument --backend: invalid "
+        "choice: 'float' (choose from 'rational')")
+
 
 def test_derive_law_json(capsys):
     code, out, _ = run(capsys, "derive-law", "--samples", "50",

@@ -179,7 +179,7 @@ def test_float_rows_are_the_plain_row_template(capsys, monkeypatch, deadline,
     argv = (*argv, "--range", "0:10", "--format", output_format)
     trajectory = build(dynamics.IntegratorConfig(step=0.001, start=0.0,
                                                  stop=10.0))
-    rows = list(trajectory.rows)
+    rows = list(trajectory.row_factory())
     if argv[:len(ZERO_INVARIANT)] == ZERO_INVARIANT:
         assert [repr(row[-2]) for row in rows[:2]] == ["-0.0", "0.0"]
     else:
@@ -907,6 +907,9 @@ _LONG_TOKENS = {
             "--y", "1", "--out", "/nonexistent/" + _NINES),
     "in-inline": ("classify", f"--in={_NINES}"),
     "mutation": ("verify", "--mutate", _NINES),
+    # --samples is echoed as typed, not as the integer it reads as
+    "samples-leading-zero": ("verify", "--samples", "-0" + "9" * 4299),
+    "samples-separators": ("derive-law", "--samples", "0" + "_0" * 100),
 }
 
 
@@ -914,7 +917,8 @@ _LONG_TOKENS = {
 def test_long_token_is_one_bounded_error_line(capsys, argv):
     # a path, an unrecognized argument or a value of over ECHO_CHARS
     # characters is echoed by its prefix and its length: exit 1 with one
-    # error line of under 200 bytes, in process and from the console script
+    # error line of under 200 bytes, in process and from the console
+    # script; a usage error's line names its subcommand
     try:
         code = main(list(argv))
     except SystemExit as exc:  # a usage error
@@ -923,7 +927,8 @@ def test_long_token_is_one_bounded_error_line(capsys, argv):
     errors = [line for line in captured.err.splitlines() if " error: " in line]
     assert (code, captured.out, len(errors)) == (1, "", 1)
     assert captured.err.endswith(errors[0] + "\n")
-    assert errors[0].startswith("aristotle-orbits: error: ")
+    assert errors[0].startswith(("aristotle-orbits: error: ",
+                                 f"aristotle-orbits {argv[0]}: error: "))
     assert len(errors[0].encode("utf-8")) < 200
     long = argv[-1].partition("=")[2] or argv[-1]
     assert f"{long[:cli.ECHO_CHARS]!r}" not in errors[0]
@@ -952,8 +957,8 @@ def test_unreadable_in_names_its_path_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("length", [cli.ECHO_CHARS, cli.ECHO_CHARS + 1])
 @pytest.mark.parametrize("argv, line, typed", [
     (("verify",), "aristotle-orbits: error: unrecognized arguments: {}", str),
-    (("simulate", "--picture"), "aristotle-orbits simulate: error: argument "
-     "--picture: invalid choice: {} (choose from 'time', 'space')", repr),
+    (("verify", "--mutate"), "aristotle-orbits verify: error: argument "
+     "--mutate: invalid choice: {} (choose from 'Eq2.4')", repr),
 ], ids=["raw", "repr"])
 def test_a_token_is_echoed_whole_up_to_echo_chars(capsys, argv, line, typed,
                                                   length):
@@ -963,3 +968,24 @@ def test_a_token_is_echoed_whole_up_to_echo_chars(capsys, argv, line, typed,
     shown = (f"'{'9' * 24}'... ({length} characters)"
              if length > cli.ECHO_CHARS else typed(token))
     assert _usage_error(capsys, (*argv, token))[1] == line.format(shown)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("simulate", "--picture", "9" * 100),
+     "aristotle-orbits simulate: error: argument --picture: invalid choice: "
+     "'{}'... (100 characters) (choose from 'time', 'space')".format(
+         "9" * 24)),
+    (("x" * 100,), "aristotle-orbits: error: argument command: invalid "
+     "choice: '{}'... (100 characters) (choose from 'classify', "
+     "'invariants', 'simulate', 'verify', 'errata', 'derive-law')".format(
+         "x" * 24)),
+    (("verify", "a" * 80, "b" * 60, "c" * 24), "aristotle-orbits: error: "
+     "unrecognized arguments: '{}'... (80 characters) '{}'... (60 "
+     "characters) {}".format("a" * 24, "b" * 24, "c" * 24)),
+], ids=["choice", "subcommand", "unrecognized"])
+def test_a_line_of_line_bytes_echoes_no_token_past_quote_chars(capsys, argv,
+                                                               line):
+    # a token of up to ECHO_CHARS that would take the line to LINE_BYTES,
+    # alone or beside others, is echoed by its first 24 and its length
+    error = _usage_error(capsys, argv)[1]
+    assert error == line and len(error.encode("utf-8")) < cli.LINE_BYTES

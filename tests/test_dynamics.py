@@ -36,6 +36,11 @@ def params_st():
     return st.builds(OrbitParams, nonzero_fractions, nonzero_fractions)
 
 
+def rows_of(trajectory) -> list:
+    """A trajectory's rows, from its row view ``row_factory()``."""
+    return list(trajectory.row_factory())
+
+
 # ------------------------------------------------------------- dual flows
 
 def test_time_flow_frozen_examples():
@@ -337,32 +342,65 @@ def test_float_trajectory_with_a_non_finite_value_is_refused():
             build()
 
 
+def test_rk4_stages_are_refused_with_one_binade_to_spare():
+    # the time stage sum is about 6|k q0|: 6e307 passes, and 1.2e308, a
+    # double still, is refused, as is the space one's 6|y tau0|; a
+    # one-row run takes no step, so it has no stage to refuse
+    config = IntegratorConfig(step=0.5, start=0, stop=1)
+    assert len(rows_of(integrate("time", (1.0, 0.0),
+                                 OrbitParams(1e307, 1.0), config))) == 3
+    for picture, state, params in [
+            ("time", (2.0, 0.0), OrbitParams(1e307, 1.0)),
+            ("space", (1.0, 0.0), OrbitParams(1.0, 1.7976931348623157e308))]:
+        with pytest.raises(InputFormatError,
+                           match=r"an RK4 stage reaches (1\.2e\+308|inf), "
+                                 r"over half the largest double$"):
+            integrate(picture, state, params, config)
+    point = IntegratorConfig(step=0.5, start=1, stop=1)
+    assert rows_of(integrate("time", (2.0, 0.0), OrbitParams(1e307, 1.0),
+                             point)) == [(1.0, 2.0, 0.0, -2e307, 0.0)]
+
+
+def test_rk4_rows_are_checked_from_the_range_start():
+    # RK4 starts its state at the range's start, so its rows are the
+    # closed form from 0 over the range's length: p = -k q0 t reaches
+    # -2e308 after 200 steps, though |p| <= 1e308 on [-100, 100]; and a
+    # single row at 1e155 is the initial state, whatever p(1e155) is
+    config = IntegratorConfig(step=1.0, start=-100.0, stop=100.0)
+    with pytest.raises(InputFormatError,
+                       match=r"the row at 100\.0 is \(1\.0, -inf"):
+        integrate("time", (1.0, 0.0), OrbitParams(1e306, 1e-300), config)
+    far = IntegratorConfig(step=1.0, start=1e155, stop=1e155)
+    assert rows_of(integrate("time", (1.0, 0.0), OrbitParams(1.0, 1.0),
+                             far)) == [(1e155, 1.0, 0.0, -0.5, 0.0)]
+
+
 def test_integrate_zero_length_range():
     config = IntegratorConfig(step=1e-3, start=0, stop=0)
-    traj = integrate("time", (3, 4), OrbitParams(1, 1), config)
-    assert len(traj.rows) == 1
-    assert traj.rows[0][0] == 0.0
-    assert traj.rows[-1][1:-2] == (3.0, 4.0)
-    assert traj.rows[0][-1] == 0.0
+    rows = rows_of(integrate("time", (3, 4), OrbitParams(1, 1), config))
+    assert len(rows) == 1
+    assert rows[0][0] == 0.0
+    assert rows[-1][1:-2] == (3.0, 4.0)
+    assert rows[0][-1] == 0.0
 
 
 def test_integrate_time_picture_matches_closed_form():
     config = IntegratorConfig(step=1e-3, start=0, stop=2)
-    traj = integrate("time", (0, 0), OrbitParams(1, 1), config)
-    q, p = traj.rows[-1][1:-2]
-    assert traj.rows[-1][0] == 2.0
+    rows = rows_of(integrate("time", (0, 0), OrbitParams(1, 1), config))
+    q, p = rows[-1][1:-2]
+    assert rows[-1][0] == 2.0
     assert abs(q - (-2)) <= 1e-10
     assert abs(p - 2) <= 1e-10
-    assert max(row[-1] for row in traj.rows) <= 1e-8
+    assert max(row[-1] for row in rows) <= 1e-8
 
 
 def test_integrate_space_picture_matches_closed_form():
     config = IntegratorConfig(step=1e-3, start=0, stop=2)
-    traj = integrate("space", (0, 0), OrbitParams(1, 1), config)
-    tau, e = traj.rows[-1][1:-2]
+    rows = rows_of(integrate("space", (0, 0), OrbitParams(1, 1), config))
+    tau, e = rows[-1][1:-2]
     assert abs(tau - 2) <= 1e-10
     assert abs(e - 2) <= 1e-10
-    assert max(row[-1] for row in traj.rows) <= 1e-8
+    assert max(row[-1] for row in rows) <= 1e-8
 
 
 def _has_chart(params: OrbitParams, slope: str) -> bool:
@@ -400,10 +438,11 @@ def test_closed_form_trajectory_rational_is_exact():
     config = IntegratorConfig(step=Fraction(1, 2), start=0, stop=2)
     traj = closed_form_trajectory("time", (Fraction(0), Fraction(0)),
                                   OrbitParams(Fraction(1), Fraction(1)), config)
-    assert [row[0] for row in traj.rows] == [0, HALF, 1, Fraction(3, 2), 2]
-    assert traj.rows[-1][1] == -2
-    assert traj.rows[-1][2] == 2
-    assert all(row[-1] == 0 for row in traj.rows)
+    rows = rows_of(traj)
+    assert [row[0] for row in rows] == [0, HALF, 1, Fraction(3, 2), 2]
+    assert rows[-1][1] == -2
+    assert rows[-1][2] == 2
+    assert all(row[-1] == 0 for row in rows)
     assert traj.method == "closed-form"
 
 
@@ -412,8 +451,9 @@ def test_closed_form_trajectory_space_default_f0():
     traj = closed_form_trajectory("space", (Fraction(1), Fraction(0)),
                                   OrbitParams(Fraction(2), Fraction(1)), config)
     # f0 defaulted to y*tau0 = 1, so e(x) = x + x^2 and pi-drift is zero
-    assert traj.rows[-1][2] == 2 + 4
-    assert all(row[-1] == 0 for row in traj.rows)
+    rows = rows_of(traj)
+    assert rows[-1][2] == 2 + 4
+    assert all(row[-1] == 0 for row in rows)
 
 
 def test_closed_form_trajectory_off_orbit_f0_drifts():
@@ -421,7 +461,7 @@ def test_closed_form_trajectory_off_orbit_f0_drifts():
     traj = closed_form_trajectory("space", (Fraction(0), Fraction(0)),
                                   OrbitParams(Fraction(1), Fraction(1)), config,
                                   f0=Fraction(1))
-    assert max(row[-1] for row in traj.rows) > 0
+    assert max(row[-1] for row in rows_of(traj)) > 0
 
 
 def test_dual_flow_trajectory_handles_chartless_points():
@@ -430,15 +470,16 @@ def test_dual_flow_trajectory_handles_chartless_points():
     traj = dual_flow_trajectory(mu, "time", config)
     assert traj.picture == "dual-time"
     assert traj.columns == ("t", "p", "e", "f", "psi", "drift")
-    assert all(row[-1] == 0 for row in traj.rows)
+    rows = rows_of(traj)
+    assert all(row[-1] == 0 for row in rows)
     final = time_flow(mu, 3)
-    assert traj.rows[-1][1:-2] == (final.p, final.e, final.f)
+    assert rows[-1][1:-2] == (final.p, final.e, final.f)
 
 
 def test_trajectory_params_strictly_increasing():
     config = IntegratorConfig(step=1e-1, start=0, stop=1)
     traj = integrate("time", (1, 1), OrbitParams(1, 2), config)
-    values = [row[0] for row in traj.rows]
+    values = [row[0] for row in rows_of(traj)]
     assert values == sorted(set(values))
     assert values[-1] == 1.0
 
@@ -670,11 +711,11 @@ def test_exact_closed_form_rows_are_the_formulas(picture, params, a0, b0,
         f0 = None
     config = IntegratorConfig(step=step, start=start, stop=start + 3)
     traj = closed_form_trajectory(picture, (a0, b0), params, config, f0=f0)
-    grid = [row[0] for row in traj.rows]
+    grid = [row[0] for row in rows_of(traj)]
     assert grid[0] == start and grid[-1] == start + 3
     assert all(b - a == step for a, b in zip(grid, grid[1:-1]))
     states = _closed_form_states(picture, (a0, b0), params, grid, f0)
-    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+    assert rows_of(traj) == _chart_rows(picture, params, grid, states)
 
 
 @given(pictures, dual_points, small_fractions, steps)
@@ -682,9 +723,9 @@ def test_exact_closed_form_rows_are_the_formulas(picture, params, a0, b0,
 def test_exact_dual_rows_are_the_flows(picture, mu0, start, step):
     config = IntegratorConfig(step=step, start=start, stop=start + 3)
     traj = dual_flow_trajectory(mu0, picture, config)
-    grid = [row[0] for row in traj.rows]
+    grid = [row[0] for row in rows_of(traj)]
     assert grid[-1] == start + 3
-    assert list(traj.rows) == _dual_rows(picture, mu0, grid)
+    assert rows_of(traj) == _dual_rows(picture, mu0, grid)
 
 
 # ------------------- exact rows tabulated by differences, past the head
@@ -705,7 +746,7 @@ def _cells(traj) -> list:
 
 
 def _assert_cells_are_the_formatted_rows(traj):
-    rows = list(traj.rows)
+    rows = rows_of(traj)
     assert _cells(traj) == \
         [tuple(map(format_scalar, row)) for row in rows]
     return rows
@@ -846,8 +887,8 @@ def test_float_cell_chunks_are_lists_of_the_rows():
     chunks = list(traj.cell_chunks(256))
     assert all(type(chunk) is list for chunk in chunks)
     assert [len(chunk) for chunk in chunks] == [256, 256, 256, 802 - 768]
-    assert [row for chunk in chunks for row in chunk] == list(traj.rows)
-    assert _cells(traj) == list(traj.rows)
+    assert [row for chunk in chunks for row in chunk] == rows_of(traj)
+    assert _cells(traj) == rows_of(traj)
 
 
 def test_difference_guard_rejects_a_cubic_sampler():
@@ -883,7 +924,7 @@ def test_float_closed_form_rows_are_the_formulas(case, f0):
     traj = closed_form_trajectory(picture, (a0, b0), params, config, f0=f0)
     grid = _reference_float_grid(start, start + 2, h)
     states = _closed_form_states(picture, (a0, b0), params, grid, f0)
-    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+    assert rows_of(traj) == _chart_rows(picture, params, grid, states)
 
 
 @given(float_cases, st.floats(-3, 3))
@@ -894,7 +935,7 @@ def test_float_dual_rows_are_the_flows(case, e0):
     config = IntegratorConfig(step=h, start=start, stop=start + 2)
     traj = dual_flow_trajectory(mu0, picture, config)
     grid = _reference_float_grid(start, start + 2, h)
-    assert list(traj.rows) == _dual_rows(picture, mu0, grid)
+    assert rows_of(traj) == _dual_rows(picture, mu0, grid)
 
 
 @given(float_cases)
@@ -907,12 +948,11 @@ def test_rk4_rows_are_the_generic_scheme(case):
     traj = integrate(picture, (a0, b0), params, config)
     grid = _reference_float_grid(start, start + 2, h)
     states = _reference_rk4(picture, (a0, b0), params, grid)
-    assert list(traj.rows) == _chart_rows(picture, params, grid, states)
+    assert rows_of(traj) == _chart_rows(picture, params, grid, states)
 
 
-def test_rows_rerun_identically_and_cache():
+def test_rows_rerun_identically():
     config = IntegratorConfig(step=0.25, start=0, stop=2)
     traj = integrate("space", (0.5, -1.0), OrbitParams(3, 2), config)
-    assert list(traj.row_factory()) == list(traj.row_factory()) \
-        == list(traj.rows)
-    assert traj.rows is traj.rows
+    assert list(traj.row_factory()) == list(traj.row_factory())
+    assert not hasattr(traj, "rows")

@@ -47,6 +47,12 @@ LONG = st.sampled_from([
     "'" + "9" * 200 + '"', "\\" * 300, "é" * 400,
 ])
 BACKENDS = st.sampled_from(["rational", "float"])
+# --samples as int reads it: small counts, and spellings that are not the
+# integer's own text (leading zeros, "_" separators, "+"), long ones too
+SAMPLES = st.sampled_from([
+    "-1", "0", "1", "2", "02", "+2", "1_0", "-0_1", "+0", "0_0",
+    "-0" + "9" * 4299, "0" + "_0" * 100, "+" + "0" * 200 + "1",
+])
 SCHEMA = {"classify": "classify", "invariants": "invariants",
           "simulate": "trajectory", "verify": "verify", "errata": "errata",
           "derive-law": "derive-law"}
@@ -88,9 +94,9 @@ def _adjudicate(draw) -> list:
     command = draw(st.sampled_from(["verify", "errata", "derive-law"]))
     argv = [command, "--format=json", "--seed", draw(SCALARS)]
     if command == "verify":  # ignored, but parsed as an int at least 1
-        argv += ["--samples", draw(SCALARS)]
+        argv += ["--samples", draw(st.one_of(SCALARS, SAMPLES))]
     elif command == "derive-law":
-        argv += ["--samples", draw(st.sampled_from(["-1", "0", "1", "2"]))]
+        argv += ["--samples", draw(SAMPLES)]
     return argv
 
 
