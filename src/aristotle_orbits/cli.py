@@ -72,6 +72,8 @@ CHUNK_POINTS = 64
 ECHO_CHARS = 100
 #: Bytes below which an error line keeps its tokens (``_bounded``).
 LINE_BYTES = 200
+#: Most ``--samples``: derive-law takes about 10 s for them (2-CPU Xeon).
+MAX_SAMPLES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -500,10 +502,11 @@ def _range(text: str) -> list:
 
 
 def _samples(text: str) -> int:
-    """``--samples``: an integer, at least 1."""
+    """``--samples``: an integer from 1 to MAX_SAMPLES."""
     samples = int(text)
-    if samples < 1:
-        raise argparse.ArgumentTypeError(f"{text!r}: not an integer >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: not an integer from 1 to {MAX_SAMPLES}")
     return samples
 
 
@@ -539,13 +542,13 @@ def build_parser() -> _Parser:
     p.add_argument("--picture", choices=("time", "space"), required=True,
                    help="evolution parameter: t (time) or x (space)")
     p.add_argument("--state", metavar="C1,C2",
-                   help='chart state "q,p" (time) or "tau,e" (space)')
+                   help="chart state q,p or tau,e at the range's start")
     p.add_argument("--k", help="Hooke constant")
     p.add_argument("--y", help="yank")
-    p.add_argument("--f0", help="initial force (space closed form only; "
-                                "defaults to the on-orbit value y*tau0)")
+    p.add_argument("--f0", help="force at the range's start (space closed "
+                                "form only; default: on-orbit y*tau0)")
     p.add_argument("--mu", metavar="P,E,F,K,Y",
-                   help="dual point for --dual mode")
+                   help="dual point at the range's start, for --dual")
     p.add_argument("--range", type=_range, default="0:10", metavar="A:B",
                    help="parameter range (default 0:10)")
     p.add_argument("--step", default="0.001", metavar="H",
@@ -561,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0,
                    help="ignored: every check is a proof")
     p.add_argument("--samples", type=_samples, default=1000,
-                   help="ignored, but at least 1: every check is a proof")
+                   help=f"ignored (1 to {MAX_SAMPLES}); checks are proofs")
     p.add_argument("--mutate", choices=verify_mod.MUTATIONS, metavar="ID",
                    help="run against a deliberately broken structure tensor")
     _add_output_options(p, ("text", "json"), "text", (RATIONAL,))

@@ -17,15 +17,15 @@ polynomials in the parameter, checked against the printed coadjoint
 action ``coadjoint_printed`` by the tests and by ``verify``.
 
 Each closed form and flow is stated once, as a solution factory that the
-public formulas and every trajectory evaluate.  Trajectories are lazy
-streams of rows: RK4 rows from one fused stepping loop, sampled rows
-from one row generator.  An exact trajectory runs its closures once on
-the polynomial parameter start + step*i; each column's coefficients give
-the integer forward differences that tabulate its rows and output cells,
-from any row on, so its output chunks start by a jump.  A float
-trajectory with a non-finite value in its range is refused when it is
-built, from its rows at the range ends and the columns' vertices, and an
-RK4 one also by a bound on its stages.
+public formulas and every trajectory evaluate.  Every trajectory starts
+from its state at the range's start.  Its rows are lazy: RK4's from one
+fused stepping loop, the closed forms' and flows' from one row generator
+that evaluates the solution at each parameter's offset from the start.
+An exact trajectory's output cells are tabulated apart, by the integer
+forward differences of its quadratic columns, so its output chunks start
+by a jump.  A float trajectory is set up by one function: float images,
+grid, and the rows at the range ends and the columns' vertices, which
+refuse a non-finite value; an RK4 one's stages are bounded too.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -301,17 +301,6 @@ def realization_space(x: Scalar, t: Scalar, zeta: Scalar, state: tuple,
 
 # -------------------------------------------------------------- integration
 
-def _float_images(config: IntegratorConfig, inputs: tuple) -> tuple:
-    """(start, stop, step) and ``inputs`` as floats, each taken once; a
-    value beyond the double range is an input error."""
-    try:
-        return (tuple(map(float, (config.start, config.stop, config.step))),
-                tuple(map(float, inputs)))
-    except OverflowError as exc:
-        raise InputFormatError(
-            f"a value is beyond the float range: {exc}") from exc
-
-
 def _float_grid(start: float, stop: float,
                 h: float) -> Callable[[], Iterator[float]]:
     """Floating grid start, start+h, ...; the final point lands on stop.
@@ -384,13 +373,14 @@ def _grid_rounding(start: float, span: float) -> float:
     return rounding
 
 
-def _quadratic_columns(param: Poly, sample: Callable,
+def _quadratic_columns(offset: Poly, sample: Callable,
                        invariant: Callable) -> list:
-    """(c0, c1, c2) of each column (param, *coords, invariant) of the row at
-    ``param``, a polynomial of one variable; a higher power is an error."""
-    coords = sample(param)
+    """(c0, c1, c2) of each column (*coords, invariant) of the row sampled
+    at ``offset``, a polynomial of one variable; a higher power is an
+    error."""
+    coords = sample(offset)
     columns = []
-    for value in (param, *coords, invariant(*coords)):
+    for value in (*coords, invariant(*coords)):
         terms = value.terms if isinstance(value, Poly) else {(0,): value}
         if any(power > 2 for power, in terms):
             raise ArithmeticError(f"a column is {value}, not quadratic")
@@ -400,27 +390,25 @@ def _quadratic_columns(param: Poly, sample: Callable,
 
 def _exact_rows(config: IntegratorConfig, sample: Callable,
                 invariant: Callable) -> tuple:
-    """Row and cell-chunk factories (see ``Trajectory``) for exact rows on
-    start + i*step for i < n = ceil((stop - start)/step), then stop; a
-    float step is read as its decimal text.
+    """(start, grid, cell chunks) of exact rows: the rerunnable grid start
+    + i*step for i < n = ceil((stop - start)/step), then stop (a float
+    step is read as its decimal text), and ``Trajectory.cell_chunks``.
 
-    ``sample`` and ``invariant`` run once, on the polynomial parameter
-    start + step*i.  Each column is c0 + c1 i + c2 i^2, so its rows are
-    tabulated by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one
-    denominator per column, numerators advanced by two integer additions
-    per row, each read as a ``Fraction`` for a row and as text for a cell.
-    The numerator and its difference at any row are read off the
-    coefficients too, so a chunk starts at its first row by a jump and no
-    row before it is made.  The row at stop, also read off the
-    coefficients, ends the last chunk.  The rows, as values, are the
-    chunk of all of them.
+    ``sample`` and ``invariant`` run once, on the polynomial offset
+    step*i.  Each column is c0 + c1 i + c2 i^2, so its cells are tabulated
+    by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator
+    per column, numerators advanced by two integer additions per row.  The
+    numerator and its difference at any row are read off the coefficients
+    too, so a chunk starts at its first row by a jump; the row at stop,
+    also read off them, ends the last chunk.
     """
     step = parse_scalar(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
     at = (stop - start) / step  # the index of stop
     count = math.ceil(at)
     index, = indeterminates("i")
-    columns = _quadratic_columns(start + step * index, sample, invariant)
+    columns = [(start, step, 0),
+               *_quadratic_columns(step * index, sample, invariant)]
     # per column (param, coords, invariant, drift): den, N0, dN, d2N, op
     tables = []
     for c0, c1, c2 in columns:
@@ -431,37 +419,36 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
     den, _, d1, d2, _ = tables[-1]
     tables.append((den, 0, d1, d2, abs))  # drift |N - N0| / den
     last = [c0 + c1 * at + c2 * at * at for c0, c1, c2 in columns]
-    last.append(abs(last[-1] - columns[-1][0]))
+    stop_row = (*map(str, last), str(abs(last[-1] - columns[-1][0])))
 
-    def chunks(as_text: bool, size: Optional[int]) -> Iterator:
-        cells = [_column(*table, as_text) for table in tables]
-        stop_row = tuple(map(str, last)) if as_text else tuple(last)
+    def grid() -> Iterator:
+        return chain((start + i * step for i in range(count)), (stop,))
+
+    def chunks(size: Optional[int]) -> Iterator:
+        cells = [_column(*table) for table in tables]
         size = size or count + 1
         for first in range(0, count + 1, size):
             end = first + size
             yield _exact_chunk(cells, first, min(end, count) - first,
                                (stop_row,) if end > count else ())
-    return (lambda: chain.from_iterable(chunks(False, None)),
-            partial(chunks, True))
+    return start, grid, chunks
 
 
-def _column(den: int, n0: int, d1: int, d2: int, op: Callable,
-            as_text: bool) -> Callable[[int], Iterator]:
-    """j -> op(N_i) / den for i = j, j + 1, ..., where N_i = n0 + i*d1 +
-    C(i, 2)*d2, as a ``Fraction`` or as its text (``ratio_text``): N_j and
-    its difference d1 + j*d2 by a jump, then two additions a row.  A
-    constant column's cell is made once, here."""
+def _column(den: int, n0: int, d1: int, d2: int,
+            op: Callable) -> Callable[[int], Iterator]:
+    """j -> the texts (``ratio_text``) of op(N_i) / den for i = j, j + 1,
+    ..., where N_i = n0 + i*d1 + C(i, 2)*d2: N_j and its difference
+    d1 + j*d2 by a jump, then two additions a row.  A constant column's
+    text is made once, here."""
     if d1 == d2 == 0:
-        value = Fraction(op(n0), den)
-        cell = str(value) if as_text else value
-        return lambda _first: repeat(cell)
-    convert = ratio_text if as_text else Fraction
+        text = str(Fraction(op(n0), den))
+        return lambda _first: repeat(text)
 
     def cells(first: int) -> Iterator:
         numerators = accumulate(
             accumulate(repeat(d2), initial=d1 + first * d2),
             initial=n0 + first * d1 + first * (first - 1) // 2 * d2)
-        return map(convert, map(op, numerators), repeat(den))
+        return map(ratio_text, map(op, numerators), repeat(den))
     return cells
 
 
@@ -473,44 +460,52 @@ def _exact_chunk(cells: list, first: int, length: int,
     yield from tail
 
 
-def _rows(grid: Iterator, sample: Callable, invariant: Callable) -> Iterator:
-    """(param, *coords, invariant, drift) for each parameter of the grid."""
+def _rows(grid: Iterator, start: Scalar, sample: Callable,
+          invariant: Callable) -> Iterator:
+    """(param, *coords, invariant, drift) of the solution at param - start."""
     inv0 = None
     for param in grid:
-        coords = sample(param)
+        coords = sample(param - start)
         inv = invariant(*coords)
         if inv0 is None:
             inv0 = inv
         yield (param, *coords, inv, abs(inv - inv0))
 
 
-def _require_finite(span: tuple, model: Callable, inputs: tuple,
-                    origin: float = 0.0) -> tuple:
-    """``model(*inputs)``, a (sample, invariant) pair on floats, refused
-    before any row if a row over the range of ``span`` (start, stop, step)
-    holds a NaN or an infinity, named by its parameter plus ``origin``.
+def _float_setup(config: IntegratorConfig, model: Callable,
+                 inputs: tuple) -> tuple:
+    """((start, stop, step), grid, inputs, (sample, invariant)) of a float
+    trajectory, each checked before any row, in this order: the float
+    images of the range and of ``inputs`` (a value beyond the double range
+    is an input error), the grid they span (``_float_grid``), and
+    ``model(*inputs)``, refused if a row over the range is not finite.
 
     Each column, and each product in the invariant (a column times a
-    constant, or the square of a line), has degree <= 2 in the parameter:
-    its largest magnitude lies at a range end or at a column's vertex
-    -c1/(2 c2), read off the model on the exact images of the inputs.  So
-    the rows there bound every row; RK4 follows the closed form to roundoff.
+    constant, or the square of a line), is quadratic in the offset, so
+    its largest magnitude lies at a range end or at a vertex -c1/(2 c2)
+    read off the model on the inputs' exact images: the rows there bound
+    every row.  RK4 follows the closed form to roundoff.
     """
+    try:
+        span = tuple(map(float, (config.start, config.stop, config.step)))
+        inputs = tuple(map(float, inputs))
+    except OverflowError as exc:
+        raise InputFormatError(
+            f"a value is beyond the float range: {exc}") from exc
+    grid = _float_grid(*span)
     if not all(map(math.isfinite, inputs)):
         raise InputFormatError(f"{NOT_FINITE}: the inputs are {inputs!r}")
-    sample, invariant = model(*inputs)
+    pair = model(*inputs)
     start, stop, _ = span
-    param, = indeterminates("t")
     vertices = (-c1 / (2 * c2) for _, c1, c2 in _quadratic_columns(
-        param, *model(*map(Fraction, inputs))) if c2)
-    probes = [start, stop, *(float(vertex) for vertex in vertices
-                             if start < vertex < stop)]
-    for row in _rows(probes, sample, invariant):
+        *indeterminates("t"), *model(*map(Fraction, inputs))) if c2)
+    probes = [start, stop, *(start + float(vertex) for vertex in vertices
+                             if 0 < vertex < stop - start)]
+    for row in _rows(probes, start, *pair):
         if not all(map(math.isfinite, row)):
             raise InputFormatError(
-                f"{NOT_FINITE}: the row at {row[0] + origin!r} is "
-                f"{row[1:]!r}")
-    return sample, invariant
+                f"{NOT_FINITE}: the row at {row[0]!r} is {row[1:]!r}")
+    return span, grid, inputs, pair
 
 
 def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
@@ -519,14 +514,14 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
     invariant) pair, with ``inputs`` led by the orbit labels k and y: exact
     rows, or floats over a checked grid if an input is a float."""
     config = config or IntegratorConfig()
-    if not is_float_backed(*inputs):
-        rows, chunks = _exact_rows(config, *model(*inputs))
+    if is_float_backed(*inputs):
+        span, grid, inputs, pair = _float_setup(config, model, inputs)
+        start, chunks = span[0], None
     else:
-        span, inputs = _float_images(config, inputs)
-        sample, invariant = _require_finite(span, model, inputs)
-        grid = _float_grid(*span)
-        rows, chunks = lambda: _rows(grid(), sample, invariant), None
-    return _trajectory(picture, "closed-form", *inputs[:2], rows, chunks)
+        pair = model(*inputs)
+        start, grid, chunks = _exact_rows(config, *pair)
+    return _trajectory(picture, "closed-form", *inputs[:2],
+                       lambda: _rows(grid(), start, *pair), chunks)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -617,25 +612,22 @@ def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
               config: Optional[IntegratorConfig] = None) -> Trajectory:
-    """Fixed-step RK4 over the derived rhs, in float arithmetic.
+    """Float RK4 over the derived rhs, from state0 at the range's start.
 
     Rows carry the chart invariant and its drift; the rhs is an affine
     polynomial field, so at h = 1e-3 the scheme tracks the closed forms
-    to roundoff.  Before the first row, as the field ignores the
-    parameter, the closed form from 0 over the range's length is checked
-    finite; so are RK4's stages, which overflow first.  a moves at a
+    to roundoff.  Before the first row the closed form from the same
+    state is checked finite (``_float_setup``, as for the float closed
+    form); so are RK4's stages, which overflow first.  a moves at a
     constant rate, so |a| is largest at an end of the range (``reach``),
     each stage is at most |gain| reach, the stage sum 6 times that and b's
     increment h times it: kept under half the largest double, a binade of
     headroom for rounding.
     """
-    span, inputs = _float_images(config or IntegratorConfig(),
-                                 (params.k, params.y, *state0))
-    grid = _float_grid(*span)
-    start, stop, step = span
+    (start, stop, step), grid, inputs, _ = _float_setup(
+        config or IntegratorConfig(), partial(_chart_model, picture),
+        (params.k, params.y, *state0))
     length = stop - start
-    _require_finite((0.0, length, step), partial(_chart_model, picture),
-                    inputs, origin=start)
     params = OrbitParams(*inputs[:2])
     slope, half_force = _chart_constants(picture, params)
     rate, gain = ((-params.v, -params.k) if picture == "time"
@@ -654,7 +646,9 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
                            params: OrbitParams,
                            config: Optional[IntegratorConfig] = None,
                            f0: Optional[Scalar] = None) -> Trajectory:
-    """Exact solution sampled on the same grid the integrator would use.
+    """Exact solution from state0 (and f0) at the range's start, on the
+    integrator's grid: rows evaluated one by one, exact cells from forward
+    differences.
 
     Backend-generic: rational inputs give exact rational rows.  For the
     space picture f0 defaults to the on-orbit value y*tau0.
@@ -666,11 +660,13 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
                          config: Optional[IntegratorConfig] = None) -> Trajectory:
-    """Exact dual-space evolution of (p, e, f); total, any k and y.
+    """Exact dual-space evolution of (p, e, f) from mu0 at the range's
+    start; total, any k and y.
 
     The carried invariant is psi = 2ke - f^2 + 2py, which is defined on
     every orbit, so this mode works where the charts do not.  Rows are
-    the paths of time_flow/space_flow.
+    the paths of time_flow/space_flow, evaluated one by one; exact cells
+    come from forward differences.
     """
     return _sampled_trajectory(f"dual-{picture}", config,
                                partial(_dual_model, picture),

@@ -239,7 +239,8 @@ def test_negative_flag_value_is_a_value(capsys):
             "--range", "-1:1", "--step", "1/2", "--closed-form")
     code, out, err = run(capsys, *argv, "--k", "-3/2")
     assert code == 0, err
-    assert out.splitlines()[1] == "-1,-5/3,3,1/12,0"
+    # --state is the state at the range's start, t = -1
+    assert out.splitlines()[1] == "-1,-1,1,1/12,0"
     assert (code, out, err) == run(capsys, *argv, "--k=-3/2")
 
 
@@ -822,6 +823,33 @@ def test_simulate_non_advancing_grid_is_input_error(tmp_path, capsys, mode):
     assert not out_path.exists()
 
 
+# inputs refused before any row by a check that RK4 and the float closed
+# form share: a value beyond the double range (on the float backend, when
+# it is parsed), a range no float grid spans, a grid that does not
+# advance, and a row that is not finite (p, or e, overflows at the
+# range's end, whose offset from the start is 2e154)
+SHARED_FLOAT_REFUSALS = [
+    ("--state=1,1", "--k=1e400", "--y=1", "--range=0:1", "--step=0.5"),
+    ("--state=0,1", "--k=1", "--y=1e-320", "--range=-1e308:1e308",
+     "--step=1e307"),
+    ("--state=1,1", "--k=1", "--y=1", "--range", "1e16:10000000000000004",
+     "--step", "1"),
+    ("--state=1,1", "--k=1", "--y=1", "--range=-1e154:1e154",
+     "--step=1e154"),
+]
+
+
+@pytest.mark.parametrize("picture", ("time", "space"))
+@pytest.mark.parametrize("argv", SHARED_FLOAT_REFUSALS)
+def test_rk4_and_float_closed_form_refuse_alike(capsys, picture, argv):
+    rk4 = ("simulate", "--picture", picture, "--backend", "float", *argv)
+    code, out, err = run(capsys, *rk4)
+    assert (code, out) == (1, "")
+    assert err.startswith("aristotle-orbits: error: ")
+    assert err.count("\n") == 1
+    assert run(capsys, *rk4, "--closed-form") == (code, out, err)
+
+
 @pytest.mark.parametrize("argv", [
     # the range is wider than the largest float; every row is finite
     ("--backend", "float", "--state=0,1", "--k=1", "--y=1e-320",
@@ -1236,7 +1264,18 @@ def test_verify_mutation_exits_2(capsys):
 def test_samples_below_one_is_usage_error(capsys, command, samples):
     assert usage_error(capsys, command, "--samples", samples) == (
         f"aristotle-orbits {command}: error: argument --samples: "
-        f"{samples!r}: not an integer >= 1")
+        f"{samples!r}: not an integer from 1 to 100000")
+
+
+@pytest.mark.parametrize("command", ["verify", "derive-law"])
+def test_samples_above_the_bound_is_usage_error(capsys, command):
+    # derive-law's cost is linear in its samples, so a count is bounded;
+    # verify parses the flag by the same rule
+    assert cli.MAX_SAMPLES == 100_000
+    assert cli._samples("100000") == 100_000
+    assert usage_error(capsys, command, "--samples", "100001") == (
+        f"aristotle-orbits {command}: error: argument --samples: "
+        f"'100001': not an integer from 1 to 100000")
 
 
 def test_verify_mutation_fails_the_group_law_proof(capsys):

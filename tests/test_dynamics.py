@@ -342,6 +342,26 @@ def test_float_trajectory_with_a_non_finite_value_is_refused():
             build()
 
 
+def test_rk4_and_float_closed_form_share_one_float_set_up():
+    # an exact value beyond the double range beside a float input: both
+    # take the float images in the same set-up and refuse them alike, as
+    # they refuse a non-finite row, named by its parameter
+    huge = Fraction(10**400)
+    for params, config in [
+            (OrbitParams(huge, 1.0), IntegratorConfig(0.5, 0, 1)),
+            (OrbitParams(1.0, 1.0), IntegratorConfig(0.5, 0, huge)),
+            (OrbitParams(1.0, 1.0), IntegratorConfig(1e154, -1e154, 1e154))]:
+        errors = set()
+        for build in (integrate, closed_form_trajectory):
+            with pytest.raises(InputFormatError) as excinfo:
+                build("time", (1.0, 1.0), params, config)
+            errors.add(str(excinfo.value))
+        error, = errors
+        assert error.startswith(("a value is beyond the float range",
+                                 "a computed value is not finite: the row "
+                                 "at 1e+154 is (-2e+154, inf"))
+
+
 def test_rk4_stages_are_refused_with_one_binade_to_spare():
     # the time stage sum is about 6|k q0|: 6e307 passes, and 1.2e308, a
     # double still, is refused, as is the space one's 6|y tau0|; a
@@ -682,20 +702,23 @@ def _chart_rows(picture, params, grid, states):
 
 
 def _dual_rows(picture, mu0, grid):
+    # mu0 is the dual point at the range's start, grid[0]
     flow = time_flow if picture == "time" else space_flow
     rows = []
     for param in grid:
-        mu = flow(mu0, param)
+        mu = flow(mu0, param - grid[0])
         rows.append((param, mu.p, mu.e, mu.f, invariants(mu).psi))
     return [row + (abs(row[-1] - rows[0][-1]),) for row in rows]
 
 
 def _closed_form_states(picture, state0, params, grid, f0):
+    # state0 (and f0) are the state at the range's start, grid[0]
     if picture == "time":
-        return [time_closed_form(*state0, params, t) for t in grid]
+        return [time_closed_form(*state0, params, t - grid[0]) for t in grid]
     if f0 is None:
         f0 = params.y * state0[0]
-    return [space_closed_form(*state0, f0, params, x) for x in grid]
+    return [space_closed_form(*state0, f0, params, x - grid[0])
+            for x in grid]
 
 
 pictures = st.sampled_from(("time", "space"))
@@ -847,6 +870,41 @@ def test_exact_cell_chunks_of_any_size_are_the_cells(
             [tuple(map(format_scalar, row)) for row in expected]
 
 
+# ------------------- the initial state is the state at the range's start
+
+def _exact_builds(picture, state0, params, f0, mu0) -> list:
+    """config -> trajectory, for every exact mode of ``picture``."""
+    builds = [
+        lambda config: closed_form_trajectory(picture, state0, params, config),
+        lambda config: dual_flow_trajectory(mu0, picture, config),
+    ]
+    if picture == "space":
+        builds.append(lambda config: closed_form_trajectory(
+            picture, state0, params, config, f0=f0))
+    return builds
+
+
+@given(pictures, params_st(), small_fractions, small_fractions,
+       small_fractions, dual_points, small_fractions, long_steps,
+       st.integers(0, 20), lattice_offsets)
+@settings(max_examples=60, deadline=None)
+def test_exact_trajectory_over_a_shifted_range_shifts_only_its_parameter(
+        picture, params, a0, b0, f0, mu0, shift, step, count, offset):
+    # a run over A:B is the run over 0:B-A with the parameter shifted by
+    # A, in the rows and in the cells, whatever the chunk size
+    length = (count + offset) * step
+    for build in _exact_builds(picture, (a0, b0), params, f0, mu0):
+        shifted = build(IntegratorConfig(step=step, start=shift,
+                                         stop=shift + length))
+        origin = build(IntegratorConfig(step=step, start=0, stop=length))
+        assert rows_of(shifted) == [(row[0] + shift, *row[1:])
+                                    for row in rows_of(origin)]
+        for size in (None, 1, 2, 5):
+            assert [list(chunk) for chunk in shifted.cell_chunks(size)] == [
+                [(format_scalar(Fraction(row[0]) + shift), *row[1:])
+                 for row in chunk] for chunk in origin.cell_chunks(size)]
+
+
 def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
     # a chunk is made as it is iterated: a process that renders one chunk
     # of many makes the cells of that chunk only
@@ -949,6 +1007,33 @@ def test_rk4_rows_are_the_generic_scheme(case):
     grid = _reference_float_grid(start, start + 2, h)
     states = _reference_rk4(picture, (a0, b0), params, grid)
     assert rows_of(traj) == _chart_rows(picture, params, grid, states)
+
+
+@given(float_cases, st.floats(-3, 3))
+@settings(max_examples=40)
+def test_float_trajectory_over_a_shifted_range_is_close_to_the_shift(
+        case, e0):
+    # start + i*h rounds differently from i*h, so a float run over A:A+2
+    # is the run over 0:2 shifted by A only up to roundoff; RK4's grows
+    # with its steps, to about 1.5e-12 relative over 2000 of them
+    picture, k, y, a0, b0, shift, h = case
+    params = OrbitParams(k, y)
+    builds = [
+        lambda config: integrate(picture, (a0, b0), params, config),
+        lambda config: closed_form_trajectory(picture, (a0, b0), params,
+                                              config),
+        lambda config: dual_flow_trajectory(DualElement(a0, e0, b0, k, y),
+                                            picture, config),
+    ]
+    for build in builds:
+        shifted = rows_of(build(IntegratorConfig(step=h, start=shift,
+                                                 stop=shift + 2)))
+        origin = rows_of(build(IntegratorConfig(step=h, start=0, stop=2.0)))
+        assert len(shifted) == len(origin)
+        for near, far in zip(origin, shifted):
+            assert math.isclose(far[0] - shift, near[0], abs_tol=1e-14)
+            for a, b in zip(near[1:], far[1:]):
+                assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_rows_rerun_identically():

@@ -1,32 +1,45 @@
-"""No module but derive_law imports the sampler (``rng``).
+"""Import guards: no module but derive_law imports the sampler (``rng``),
+and the package imports nothing outside the standard library.
 
 Every verify check and every errata finding is a proof on indeterminates,
 so a module that imports ``rng`` again samples where it could prove.
 derive_law still checks its table against the composition on sampled
-points, and its report names their count.  No linter ships with the
-package, so this test is the guard.
+points, and its report names their count.  The package is stdlib-only,
+but a third-party package installed where the tests run would let an
+accidental import of it pass every other test.  No linter ships with the
+package, so these tests are the guard.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "aristotle_orbits"
-MODULES = sorted(path for path in PACKAGE.rglob("*.py")
-                 if path.name not in ("derive_law.py", "rng.py"))
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [path for path in SOURCES
+           if path.name not in ("derive_law.py", "rng.py")]
+
+
+def _imports(source: str) -> list:
+    """(level, dotted name) of every import in ``source``, at any depth; a
+    ``from`` import gives its module and each name under it.  Level 0 is
+    an absolute import."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names += [(node.level, name) for name in [base] + [
+                f"{base}.{alias.name}" for alias in node.names]]
+    return names
 
 
 def _imports_rng(source: str) -> bool:
     """Whether ``source`` imports a module named rng, in any spelling."""
-    names = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
-    return any(name.split(".")[-1] == "rng" for name in names)
+    return any(name.split(".")[-1] == "rng" for _, name in _imports(source))
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -43,3 +56,21 @@ def test_every_spelling_of_the_import_is_found():
         assert _imports_rng(source), source
     assert not _imports_rng("from .verify import symbols\nimport random\n")
     assert (PACKAGE / "derive_law.py").exists()
+
+
+def _outside_stdlib(source: str) -> set:
+    """The absolute imports of ``source`` outside the standard library."""
+    return {name for level, name in _imports(source)
+            if level == 0 and name.split(".")[0] not in sys.stdlib_module_names}
+
+
+def test_every_absolute_import_is_the_standard_library():
+    # function-level imports included (``cli`` imports json where it
+    # writes JSON); a relative import is the package's own, and
+    # ``__future__`` is in ``sys.stdlib_module_names``
+    assert {path.name: _outside_stdlib(path.read_text(encoding="utf-8"))
+            for path in SOURCES} == {path.name: set() for path in SOURCES}
+    assert _outside_stdlib("from __future__ import annotations\n"
+                           "import numpy, json\nfrom . import poly\n"
+                           "def f():\n    from sympy import S\n") == \
+        {"numpy", "sympy", "sympy.S"}

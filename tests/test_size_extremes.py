@@ -93,7 +93,7 @@ def _simulate(draw) -> list:
 def _adjudicate(draw) -> list:
     command = draw(st.sampled_from(["verify", "errata", "derive-law"]))
     argv = [command, "--format=json", "--seed", draw(SCALARS)]
-    if command == "verify":  # ignored, but parsed as an int at least 1
+    if command == "verify":  # ignored, but parsed as an int from 1 to 100000
         argv += ["--samples", draw(st.one_of(SCALARS, SAMPLES))]
     elif command == "derive-law":
         argv += ["--samples", draw(SAMPLES)]
