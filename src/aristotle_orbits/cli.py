@@ -6,23 +6,20 @@ Six subcommands: ``classify`` and ``invariants`` label dual points,
 reconstructs the group law's polynomial coefficients.
 
 Exit codes: 0 success, 1 usage or parse error (and a standard output
-closed by its reader), 2 verification or adjudication failure.  Data goes
-to standard output (or ``--out``); diagnostics go to standard error.
-Identical invocations produce byte-identical output.
+closed by its reader), 2 verification or adjudication failure and
+nothing else.  Data goes to standard output (or ``--out``); diagnostics
+go to standard error.  Identical invocations produce byte-identical
+output.
 
-Output is written in chunks, of CHUNK_TEXTS trajectory rows or of
-CHUNK_POINTS points, by one writer loop (``_emit_texts``).  Points do not
-depend on each other, and a trajectory's chunks cost their cells, which
-an exact trajectory makes from any row on (``Trajectory.cell_chunks``)
-and a float one costs mostly in reprs; so where a second CPU is free a
-forked worker (``worker.shared``) renders the odd chunks of either and
-this process the even ones (``_chunk_results``).  ``verify`` runs three
-of its four float RK4 runs in such a worker.  argparse checks each
-flag's value (a ``type`` or ``choices``); commands check combinations.
-Every error is one line, written by ``main``, that echoes a long token of
-the command line by its prefix and its length (``_bounded``).  The
-console script ends by ``os._exit`` after its last flush, without the
-interpreter's teardown.
+Every command runs in one process.  A trajectory's rows are written in
+chunks of CHUNK_TEXTS, as ``Trajectory.cell_chunks`` draws them, by one
+writer loop (``_emit_texts``); classify's and invariants' points are
+rendered one by one and written once every point is in.  argparse
+checks each flag's value (a ``type`` or ``choices``); commands check
+combinations.  Every error is one line, written by ``main``, that
+echoes a long token of the command line by its prefix and its length
+(``_bounded``).  The console script ends by ``os._exit`` after its last
+flush, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import islice, starmap
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import derive_law as derive_law_mod
 from . import errata as errata_mod
@@ -49,7 +46,6 @@ from .dynamics import (
     closed_form_trajectory, dual_flow_trajectory, integrate,
 )
 from .orbits import DualElement, classify, invariant_pairs, invariants
-from .worker import shared
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,12 +57,6 @@ POINT_FIELDS = ("p", "e", "f", "k", "y")
 INVARIANT_COLUMNS = ("psi", "v", "s", "q", "tau", "u", "pi", "f")
 INVARIANT_HEADERS = ("psi", "v", "s", "q", "tau", "u", "pi", "f_invariant")
 CHUNK_TEXTS = 256
-# A point's JSON item is about 490 bytes, a float row's CSV line 65.  On
-# classify-batch's rational leg (1000 points, 30 cold runs on 2 CPUs)
-# 256-point chunks (126 KB frames) raised the peak RSS by 0.4 MiB over one
-# process, 128 by 0.1 MiB; 64-point chunks left it as it was and ran
-# fastest of 32, 64, 128 and 256.
-CHUNK_POINTS = 64
 #: Longest token of the command line that an error line echoes whole,
 #: enough for an ordinary path (``_bounded``).
 ECHO_CHARS = 100
@@ -228,24 +218,11 @@ def _output(out_path: Optional[str]):
         yield sys.stdout
 
 
-def _chunk_results(chunks: Iterator, work: Callable, fork: bool = True):
-    """A context yielding ``work(chunk)`` for each of ``chunks``, in order.
-
-    With ``fork``, where a second CPU is free and there is a second chunk,
-    a forked worker (``worker.shared``) takes the odd chunks while this
-    process does the even ones.  The worker blocks while the pipe is full,
-    so it runs at most a pipe's worth ahead.  A worker that ends before
-    its last chunk is a ``ChildProcessError``.
-    """
-    return shared(chunks, work, lambda index: fork and index % 2,
-                  "the rendering worker ended before its last chunk")
-
-
 def _emit_texts(opening: str, texts: Iterable[str], separator: str,
                 closing: str, out_path: Optional[str]):
     """Write ``opening + separator.join(texts) + closing`` as ``texts``
-    produces the texts: a chunk's, not a row's, for a write per row is
-    slow."""
+    produces the texts: a trajectory's are chunks of rows, for a write per
+    row is slow."""
     with _output(out_path) as handle:
         handle.write(opening)
         lead = ""
@@ -310,13 +287,12 @@ def _cmd_points(args) -> int:
     """``classify``, and ``invariants``: the same without class and
     dimension.
 
-    Points are read, labelled and rendered in chunks of CHUNK_POINTS by
-    ``_chunk_results``, the odd chunks by a forked worker where a second
-    CPU is free.  A chunk's result is its JSON items or CSV lines joined,
-    or the message of its first failing point.  Nothing is written until
-    every chunk is in, so the first input error in input order exits 1
-    with nothing written.  Rational invariants are read as text off
-    ``invariant_pairs``; a float one that is not finite is refused.
+    Each point is read, labelled and rendered to its JSON item or CSV
+    line in input order, and only those texts are kept.  Nothing is
+    written until every point is in, so the first input error in input
+    order exits 1 with nothing written.  Rational invariants are read as
+    text off ``invariant_pairs``; a float one that is not finite is
+    refused.
     """
     classified = args.command == "classify"
     as_json = args.format == "json"
@@ -347,23 +323,7 @@ def _cmd_points(args) -> int:
                 raise InputFormatError(f"{where}: {NOT_FINITE}: {value!r}")
         return _point_template(as_json, exact, cls, names) % (*mu, *cells)
 
-    def label(chunk: list) -> tuple:
-        try:
-            return separator.join(starmap(render, chunk)), None
-        except InputFormatError as exc:
-            return None, str(exc)
-
-    texts = []
-    sources = iter(_point_sources(args))
-    chunks = iter(lambda: list(islice(sources, CHUNK_POINTS)), [])
-    # a wrapped classify (a tracer's timer, say) sees the calls of its own
-    # process only, so then every point stays here
-    with _chunk_results(chunks, label,
-                        not hasattr(classify, "__wrapped__")) as results:
-        for text, error in results:
-            if error is not None:
-                raise InputFormatError(error)
-            texts.append(text)
+    texts = list(starmap(render, _point_sources(args)))
     _emit_texts(opening, texts, separator, closing, args.out)
     return EXIT_OK
 
@@ -409,8 +369,7 @@ def _cmd_simulate(args) -> int:
         else:
             trajectory = integrate(args.picture, state, params, config)
 
-    # every check above ran before the first byte; chunks of cells stream
-    # out, the odd ones rendered by a worker where a second CPU is free
+    # every check above ran before the first byte; chunks of cells stream out
     if args.format == "json":
         head = {"picture": trajectory.picture,
                 "columns": list(trajectory.columns),
@@ -424,10 +383,9 @@ def _cmd_simulate(args) -> int:
     else:
         opening, separator, closing = _csv_line(trajectory.columns), "", ""
         template, texts = _csv_line(["%s"] * len(trajectory.columns)), tuple
-    with _chunk_results(trajectory.cell_chunks(CHUNK_TEXTS),
-                        _chunk_renderer(template, texts, separator)
-                        ) as results:
-        _emit_texts(opening, results, separator, closing, args.out)
+    _emit_texts(opening, map(_chunk_renderer(template, texts, separator),
+                             trajectory.cell_chunks(CHUNK_TEXTS)),
+                separator, closing, args.out)
     return EXIT_OK
 
 
@@ -609,7 +567,7 @@ def main(argv=None) -> int:
         prog, code = parser.prog, None
     except (InputFormatError, ChartUndefinedError) as exc:
         prog, message, code = "aristotle-orbits", str(exc), EXIT_USAGE
-    except (ArithmeticError, ChildProcessError) as exc:
+    except ArithmeticError as exc:
         prog, message, code = "aristotle-orbits", str(exc), EXIT_FAILED
     finally:
         if limit:

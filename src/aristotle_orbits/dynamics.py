@@ -22,10 +22,11 @@ from its state at the range's start.  Its rows are lazy: RK4's from one
 fused stepping loop, the closed forms' and flows' from one row generator
 that evaluates the solution at each parameter's offset from the start.
 An exact trajectory's output cells are tabulated apart, by the integer
-forward differences of its quadratic columns, so its output chunks start
-by a jump.  A float trajectory is set up by one function: float images,
-grid, and the rows at the range ends and the columns' vertices, which
-refuse a non-finite value; an RK4 one's stages are bounded too.
+forward differences of its quadratic columns; every trajectory's output
+chunks are drawn from one stream of cell rows.  A float trajectory is
+set up by one function: float images, grid, and the rows at the range
+ends and the columns' vertices, which refuse a non-finite value; an RK4
+one's stages are bounded too.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -142,32 +143,30 @@ class Trajectory:
     rows were produced ("rk4 h=..." or "closed-form"); drift is the
     absolute deviation of the invariant from its value at the first row.
     ``row_factory()`` produces the rows one at a time, afresh on each call.
-    ``cell_chunks(size)`` produces the same rows as output cells, in chunks
-    of ``size`` rows (None: one chunk).  On an exact trajectory each cell
-    is the canonical text of its value (``format_scalar``) and each chunk
-    is lazy, started at its first row by a jump, so a chunk never iterated
-    costs nothing; otherwise the chunks are lists drawn from
-    ``row_factory``.  Fields are read-only.
+    ``cell_chunks(size)`` produces the same rows as output cells, in lists
+    of ``size`` rows (None: one list), each drawn as it is asked for, from
+    ``cell_factory()`` (by default ``row_factory()``).  On an exact
+    trajectory each cell is the canonical text of its value
+    (``format_scalar``).  Fields are read-only.
     """
 
     def __init__(self, picture: str, columns: tuple, invariant_name: str,
                  method: str, params: dict,
                  row_factory: Callable[[], Iterator[tuple]],
-                 cell_chunks: Optional[Callable[[Optional[int]],
-                                                Iterator]] = None):
+                 cell_factory: Optional[Callable[[], Iterator[tuple]]] = None):
         vars(self).update(picture=picture, columns=columns,
                           invariant_name=invariant_name, method=method,
                           params=params, row_factory=row_factory,
-                          cell_chunks=cell_chunks
-                          or partial(_drawn_chunks, row_factory))
+                          cell_chunks=partial(_drawn_chunks,
+                                              cell_factory or row_factory))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is read-only; cannot set {name!r}")
 
 
-def _drawn_chunks(row_factory: Callable, size: Optional[int]) -> Iterator:
-    """Lists of ``size`` rows drawn in turn from one ``row_factory()``."""
-    rows = row_factory()
+def _drawn_chunks(factory: Callable, size: Optional[int]) -> Iterator:
+    """Lists of ``size`` rows drawn in turn from one ``factory()``."""
+    rows = factory()
     return iter(lambda: list(islice(rows, size)), [])
 
 
@@ -308,7 +307,7 @@ def _float_grid(start: float, stop: float,
     Rerunnable.  A range and step that give no advancing float grid are an
     input error, raised here, before any row exists.  The verdict is read
     off the grid's ends where it can be proved (``_grid_advances``); only
-    in the band between its two tests are the points scanned, at most
+    in the band between its tests are the points scanned, at most
     SCAN_POINTS of them: a longer grid there is refused, with the step it
     would need.
     """
@@ -342,7 +341,8 @@ def _float_grid(start: float, stop: float,
 def _grid_advances(start: float, h: float, count: int,
                    last: float) -> Optional[bool]:
     """Whether start + i*h for i < count, then ``last``, strictly
-    increases, where that is provable without the points; else None.
+    increases, where that is provable without scanning the points; else
+    None.
 
     Past index 2**53 ``float(i)`` repeats (float(2**53 + 1) == 2**53), so
     two points coincide.  Up to it ``float(i)`` is exact, and the exact
@@ -355,12 +355,26 @@ def _grid_advances(start: float, h: float, count: int,
     span and is rounded by at most half of ulp(max(|start|, |top|)), top
     the largest point; so h > ulp(span) + ulp(max(|start|, |top|))
     proves it.  The last step, to ``last``, is checked as it is.
+
+    Below that step, two equal points among the three highest regular
+    ones prove that the grid does not advance, and the same bounds say
+    when they must be equal.  Rounding is monotone, so the products
+    fl(i*h) do not decrease with i, and those of the three span at most
+    2h + ulp(span); so do the exact sums start + fl(i*h).  Where the
+    three sums lie in one binade of spacing u and 2h + ulp(span) < u,
+    they span less than u, so at most one midpoint between doubles lies
+    among them: rounded to nearest, they give at most two doubles.  From
+    1e6 to 1e6 + 1 by 1e-11, say, 2h + ulp(span) is about 2e-11 and u =
+    ulp(1e6) is 1.16e-10.
     """
     if count - 1 > 2**53:
         return False
     span = (count - 1) * h
     if h > _grid_rounding(start, span):
         return start + span < last
+    top = [start + i * h for i in range(max(count - 3, 0), count)]
+    if not all(starmap(operator.lt, pairwise(top))):
+        return False
     return None
 
 
@@ -390,17 +404,16 @@ def _quadratic_columns(offset: Poly, sample: Callable,
 
 def _exact_rows(config: IntegratorConfig, sample: Callable,
                 invariant: Callable) -> tuple:
-    """(start, grid, cell chunks) of exact rows: the rerunnable grid start
+    """(start, grid, cells) of exact rows: the rerunnable grid start
     + i*step for i < n = ceil((stop - start)/step), then stop (a float
-    step is read as its decimal text), and ``Trajectory.cell_chunks``.
+    step is read as its decimal text), and the rerunnable rows of their
+    cells (``Trajectory``'s ``cell_factory``).
 
     ``sample`` and ``invariant`` run once, on the polynomial offset
     step*i.  Each column is c0 + c1 i + c2 i^2, so its cells are tabulated
     by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator
     per column, numerators advanced by two integer additions per row.  The
-    numerator and its difference at any row are read off the coefficients
-    too, so a chunk starts at its first row by a jump; the row at stop,
-    also read off them, ends the last chunk.
+    row at stop is read off the coefficients.
     """
     step = parse_scalar(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
@@ -424,40 +437,20 @@ def _exact_rows(config: IntegratorConfig, sample: Callable,
     def grid() -> Iterator:
         return chain((start + i * step for i in range(count)), (stop,))
 
-    def chunks(size: Optional[int]) -> Iterator:
-        cells = [_column(*table) for table in tables]
-        size = size or count + 1
-        for first in range(0, count + 1, size):
-            end = first + size
-            yield _exact_chunk(cells, first, min(end, count) - first,
-                               (stop_row,) if end > count else ())
-    return start, grid, chunks
+    def cells() -> Iterator:
+        return chain(islice(zip(*starmap(_column, tables)), count),
+                     (stop_row,))
+    return start, grid, cells
 
 
-def _column(den: int, n0: int, d1: int, d2: int,
-            op: Callable) -> Callable[[int], Iterator]:
-    """j -> the texts (``ratio_text``) of op(N_i) / den for i = j, j + 1,
-    ..., where N_i = n0 + i*d1 + C(i, 2)*d2: N_j and its difference
-    d1 + j*d2 by a jump, then two additions a row.  A constant column's
-    text is made once, here."""
+def _column(den: int, n0: int, d1: int, d2: int, op: Callable) -> Iterator:
+    """The texts (``ratio_text``) of op(N_i) / den for i = 0, 1, ...,
+    where N_i = n0 + i*d1 + C(i, 2)*d2, by two additions a row.  A
+    constant column's text is made once."""
     if d1 == d2 == 0:
-        text = str(Fraction(op(n0), den))
-        return lambda _first: repeat(text)
-
-    def cells(first: int) -> Iterator:
-        numerators = accumulate(
-            accumulate(repeat(d2), initial=d1 + first * d2),
-            initial=n0 + first * d1 + first * (first - 1) // 2 * d2)
-        return map(ratio_text, map(op, numerators), repeat(den))
-    return cells
-
-
-def _exact_chunk(cells: list, first: int, length: int,
-                 tail: tuple) -> Iterator[tuple]:
-    """``length`` rows of the columns ``cells`` from row ``first``, then
-    ``tail``; made only as the chunk is iterated."""
-    yield from islice(zip(*(column(first) for column in cells)), length)
-    yield from tail
+        return repeat(str(Fraction(op(n0), den)))
+    numerators = accumulate(accumulate(repeat(d2), initial=d1), initial=n0)
+    return map(ratio_text, map(op, numerators), repeat(den))
 
 
 def _rows(grid: Iterator, start: Scalar, sample: Callable,
@@ -516,12 +509,12 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
     config = config or IntegratorConfig()
     if is_float_backed(*inputs):
         span, grid, inputs, pair = _float_setup(config, model, inputs)
-        start, chunks = span[0], None
+        start, cells = span[0], None
     else:
         pair = model(*inputs)
-        start, grid, chunks = _exact_rows(config, *pair)
+        start, grid, cells = _exact_rows(config, *pair)
     return _trajectory(picture, "closed-form", *inputs[:2],
-                       lambda: _rows(grid(), start, *pair), chunks)
+                       lambda: _rows(grid(), start, *pair), cells)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -604,10 +597,10 @@ def _check_picture(picture: str):
 
 def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
                 row_factory: Callable,
-                cell_chunks: Optional[Callable] = None) -> Trajectory:
+                cell_factory: Optional[Callable] = None) -> Trajectory:
     columns, invariant = _LAYOUTS[picture]
     return Trajectory(picture, columns + (invariant, "drift"), invariant,
-                      method, {"k": k, "y": y}, row_factory, cell_chunks)
+                      method, {"k": k, "y": y}, row_factory, cell_factory)
 
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,

@@ -7,9 +7,7 @@ proof, a nonzero one the counterexample itself.  Nothing is sampled, so
 the report is determined by the mutation alone; ``symbols`` and
 ``chart_symbols`` make the indeterminates, for the errata audit too.
 integrator-tolerance proves that one RK4 step is the flow and
-then measures the float integrator's rounding on four runs, the last
-three of which a forked worker (``worker.shared``) runs from the suite's
-start where a second CPU is free; the report is the same either way.
+then measures the float integrator's rounding on four runs.
 
 ``MUTATIONS`` holds deliberately broken structure tensors for exercising
 the suite's teeth: running under a mutation must flip the algebra checks
@@ -22,7 +20,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, repeat
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import linalg, poly
 from .backend import exact_div, rel_err
@@ -39,7 +37,6 @@ from .orbits import (
     OrbitClass, DualElement, classify, coadjoint, coadjoint_generators,
     coadjoint_matrix, coadjoint_printed, invariants,
 )
-from .worker import shared
 
 HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
 
@@ -57,23 +54,18 @@ def _mutated_eq24() -> StructureTensor:
 MUTATIONS = {"Eq2.4": _mutated_eq24}
 
 
-class _Context(NamedTuple):
-    tensor: StructureTensor
-    float_runs: Iterator  # the results of FLOAT_RUNS, in order
-
-
-def _check_jacobi(ctx: _Context):
-    residual = jacobi_residual(ctx.tensor)
+def _check_jacobi(tensor: StructureTensor):
+    residual = jacobi_residual(tensor)
     return residual == 0, f"max cyclic residual {residual}"
 
 
-def _check_nilpotency(ctx: _Context):
+def _check_nilpotency(tensor: StructureTensor):
     basis = [AlgebraElement.basis(BasisIndex(i)) for i in range(DIM)]
     nested = basis
     for _ in range(2):  # [a, b], then [[a, b], c]; [[[a, b], c], d] streams
-        nested = [bracket(value, d, ctx.tensor) for value in nested
+        nested = [bracket(value, d, tensor) for value in nested
                   for d in basis]
-    worst = max(bracket(value, d, ctx.tensor).max_abs() for value in nested
+    worst = max(bracket(value, d, tensor).max_abs() for value in nested
                 for d in basis)
     return worst == 0, f"{DIM ** 4} nested 4-letter brackets, max norm {worst}"
 
@@ -105,16 +97,16 @@ def _prove(*identities) -> tuple:
         name for name, _lhs, _rhs in identities)
 
 
-def _check_associativity(ctx: _Context):
+def _check_associativity(tensor: StructureTensor):
     g, h, w = symbols(3)
     return _prove(
         ("(g*h)*w = g*(h*w)", compose(compose(g, h), w),
          compose(g, compose(h, w))),
         ("compose = compose_bch", compose(g, h),
-         compose_bch(g, h, ctx.tensor)))
+         compose_bch(g, h, tensor)))
 
 
-def _check_group_axioms(_ctx: _Context):
+def _check_group_axioms(_tensor: StructureTensor):
     (g,) = symbols(1)
     e, gi = GroupElement.identity(), inverse(g)
     return _prove(("e*g = g", compose(e, g), g), ("g*e = g", compose(g, e), g),
@@ -122,7 +114,7 @@ def _check_group_axioms(_ctx: _Context):
                   ("g^-1*g = e", compose(gi, g), e))
 
 
-def _check_adjoint(_ctx: _Context):
+def _check_adjoint(_tensor: StructureTensor):
     g, h = symbols(2)
     m = adjoint_of_group(g).rows
     cube = linalg.mat_pow(linalg.mat_sub(m, linalg.identity(DIM)), 3)
@@ -137,7 +129,7 @@ def _check_adjoint(_ctx: _Context):
          [0] * len(upper) + [1]))
 
 
-def _check_coadjoint_action(_ctx: _Context):
+def _check_coadjoint_action(_tensor: StructureTensor):
     g, h, mu = symbols(2, dual=True)
     return _prove(
         # a left action over the first-extension law on (x, t, zeta)
@@ -165,7 +157,7 @@ def _kept(mu: DualElement) -> dict:
     return {name: values[name] for name in values if name not in ("q", "tau")}
 
 
-def _check_invariant_preservation(_ctx: _Context):
+def _check_invariant_preservation(_tensor: StructureTensor):
     g, mu = symbols(1, dual=True)
     identities = []
     for stratum, zeros in STRATA:
@@ -179,7 +171,7 @@ def _check_invariant_preservation(_ctx: _Context):
     return _prove(*identities)
 
 
-def _check_u_equals_pi_v(_ctx: _Context):
+def _check_u_equals_pi_v(_tensor: StructureTensor):
     (mu,) = symbols(0, dual=True)
     inv = invariants(mu)
     return _prove(("U = pi v where k, y != 0", [inv.u], [inv.pi * inv.v]))
@@ -195,7 +187,7 @@ CLASS_STRATA = (
     (OrbitClass.FIXED_POINT, "f = k = y = 0", dict.fromkeys("fky", 0), None))
 
 
-def _check_orbit_dimension(_ctx: _Context):
+def _check_orbit_dimension(_tensor: StructureTensor):
     (mu,) = symbols(0, dual=True)
     rows = coadjoint_generators(mu)
     m = [row[:3] for row in rows]
@@ -251,7 +243,7 @@ def chart_symbols(*names: str) -> tuple:
     return (OrbitParams(k, y), *rest)
 
 
-def _check_closed_form_flow(_ctx: _Context):
+def _check_closed_form_flow(_tensor: StructureTensor):
     params, q0, p0, e0, t, tau0, x = chart_symbols(
         "q0", "p0", "e0", "t", "tau0", "x")
     k, y = params
@@ -270,7 +262,7 @@ def _check_closed_form_flow(_ctx: _Context):
          coadjoint_printed(-x, 0, 0, nu0)))
 
 
-def _check_rhs_consistency(_ctx: _Context):
+def _check_rhs_consistency(_tensor: StructureTensor):
     # the closed forms are quadratic in the parameter, so the centered
     # difference with a symbolic step h is their exact derivative
     params, a0, b0, at, h = chart_symbols("a0", "b0", "at", "h")
@@ -315,7 +307,7 @@ def _float_run(run: tuple) -> tuple:
     return (*map(rel_err, row[1:3], solution(10.0)), drift)
 
 
-def _check_integrator(ctx: Optional[_Context]):
+def _check_integrator(_tensor: StructureTensor):
     # the fields are affine with a nilpotent linear part, so RK4's
     # order-4 Taylor truncation is the flow itself
     params, a0, b0, h = chart_symbols("a0", "b0", "h")
@@ -326,8 +318,7 @@ def _check_integrator(ctx: Optional[_Context]):
     if not exact:
         return exact, proof
     worst_err, worst_drift = 0.0, 0.0
-    for *errs, drift in (ctx.float_runs if ctx
-                         else map(_float_run, FLOAT_RUNS)):
+    for *errs, drift in map(_float_run, FLOAT_RUNS):
         if drift > worst_drift:
             worst_drift = drift
         worst_err = max(worst_err, *errs)
@@ -358,21 +349,14 @@ def run_suite(mutation: Optional[str] = None) -> dict:
     tensor = (StructureTensor.default() if mutation is None
               else MUTATIONS[mutation]())  # an unknown id is a KeyError
     checks = []
-    # the float runs start on a second core, if any, before the first
-    # check; a wrapped integrate (a tracer's timer, say) sees the calls of
-    # its own process only, so then they all stay here
-    fork = ("integrator-tolerance" in dict(CHECKS)
-            and not hasattr(integrate, "__wrapped__"))
-    with shared(iter(FLOAT_RUNS), _float_run, lambda index: fork and index > 0,
-                "the integrator worker ended before its last run") as runs:
-        for name, func in CHECKS:
-            try:
-                passed, detail = func(_Context(tensor, runs))
-            except ArithmeticError as exc:
-                # a derivation that breaks down (a mutated tensor, say)
-                # fails its check; the rest of the report still runs
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            checks.append({"name": name, "passed": passed, "detail": detail})
+    for name, func in CHECKS:
+        try:
+            passed, detail = func(tensor)
+        except ArithmeticError as exc:
+            # a derivation that breaks down (a mutated tensor, say) fails
+            # its check; the rest of the report still runs
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        checks.append({"name": name, "passed": passed, "detail": detail})
     return {
         "backend": "rational",
         "mutation": mutation,

@@ -1,4 +1,4 @@
-"""Fixtures for the tests that fork: a bounded wait and a fork counter."""
+"""Fixtures for the process tests: a bounded wait and a fork counter."""
 
 import os
 import signal

@@ -1,8 +1,9 @@
-"""The CLI's processes: trajectory rows rendered by two processes,
-classify's and invariants' point chunks labelled by two, verify's float
-RK4 runs shared with a forked worker, the console script's exit without
-interpreter teardown, a reader that closes standard output early, the
-modules a fresh interpreter imports, and bounded usage errors.
+"""The CLI's one process: a trajectory's bytes whatever its chunks,
+classify's and invariants' points rendered in input order, verify's
+float RK4 runs in the suite's own process, no fork by any command, the
+console script's exit without interpreter teardown, a reader that closes
+standard output early, the modules a fresh interpreter imports, and
+bounded usage errors.
 
 Every wait is bounded: subprocesses by a timeout, in-process runs by the
 ``deadline`` fixture's timer.
@@ -14,17 +15,15 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 from contextlib import redirect_stdout
-from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import aristotle_orbits
-from aristotle_orbits import backend, cli, dynamics, verify, worker
-from aristotle_orbits.cli import CHUNK_POINTS, CHUNK_TEXTS, main
+from aristotle_orbits import backend, cli, dynamics, verify
+from aristotle_orbits.cli import CHUNK_TEXTS, main
 
 TIMEOUT_S = 60
 LINUX = sys.platform.startswith("linux")
@@ -41,8 +40,8 @@ FLOAT_MODES = {
     "dual-float": ("--picture", "time", "--dual",
                    "--mu=1/4,-3/4,5/4,3/2,-5/4", "--backend", "float"),
 }
-# exact trajectories, whose chunks start by a jump: the closed form on and
-# off the orbit, and the dual flow
+# exact trajectories, whose cells are tabulated by differences: the closed
+# form on and off the orbit, and the dual flow
 EXACT_MODES = {
     "closed-form": ("--picture", "space", *_CHART, "--closed-form"),
     "off-orbit": ("--picture", "space", *_CHART, "--closed-form",
@@ -63,11 +62,6 @@ def _grid(rows: int) -> tuple:
     return ("--range", f"0:{rows - 1}/64", "--step", "1/64")
 
 
-def _cpus(monkeypatch, count: int):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda _pid: set(range(count)), raising=False)
-
-
 def _run(capsys, argv) -> tuple:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -83,53 +77,46 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def _one_chunk_and_many(tmp_path, capsys, monkeypatch, argv) -> str:
+    """What ``argv`` writes in chunks of CHUNK_TEXTS rows, checked to be
+    the bytes it writes in one chunk, to standard output and to --out."""
+    written = []
+    for size in (CHUNK_TEXTS, None):
+        monkeypatch.setattr(cli, "CHUNK_TEXTS", size)
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        out_path = tmp_path / f"{size}.out"
+        assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
+        assert out_path.read_bytes() == out.encode("utf-8")
+        written.append(out)
+    assert written[0] == written[1]
+    return written[0]
+
+
 # ----------------------------------------------------------- byte identity
 
 @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("mode", MODES.values(), ids=MODES.keys())
-def test_two_processes_write_the_bytes_of_one(tmp_path, capsys, monkeypatch,
-                                              deadline, forks, mode,
-                                              output_format, rows):
+def test_one_chunk_writes_the_bytes_of_many(tmp_path, capsys, monkeypatch,
+                                            deadline, forks, mode,
+                                            output_format, rows):
     argv = ("simulate", *mode, *_grid(rows), "--format", output_format)
-    written = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        code, out, err = _run(capsys, argv)
-        assert (code, err) == (0, "")
-        out_path = tmp_path / f"{cpus}.out"
-        assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
-        assert out_path.read_bytes() == out.encode("utf-8")
-        written[cpus] = out
-        # a worker only where there is a second chunk for it
-        assert len(forks) == (2 if cpus == 2 and rows > CHUNK_TEXTS else 0)
-    assert written[1] == written[2]
-    rows_written = (written[1].count("\r\n") - 1 if output_format == "csv"
-                    else written[1].count("\n    ]"))
+    out = _one_chunk_and_many(tmp_path, capsys, monkeypatch, argv)
+    rows_written = (out.count("\r\n") - 1 if output_format == "csv"
+                    else out.count("\n    ]"))
     assert rows_written == rows
-    _no_child_left()
+    assert forks == []
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("mode", MODES.values(), ids=MODES.keys())
-def test_stop_off_the_step_grid_ends_a_worker_chunk(
+def test_stop_off_the_step_grid_ends_the_last_chunk(
         tmp_path, capsys, monkeypatch, deadline, forks, mode, output_format):
-    # 301 rows on the grid, then the stop: row 301, in the worker's chunk
+    # 301 rows on the grid, then the stop: row 301, in the second chunk
     argv = ("simulate", *mode, "--range", "0:601/128", "--step", "1/64",
             "--format", output_format)
-    written = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        written[cpus] = _run(capsys, argv)
-        out_path = tmp_path / f"{cpus}.out"
-        assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
-        assert out_path.read_bytes() == written[cpus][1].encode("utf-8")
-        assert len(forks) == 2 * (cpus - 1)
-    assert written[1] == written[2]
-    code, out, err = written[1]
-    assert (code, err) == (0, "")
+    out = _one_chunk_and_many(tmp_path, capsys, monkeypatch, argv)
     if output_format == "csv":
         lines = out.split("\r\n")
         assert len(lines) == 1 + 302 + 1
@@ -137,20 +124,7 @@ def test_stop_off_the_step_grid_ends_a_worker_chunk(
     else:
         rows = json.loads(out)["rows"]
         assert len(rows) == 302 and rows[-1][0] in ("601/128", 601 / 128)
-    _no_child_left()
-
-
-@pytest.mark.parametrize("rows", [CHUNK_TEXTS, CHUNK_TEXTS + 1, 2049])
-@pytest.mark.parametrize("mode", EXACT_MODES.values(), ids=EXACT_MODES.keys())
-def test_exact_trajectories_fork_once_for_a_second_chunk(
-        capsys, monkeypatch, deadline, forks, mode, rows):
-    # a worker makes only the cells of its own chunks, so an exact
-    # trajectory shares them as a float one does
-    _cpus(monkeypatch, 2)
-    code, out, _ = _run(capsys, ("simulate", *mode, *_grid(rows)))
-    assert code == 0 and out.count("\r\n") == rows + 1
-    assert len(forks) == (rows > CHUNK_TEXTS)
-    _no_child_left()
+    assert forks == []
 
 
 ZERO_INVARIANT = ("simulate", "--picture", "time", "--state", "0,0", "--k",
@@ -171,9 +145,8 @@ PLAIN_CASES = {
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 @pytest.mark.parametrize("argv, build", PLAIN_CASES.values(),
                          ids=PLAIN_CASES.keys())
-def test_float_rows_are_the_plain_row_template(capsys, monkeypatch, deadline,
-                                               forks, argv, build,
-                                               output_format):
+def test_float_rows_are_the_plain_row_template(capsys, deadline, forks, argv,
+                                               build, output_format):
     # a conserved tail is rendered once per invariant value in a chunk;
     # the invariant -0.0 (first row) and 0.0 (second) print differently
     argv = (*argv, "--range", "0:10", "--format", output_format)
@@ -196,12 +169,8 @@ def test_float_rows_are_the_plain_row_template(capsys, monkeypatch, deadline,
              "method": trajectory.method,
              "params": trajectory.params,
              "rows": [list(row) for row in rows]}, indent=2) + "\n"
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        assert _run(capsys, argv) == (0, plain, "")
-        assert len(forks) == cpus - 1
-    _no_child_left()
+    assert _run(capsys, argv) == (0, plain, "")
+    assert forks == []
 
 
 @pytest.mark.parametrize("chunk", [
@@ -228,25 +197,6 @@ def test_chunk_renderer_is_the_row_template(chunk, output_format):
                                            for row in chunk)
 
 
-def test_no_worker_beside_another_thread(capsys, monkeypatch, deadline,
-                                         forks):
-    # a fork copies only the calling thread
-    _cpus(monkeypatch, 2)
-    argv = ("simulate", *FLOAT_MODES["rk4-time-float"], *_grid(2049))
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(TIMEOUT_S,))
-    other.start()
-    try:
-        code, out, _ = _run(capsys, argv)
-    finally:
-        release.set()
-        other.join(TIMEOUT_S)
-    assert not other.is_alive()
-    assert forks == []
-    assert (code, out) == _run(capsys, argv)[:2]
-    assert len(forks) == 1
-
-
 # ------------------------------------------------------------- lifecycle
 
 class _FailingStdout(io.StringIO):
@@ -258,96 +208,33 @@ class _FailingStdout(io.StringIO):
         return super().write(text)
 
 
-def _worker_dies(*_args):
-    os._exit(3)
-
-
-def _worker_dies_mid_frame(write_end, *_args):
-    os.write(write_end, (1000).to_bytes(4, "little") + b"0.0,")
-    os._exit(3)
-
-
-_SERVE = worker._serve  # the worker's loop, before a test replaces it
-
-
-def _dies_before_its_frame(_write_end, items, work, theirs):
-    # the work of the first item it takes, and no frame
-    work(next(item for index, item in enumerate(items) if theirs(index)))
-    os._exit(3)
-
-
-def _dies_mid_frame(write_end, items, work, theirs):
-    # the whole frame of the first item it takes, then part of the next one
-    _SERVE(os.dup(write_end), islice(items, 2), work, theirs)
-    os.write(write_end, (25).to_bytes(4, "little") + b"\x00")
-    os._exit(3)
-
-
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-def test_lifecycle_success_leaves_no_child_and_no_fd(capsys, monkeypatch,
-                                                     deadline, forks):
-    _cpus(monkeypatch, 2)
+def test_lifecycle_success_leaves_no_child_and_no_fd(capsys, deadline,
+                                                     forks):
     before = _open_fds()
     code, out, _ = _run(capsys, ("simulate", *FLOAT_MODES["rk4-time-float"],
                                  *_grid(2049), "--format", "json"))
-    assert code == 0 and len(forks) == 1
+    assert code == 0 and forks == []
     _no_child_left()
     assert _open_fds() == before
 
 
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-def test_lifecycle_parent_write_error_leaves_no_child_and_no_fd(
-        monkeypatch, deadline, forks):
-    _cpus(monkeypatch, 2)
+@pytest.mark.parametrize("mode", ["rk4-space-float", "closed-form"])
+def test_lifecycle_write_error_leaves_no_child_and_no_fd(deadline, forks,
+                                                         mode):
     before = _open_fds()
     with redirect_stdout(_FailingStdout()), pytest.raises(BrokenPipeError):
-        main(["simulate", *FLOAT_MODES["rk4-time-float"], *_grid(2049)])
-    assert len(forks) == 1
+        main(["simulate", *MODES[mode], *_grid(2049)])
+    assert forks == []
     _no_child_left()
     assert _open_fds() == before
-
-
-def _dead_worker_keeps_what_was_written(capsys, monkeypatch, forks, death,
-                                        argv):
-    _cpus(monkeypatch, 1)
-    whole = _run(capsys, argv)[1]
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(worker, "_serve", death)
-    before = _open_fds()
-    code, out, err = _run(capsys, argv)
-    assert code == 2 and len(forks) == 1
-    assert err == ("aristotle-orbits: error: the rendering worker ended "
-                   "before its last chunk\n")
-    # the header and the first chunk, which this process rendered
-    assert out.count("\r\n") == 1 + CHUNK_TEXTS
-    assert whole.startswith(out)
-    _no_child_left()
-    assert _open_fds() == before
-
-
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
-def test_lifecycle_dead_worker_is_exit_2_and_keeps_what_was_written(
-        capsys, monkeypatch, deadline, forks, death):
-    _dead_worker_keeps_what_was_written(
-        capsys, monkeypatch, forks, death,
-        ("simulate", *FLOAT_MODES["rk4-space-float"], *_grid(2049)))
-
-
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_worker_dies, _worker_dies_mid_frame])
-@pytest.mark.parametrize("mode", EXACT_MODES.values(), ids=EXACT_MODES.keys())
-def test_lifecycle_dead_worker_on_an_exact_leg_keeps_what_was_written(
-        capsys, monkeypatch, deadline, forks, mode, death):
-    _dead_worker_keeps_what_was_written(
-        capsys, monkeypatch, forks, death,
-        ("simulate", *mode, *_grid(2049)))
 
 
 # ------------------------------------------- classify's and invariants' points
 
-# one chunk, one chunk and a point, and many chunks
-POINT_COUNTS = (CHUNK_POINTS, CHUNK_POINTS + 1, 1000)
+# one point, a point past 64, and many
+POINT_COUNTS = (1, 65, 1000)
 
 
 def _point(index: int) -> list:
@@ -359,18 +246,19 @@ def _point(index: int) -> list:
             "0" if index % 5 == 0 else f"{index % 7 + 1}/4"]
 
 
-def _point_input(tmp_path, kind: str, points: list) -> tuple:
+def _point_input(tmp_path, kind: str, points: list,
+                 name: str = "points") -> tuple:
     """argv that gives ``points`` (texts of 5 fields) inline, as a CSV file
-    or as a JSON file."""
+    or as a JSON file named ``name``."""
     if kind == "inline":
         return tuple(map(",".join, points))
     if kind == "csv":
-        path = tmp_path / "points.csv"
+        path = tmp_path / f"{name}.csv"
         lines = ["p,e,f,k,y", *map(",".join, points)]
         lines.insert(2, "")  # a blank line is skipped, and counted
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        path = tmp_path / "points.json"
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(points), encoding="utf-8")
     return "--in", str(path)
 
@@ -380,30 +268,38 @@ def _point_input(tmp_path, kind: str, points: list) -> tuple:
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 @pytest.mark.parametrize("command", ["classify", "invariants"])
-def test_point_chunks_on_two_processes_write_the_bytes_of_one(
-        tmp_path, capsys, monkeypatch, deadline, forks, command,
-        output_format, backend, kind, count):
-    argv = (command, *_point_input(tmp_path, kind,
-                                   list(map(_point, range(count)))),
-            "--backend", backend, "--format", output_format)
-    written = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
+def test_points_write_the_bytes_of_their_parts(
+        tmp_path, capsys, deadline, forks, command, output_format, backend,
+        kind, count):
+    # each point's item or line is its own: the points written at once are
+    # those of the first part and the rest, written apart
+    points = list(map(_point, range(count)))
+    cut = count // 2
+
+    def written(part: list, name: str) -> str:
+        argv = (command, *_point_input(tmp_path, kind, part, name),
+                "--backend", backend, "--format", output_format)
         code, out, err = _run(capsys, argv)
         assert (code, err) == (0, "")
-        out_path = tmp_path / f"{cpus}.out"
+        out_path = tmp_path / f"{name}.out"
         assert _run(capsys, (*argv, "--out", str(out_path))) == (0, "", "")
         assert out_path.read_bytes() == out.encode("utf-8")
-        written[cpus] = out
-        # a worker only where there is a second chunk for it
-        assert len(forks) == (2 if cpus == 2 and count > CHUNK_POINTS
-                              else 0)
-    assert written[1] == written[2]
-    points_written = (written[1].count("\r\n") - 1 if output_format == "csv"
-                      else len(json.loads(written[1])["points"]))
-    assert points_written == count
-    _no_child_left()
+        return out
+
+    whole = written(points, "whole")
+    parts = [written(part, name) for part, name in (
+        (points[:cut], "head"), (points[cut:], "tail")) if part]
+    if output_format == "csv":
+        header = whole.split("\r\n", 1)[0] + "\r\n"
+        assert whole == header + "".join(part[len(header):]
+                                         for part in parts)
+        assert whole.count("\r\n") - 1 == count
+    else:
+        items = json.loads(whole)["points"]
+        assert items == [item for part in parts
+                         for item in json.loads(part)["points"]]
+        assert len(items) == count
+    assert forks == []
 
 
 _PARSE_ERROR = "1,2,3,4,bogus"
@@ -411,22 +307,18 @@ _NOT_FINITE = "1e200,1e200,1e200,1e-200,1e200"  # psi = 2 - inf + inf
 
 
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("later", [CHUNK_POINTS + 9, 2 * CHUNK_POINTS + 1,
-                                   3 * CHUNK_POINTS + 2],
-                         ids=["same-chunk", "next-chunk", "worker-chunk"])
+@pytest.mark.parametrize("later", [73, 129, 194],
+                         ids=["near", "farther", "far"])
 @pytest.mark.parametrize("kind", ["inline", "csv", "json"])
 @pytest.mark.parametrize("bad, message", [
     (_PARSE_ERROR, ", field 5: cannot parse scalar 'bogus'"),
     (_NOT_FINITE, ": a computed value is not finite: nan"),
 ], ids=["parse-error", "not-finite"])
-def test_first_error_in_a_worker_chunk_is_the_one_reported(
-        tmp_path, capsys, monkeypatch, deadline, forks, bad, message, kind,
-        later):
-    # the first failing point is in the worker's first chunk; a later one
-    # fails too, in the same chunk, the next (this process's) or the
-    # worker's next
-    first = CHUNK_POINTS + 3
-    points = list(map(_point, range(4 * CHUNK_POINTS)))
+def test_first_error_in_input_order_is_the_one_reported(
+        tmp_path, capsys, deadline, forks, bad, message, kind, later):
+    # the first failing point is the 68th of 256; a later one fails too
+    first = 67
+    points = list(map(_point, range(256)))
     points[first] = bad.split(",")
     points[later] = _PARSE_ERROR.split(",")
     if kind == "json" and bad == _NOT_FINITE:
@@ -440,71 +332,24 @@ def test_first_error_in_a_worker_chunk_is_the_one_reported(
         message = ": cannot parse scalar 'bogus'"  # an entry has no fields
     expected = f"aristotle-orbits: error: {where}{message}"
     before = _open_fds()
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        out_path = tmp_path / "never-written"
-        for out in ((), ("--out", str(out_path))):
-            code, stdout, err = _run(capsys, (*argv, *out))
-            assert (code, stdout) == (1, "")
-            assert err.startswith(expected) and err.count("\n") == 1
-        assert not out_path.exists()
-        assert len(forks) == 2 * (cpus - 1)
-        _no_child_left()
-    assert _open_fds() == before
-
-
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_worker_dies, _dies_before_its_frame,
-                                   _dies_mid_frame])
-def test_dead_point_worker_is_exit_2_and_writes_nothing(
-        tmp_path, capsys, monkeypatch, deadline, forks, death):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(worker, "_serve", death)
-    argv = ("invariants", *_point_input(tmp_path, "csv",
-                                        list(map(_point, range(1000)))))
-    before = _open_fds()
-    out_path = tmp_path / "points.out"
+    out_path = tmp_path / "never-written"
     for out in ((), ("--out", str(out_path))):
         code, stdout, err = _run(capsys, (*argv, *out))
-        assert (code, stdout) == (2, "")
-        assert err == ("aristotle-orbits: error: the rendering worker ended "
-                       "before its last chunk\n")
-    assert len(forks) == 2 and not out_path.exists()
+        assert (code, stdout) == (1, "")
+        assert err.startswith(expected) and err.count("\n") == 1
+    assert not out_path.exists()
+    assert forks == []
     _no_child_left()
     assert _open_fds() == before
-
-
-def test_points_stay_in_one_process_beside_another_thread(
-        tmp_path, capsys, monkeypatch, deadline, forks):
-    # a fork copies only the calling thread
-    _cpus(monkeypatch, 2)
-    argv = ("classify", *_point_input(tmp_path, "csv",
-                                      list(map(_point, range(1000)))))
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(TIMEOUT_S,))
-    other.start()
-    try:
-        result = _run(capsys, argv)
-    finally:
-        release.set()
-        other.join(TIMEOUT_S)
-    assert not other.is_alive()
-    assert forks == []
-    assert result == _run(capsys, argv)
-    assert len(forks) == 1
-    _no_child_left()
 
 
 @pytest.mark.parametrize("command", ["classify", "invariants"])
-def test_points_stay_in_one_process_when_classify_is_wrapped(
-        tmp_path, capsys, monkeypatch, deadline, forks, command):
-    # a tracer wraps classify and sees the calls of its own process only
-    _cpus(monkeypatch, 2)
+def test_a_wrapped_classify_sees_every_point(tmp_path, capsys, monkeypatch,
+                                             deadline, command):
+    # a tracer wraps classify and counts its calls: one per point
     argv = (command, *_point_input(tmp_path, "json",
                                    list(map(_point, range(1000)))))
     whole = _run(capsys, argv)
-    assert len(forks) == 1
     calls = []
 
     @functools.wraps(cli.classify)
@@ -514,74 +359,29 @@ def test_points_stay_in_one_process_when_classify_is_wrapped(
 
     monkeypatch.setattr(cli, "classify", counted)
     assert _run(capsys, argv) == whole
-    assert len(forks) == 1
     assert len(calls) == (1000 if command == "classify" else 0)
-    _no_child_left()
 
 
 # ------------------------------------------------- verify's float runs
 
-@pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
-                         ids=["default", "mutated"])
-@pytest.mark.parametrize("output_format", ["text", "json"])
-@pytest.mark.parametrize("seed", ["0", "7"])
-def test_verify_with_a_worker_writes_the_bytes_of_one(
-        capsys, monkeypatch, deadline, forks, seed, output_format, mutation):
-    argv = ("verify", "--seed", seed, "--samples", "50", "--format",
-            output_format, *mutation)
-    written = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        forks.clear()
-        written[cpus] = _run(capsys, argv)
-        assert len(forks) == cpus - 1
-        _no_child_left()
-    assert written[1] == written[2]
-    assert written[1][0] == (2 if mutation else 0)
-    assert "integrator-tolerance" in written[1][1]
-
-
-@pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
-@pytest.mark.parametrize("death", [_dies_before_its_frame, _dies_mid_frame])
-def test_dead_verify_worker_is_exit_2_and_writes_nothing(
-        tmp_path, capsys, monkeypatch, deadline, forks, death):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(worker, "_serve", death)
-    before = _open_fds()
-    out_path = tmp_path / "report.txt"
-    for out in ((), ("--out", str(out_path))):
-        code, stdout, err = _run(capsys, ("verify", "--samples", "1", *out))
-        assert (code, stdout) == (2, "")
-        assert err == ("aristotle-orbits: error: the integrator worker "
-                       "ended before its last run\n")
-    assert len(forks) == 2 and not out_path.exists()
-    _no_child_left()
-    assert _open_fds() == before
-
-
 def _wrapped(checks):
     """``checks`` with each function wrapped, as a tracer wraps them."""
     def wrap(func):
-        return lambda ctx: func(ctx)
+        return lambda tensor: func(tensor)
     return tuple((name, wrap(func)) for name, func in checks)
 
 
 @pytest.mark.skipif(not LINUX, reason="counts /proc/self/fd")
 def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
                                                     forks):
-    _cpus(monkeypatch, 2)
     before = _open_fds()
     checks = verify.CHECKS
     whole = verify.run_suite()
-    assert len(forks) == 1
-    _no_child_left()
     # checks replaced by wrappers, as the benchmark's tracer does
-    monkeypatch.setattr(verify, "CHECKS", _wrapped(verify.CHECKS))
+    monkeypatch.setattr(verify, "CHECKS", _wrapped(checks))
     assert verify.run_suite() == whole
-    assert len(forks) == 2
-    _no_child_left()
-    # integrate wrapped as the tracer wraps it: it sees all four runs, so
-    # no worker takes one
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    # integrate wrapped as the tracer wraps it: it sees all four runs
     real = verify.integrate
     runs = []
 
@@ -592,28 +392,23 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
 
     monkeypatch.setattr(verify, "integrate", counted)
     assert verify.run_suite() == whole
-    assert (len(runs), len(forks)) == (4, 2)
-    monkeypatch.setattr(verify, "integrate", real)
-    # checks without the integrator's: no worker
-    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1])
-    assert verify.run_suite()["checks"] == \
-        whole["checks"][:-1]
-    assert len(forks) == 2
-    _no_child_left()
+    assert len(runs) == len(verify.FLOAT_RUNS) == 4
+    # checks without the integrator's: no run
+    monkeypatch.setattr(verify, "CHECKS", checks[:-1])
+    assert verify.run_suite()["checks"] == whole["checks"][:-1]
     monkeypatch.setattr(verify, "CHECKS", checks)
-    # the RK4-step proof fails, so no float run's result is read
+    # the RK4-step proof fails, so no float run is made
     monkeypatch.setattr(verify, "_rk4_step", lambda _rhs, state, _h: state)
     report = verify.run_suite()
     assert report["checks"][-1]["passed"] is False
     assert "one RK4 step of time_rhs = time_closed_form fails" in \
         report["checks"][-1]["detail"]
-    assert len(forks) == 3
-    _no_child_left()
+    assert len(runs) == 4
     # a check raises, and the suite with it
     monkeypatch.setattr(verify, "jacobi_residual", _raise_runtime_error)
     with pytest.raises(RuntimeError, match="a check broke"):
         verify.run_suite()
-    assert len(forks) == 4
+    assert forks == []
     _no_child_left()
     assert _open_fds() == before
 
@@ -622,23 +417,29 @@ def _raise_runtime_error(*_args):
     raise RuntimeError("a check broke")
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="sets a child's CPU affinity")
-@pytest.mark.parametrize("output_format", ["text", "json"])
-def test_verify_on_one_cpu_writes_the_bytes_of_two(capsys, deadline,
-                                                   output_format):
-    argv = ("verify", "--seed", "7", "--samples", "50", "--format",
-            output_format)
-    one_cpu = min(os.sched_getaffinity(0))
-    results = [_fresh_interpreter(
-        "-m", "aristotle_orbits", *argv,
-        preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))]
-    results.append(_fresh_interpreter("-m", "aristotle_orbits", *argv))
-    code, expected, err = _run(capsys, argv)
-    assert (code, err) == (0, "")
-    for result in results:
-        assert (result.returncode, result.stderr) == (0, b"")
-        assert result.stdout == expected.encode("utf-8")
+# ------------------------------------------------------------- no fork
+
+NO_FORK = {
+    **{f"{command}-{backend}": (command, *map(",".join, map(
+        _point, range(200))), "--backend", backend)
+       for command in ("classify", "invariants")
+       for backend in ("rational", "float")},
+    **{f"simulate-{name}": ("simulate", *mode, *_grid(600))
+       for name, mode in MODES.items()},
+    "verify": ("verify",),
+    "errata": ("errata",),
+    "derive-law": ("derive-law", "--samples", "50"),
+}
+
+
+@pytest.mark.parametrize("argv", NO_FORK.values(), ids=NO_FORK.keys())
+def test_nothing_forks(capsys, deadline, forks, argv):
+    # inputs of more than one chunk of 64 points or 256 rows, where a
+    # second process once took a share
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "") and out
+    assert forks == []
+    _no_child_left()
 
 
 def test_new_tests_pass_in_development_mode():
@@ -646,11 +447,9 @@ def test_new_tests_pass_in_development_mode():
     result = _fresh_interpreter(
         "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest", "-q",
         "-p", "no:cacheprovider", __file__, "-k",
-        "lifecycle or closed_stdout or dead_verify_worker "
-        "or dead_point_worker or error_in_a_worker_chunk "
-        "or two_processes and 2049 or off_the_step_grid "
-        "or fork_once_for_a_second_chunk or plain_row_template "
-        "or first_row_at_once or bounded_error_line "
+        "lifecycle or closed_stdout or error_in_input_order "
+        "or bytes_of_many and 2049 or off_the_step_grid or nothing_forks "
+        "or plain_row_template or first_row_at_once or bounded_error_line "
         "or off_zero_is_refused_at_once",
         timeout=TIMEOUT_S * 4)
     assert result.returncode == 0, result.stdout[-3000:]
@@ -722,7 +521,7 @@ def test_console_script_usage_error_is_exit_1():
     ("simulate", "--picture", "time", "--dual", "--mu=1/4,-3/4,5/4,3/2,-5/4",
      "--range", "0:30", "--step", "1/1000"),
 ], ids=["rk4-csv", "rk4-json", "exact-dual"])
-def test_closed_stdout_is_a_quiet_exit_1_with_no_worker_left(argv):
+def test_closed_stdout_is_a_quiet_exit_1_that_leaves_no_process(argv):
     proc = subprocess.Popen(
         [sys.executable, "-m", "aristotle_orbits", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_environment(),
@@ -732,7 +531,7 @@ def test_closed_stdout_is_a_quiet_exit_1_with_no_worker_left(argv):
         proc.stdout.close()  # the reader goes away, as ``| head -1`` does
         _, err = proc.communicate(timeout=TIMEOUT_S)
         assert (proc.returncode, err) == (1, b"")
-        # the session holds the run and any worker it forked: none is left
+        # the session holds the run and anything it started: none is left
         ends = time.monotonic() + TIMEOUT_S
         while True:
             try:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import InputFormatError, format_scalar
+from aristotle_orbits.cli import main
 from aristotle_orbits.dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams, SpaceState, TimeState,
     closed_form_trajectory, dual_flow_trajectory,
@@ -625,9 +626,43 @@ def test_float_grid_verdict_is_the_scans_near_large_magnitudes(start):
                 assert decided in (None, scan)
                 sides.add(decided is None)
                 rounding = _rounding(start, stop, step)
-                assert (decided is None) == (step <= rounding)
+                # above the bound the grid is proved; below it, a pair
+                # among the highest points may prove that it does not
+                assert (decided is True) == (step > rounding)
                 sharper |= rounding < step <= 2 * rounding
     assert sides == {True, False} and sharper
+
+
+@pytest.mark.parametrize("start", [1e6, -1e6, 3.0, -0.1, 2.0 ** 60, 1e300])
+def test_float_grid_whose_highest_points_collide_does_not_advance(start):
+    # a step below half the spacing of doubles at the grid's top, less
+    # the products' rounding: two of the three highest points are one
+    # double, so the grid is refused as not advancing, before a scan,
+    # however many points it has
+    for rows in (10, 10 ** 6, 10 ** 12):
+        h = 0.45 * math.ulp(start)
+        stop = start + rows * h
+        span = (rows - 1) * h
+        assert 2 * h + math.ulp(span) < math.ulp(stop)
+        assert _decided(start, stop, h) is False
+        with pytest.raises(InputFormatError, match="does not advance"):
+            _float_grid(start, stop, h)
+        if rows < SCAN_POINTS:
+            assert not _scan_advances(start, stop, h)
+
+
+def test_float_grid_of_1e11_colliding_points_is_refused_at_once(capsys):
+    # from 1e6 by 1e-11 the three highest points are one double; the step
+    # is below half of ulp(1e6), where it used to be too fine to prove
+    assert 1e-11 < math.ulp(1e6) / 2
+    assert _decided(1e6, 1e6 + 1, 1e-11) is False
+    code = main(["simulate", "--picture", "time", "--backend", "float",
+                 "--state=1,1", "--k=1", "--y=1", "--range",
+                 "1000000:1000001", "--step", "1e-11"])
+    assert (code, *capsys.readouterr()) == (1, "", (
+        "aristotle-orbits: error: step 1e-11 does not advance the float grid "
+        "from 1000000.0 to 1000001.0; the trajectory parameter must be "
+        "strictly increasing\n"))
 
 
 def test_float_grid_in_the_band_scans_at_most_scan_points():
@@ -857,8 +892,8 @@ def test_exact_cells_of_integral_rows(picture, count):
 @settings(max_examples=60, deadline=None)
 def test_exact_cell_chunks_of_any_size_are_the_cells(
         picture, params, a0, b0, f0, mu0, start, step, count, offset, size):
-    # each chunk starts at its first row by a jump; the stop row ends the
-    # last chunk, on the lattice or off it
+    # chunks of ``size`` rows drawn from one stream of cells; the stop row
+    # ends the last chunk, on the lattice or off it
     stop = start + (count + offset) * step
     for traj, expected in _exact_cases(picture, start, stop, step,
                                        (a0, b0), params, f0, mu0):
@@ -906,8 +941,8 @@ def test_exact_trajectory_over_a_shifted_range_shifts_only_its_parameter(
 
 
 def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
-    # a chunk is made as it is iterated: a process that renders one chunk
-    # of many makes the cells of that chunk only
+    # a chunk's cells are made as the chunk is drawn: one chunk of many
+    # makes the cells of that chunk only
     made = []
 
     def counted(num, den):
@@ -924,19 +959,20 @@ def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
                  dual_flow_trajectory(DualElement(1, -3, 7, *params),
                                       "time", config)):
         whole = _cells(traj)
-        chunks = traj.cell_chunks(256)
         made.clear()
-        for _ in range(3):
-            next(chunks)
+        chunks = traj.cell_chunks(256)
         assert made == []
-        fourth = list(next(chunks))
+        first = next(chunks)
         # one text a row for each column that is not constant
         varying = sum(len({row[column] for row in whole}) > 1
                       for column in range(len(whole[0])))
         assert len(made) == 256 * varying
+        assert first == whole[:256]
+        fourth = list(chunks)[2]
         assert fourth == whole[768:1024]
-        last = list(list(chunks)[-1])
-        assert last == whole[1792:] and len(last) == 2002 - 1792
+        # each regular row's cells once; the stop row's are read off the
+        # columns' coefficients
+        assert len(made) == (len(whole) - 1) * varying
 
 
 def test_float_cell_chunks_are_lists_of_the_rows():
