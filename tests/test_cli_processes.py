@@ -68,6 +68,12 @@ def _run(capsys, argv) -> tuple:
     return code, captured.out, captured.err
 
 
+def _cpus(monkeypatch, count: int):
+    """Report ``count`` CPUs to this process, as a host with them would."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda _pid: set(range(count)), raising=False)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -124,6 +130,33 @@ def test_stop_off_the_step_grid_ends_the_last_chunk(
     else:
         rows = json.loads(out)["rows"]
         assert len(rows) == 302 and rows[-1][0] in ("601/128", 601 / 128)
+    assert forks == []
+
+
+@pytest.mark.parametrize("rows", (256, 257, 2049))
+@pytest.mark.parametrize("mode", MODES.values(), ids=MODES.keys())
+def test_cells_stream_once_in_chunks_of_chunk_texts(capsys, monkeypatch,
+                                                   deadline, forks, mode,
+                                                   rows):
+    # one stream of cells from row 0, cut into chunks of CHUNK_TEXTS rows
+    # by the chunker of every trajectory, exact and float alike
+    entered, sizes = [], []
+    real = dynamics._drawn_chunks
+
+    def watched(factory, size):
+        def counted():
+            entered.append(size)
+            return factory()
+        for chunk in real(counted, size):
+            sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(dynamics, "_drawn_chunks", watched)
+    code, out, err = _run(capsys, ("simulate", *mode, *_grid(rows)))
+    assert (code, err) == (0, "") and out.count("\r\n") == 1 + rows
+    assert entered == [CHUNK_TEXTS]
+    assert sizes == [CHUNK_TEXTS] * (rows // CHUNK_TEXTS) + (
+        [rows % CHUNK_TEXTS] if rows % CHUNK_TEXTS else [])
     assert forks == []
 
 
@@ -413,6 +446,28 @@ def test_verify_lifecycle_leaves_no_child_and_no_fd(monkeypatch, deadline,
     assert _open_fds() == before
 
 
+@pytest.mark.parametrize("mutation", [(), ("--mutate", "Eq2.4")],
+                         ids=["default", "mutated"])
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_writes_the_same_bytes_on_one_cpu_and_two(
+        capsys, monkeypatch, deadline, forks, seed, output_format, mutation):
+    # the float runs are the suite's own on any host; a failed check is
+    # exit 2, the only meaning that code keeps
+    argv = ("verify", "--seed", seed, "--samples", "50", "--format",
+            output_format, *mutation)
+    written = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        written[cpus] = _run(capsys, argv)
+    assert written[1] == written[2]
+    assert written[1][0] == (2 if mutation else 0)
+    assert written[1][2] == ""
+    assert "integrator-tolerance" in written[1][1]
+    assert forks == []
+    _no_child_left()
+
+
 def _raise_runtime_error(*_args):
     raise RuntimeError("a check broke")
 
@@ -433,9 +488,11 @@ NO_FORK = {
 
 
 @pytest.mark.parametrize("argv", NO_FORK.values(), ids=NO_FORK.keys())
-def test_nothing_forks(capsys, deadline, forks, argv):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_nothing_forks(capsys, monkeypatch, deadline, forks, cpus, argv):
     # inputs of more than one chunk of 64 points or 256 rows, where a
-    # second process once took a share
+    # second process once took a share when a second CPU was free
+    _cpus(monkeypatch, cpus)
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "") and out
     assert forks == []

@@ -975,6 +975,34 @@ def test_exact_chunks_never_iterated_make_no_cell(monkeypatch):
         assert len(made) == (len(whole) - 1) * varying
 
 
+@pytest.mark.parametrize("size", [None, 1, 2, 3, 256])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 255, 256, 257, 1000])
+def test_drawn_chunks_are_the_rows_in_order(count, size):
+    # one factory() call; every chunk but the last is full, none is empty,
+    # and a chunk is drawn only as it is asked for
+    calls, drawn = [], []
+
+    def factory():
+        calls.append(None)
+        for row in range(count):
+            drawn.append(row)
+            yield (row, f"{row * row}")
+
+    chunks = dynamics._drawn_chunks(factory, size)
+    assert calls == [] or calls == [None]
+    got = []
+    for chunk in chunks:
+        assert type(chunk) is list and chunk
+        got.append(chunk)
+        assert len(drawn) == sum(map(len, got))
+    assert calls == [None]
+    width = size or max(count, 1)
+    assert [len(chunk) for chunk in got[:-1]] == [width] * (len(got) - 1)
+    assert len(got) == -(-count // width)
+    assert [row for chunk in got for row in chunk] == [
+        (row, f"{row * row}") for row in range(count)]
+
+
 def test_float_cell_chunks_are_lists_of_the_rows():
     config = IntegratorConfig(step=0.125, start=0, stop=100.0625)
     traj = integrate("time", (0.25, -1.75), OrbitParams(1.5, -1.25), config)
