@@ -31,6 +31,9 @@ RATIONAL = "rational"
 FLOAT = "float"
 BACKENDS = (RATIONAL, FLOAT)
 
+#: One half, exact; in float arithmetic it is 0.5.
+HALF = Fraction(1, 2)
+
 #: Message of the input error for a computed NaN or infinity.
 NOT_FINITE = "a computed value is not finite"
 

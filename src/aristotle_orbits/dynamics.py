@@ -9,24 +9,21 @@ reproduces the closed forms
     q(t) = q0 - v t,        p(t) = p0 - k q0 t + y t^2 / 2,
     tau(x) = tau0 + s x,    e(x) = e0 + f0 x + k x^2 / 2.
 
-Each chart exists only on one side of the dual space: the q-chart needs
-k != 0 and the tau-chart needs y != 0.  Outside a chart the dual-space
-flows (``time_flow``/``space_flow``) are total and should be used
-directly; ChartUndefinedError says exactly that.  The flows are closed
-polynomials in the parameter, checked against the printed coadjoint
-action ``coadjoint_printed`` by the tests and by ``verify``.
+Written as (a, b)' = (rate, gain a), the space chart is the time chart
+with k and y swapped and the motion reversed, so one chart table
+(``_chart``) gives both closed forms, RK4's field and the chart
+invariant.  The q-chart needs k != 0 and the tau-chart y != 0; outside
+them the dual-space flows (``time_flow``/``space_flow``), polynomials in
+the parameter checked against ``coadjoint_printed`` by the tests and
+``verify``, are total, and ChartUndefinedError says so.
 
-Each closed form and flow is stated once, as a solution factory that the
-public formulas and every trajectory evaluate.  Every trajectory starts
-from its state at the range's start.  Its rows are lazy: RK4's from one
-fused stepping loop, the closed forms' and flows' from one row generator
-that evaluates the solution at each parameter's offset from the start.
-An exact trajectory's output cells are tabulated apart, by the integer
-forward differences of its quadratic columns; every trajectory's output
-chunks are drawn from one stream of cell rows.  A float trajectory is
-set up by one function: float images, grid, and the rows at the range
-ends and the columns' vertices, which refuse a non-finite value; an RK4
-one's stages are bounded too.
+Every trajectory starts from its state at the range's start.  Its rows
+are lazy: RK4's from one fused stepping loop, the closed forms' and
+flows' from one row generator.  An exact trajectory's cells come from
+the integer forward differences of its quadratic columns, in chunks of
+one stream.  One function sets up a float trajectory: float images,
+grid, and the rows at the range ends and the columns' vertices, refused
+if not finite.  RK4's stages are bounded too.
 
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
@@ -45,13 +42,12 @@ from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .backend import (
-    NOT_FINITE, InputFormatError, Scalar, is_float_backed, parse_scalar,
-    ratio_text,
+    HALF, NOT_FINITE, InputFormatError, Scalar, is_float_backed,
+    parse_scalar, ratio_text,
 )
 from .orbits import DualElement, point_arithmetic, psi_value
 from .poly import Poly, indeterminates
 
-HALF = Fraction(1, 2)
 #: Most points of a float grid scanned to see that it advances (about 25 ms
 #: on a 2-CPU Xeon); a longer grid whose step is not proved is refused.
 SCAN_POINTS = 2**18
@@ -198,23 +194,43 @@ def space_flow(mu0: DualElement, x: Scalar) -> DualElement:
 
 # ------------------------------------------------------------ closed forms
 
-def _time_solution(q0: Scalar, p0: Scalar, params: OrbitParams) -> Callable:
-    """t -> (q, p) in the q-chart (k != 0)."""
-    v, kq0, half_y = params.v, params.k * q0, HALF * params.y
-    return lambda t: (q0 - v * t, p0 - kq0 * t + half_y * t * t)
+# picture -> (parameter, chart coordinates, chart invariant, dual path)
+_PICTURES = {
+    "time": ("t", ("q", "p"), "U", _time_path),
+    "space": ("x", ("tau", "e"), "pi", _space_path),
+}
 
 
-def _space_solution(tau0: Scalar, e0: Scalar, f0: Scalar,
-                    params: OrbitParams) -> Callable:
-    """x -> (tau, e) in the tau-chart (y != 0), from the initial force f0."""
-    s, half_k = params.s, HALF * params.k
-    return lambda x: (tau0 + s * x, e0 + f0 * x + half_k * x * x)
+def _picture(picture: str) -> tuple:
+    """The picture's row of ``_PICTURES``; ValueError on an unknown name."""
+    try:
+        return _PICTURES[picture]
+    except KeyError:
+        raise ValueError(f"unknown picture {picture!r}") from None
+
+
+def _chart(picture: str, params: OrbitParams) -> tuple:
+    """(rate, gain, slope, half_force, half) of the picture's chart, whose
+    invariant b slope - half_force a^2 is U or pi up to an inert offset;
+    the tau-chart's is the q-chart's with k and y swapped, motion reversed."""
+    if _picture(picture) is _PICTURES["space"]:
+        s = params.s
+        return s, params.y, s, HALF * params.y, HALF * params.k
+    v = params.v
+    return -v, -params.k, v, HALF * params.k, HALF * params.y
+
+
+def _motion(a0: Scalar, rate: Scalar, b0: Scalar, force: Scalar,
+            half: Scalar) -> Callable:
+    """s -> (a0 + rate s, b0 + force s + half s^2): either chart's closed
+    form, its force starting at ``force`` and growing at gain*rate = 2 half."""
+    return lambda s: (a0 + rate * s, b0 + force * s + half * s * s)
 
 
 def time_closed_form(q0: Scalar, p0: Scalar, params: OrbitParams,
                      t: Scalar) -> tuple:
     """(q, p) at time t; requires the q-chart (k != 0)."""
-    return _time_solution(q0, p0, params)(t)
+    return _chart_model("time", *params, q0, p0)[0](t)
 
 
 def space_closed_form(tau0: Scalar, e0: Scalar, f0: Scalar,
@@ -225,7 +241,7 @@ def space_closed_form(tau0: Scalar, e0: Scalar, f0: Scalar,
     is evaluated literally for any f0, but only the on-orbit case makes
     the internal momentum exactly constant.
     """
-    return _space_solution(tau0, e0, f0, params)(x)
+    return _chart_model("space", *params, tau0, e0, f0)[0](x)
 
 
 # -------------------------------------------------------- right-hand sides
@@ -502,11 +518,12 @@ def _float_setup(config: IntegratorConfig, model: Callable,
 
 
 def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
-                        model: Callable, inputs: tuple) -> Trajectory:
-    """The closed-form trajectory of ``model(*inputs)``, a (sample,
-    invariant) pair, with ``inputs`` led by the orbit labels k and y: exact
-    rows, or floats over a checked grid if an input is a float."""
+                        inputs: tuple, dual: bool = False) -> Trajectory:
+    """The closed-form trajectory of the picture's chart or, with ``dual``,
+    of its dual flow, from ``inputs`` led by the orbit labels k and y:
+    exact rows, or floats over a checked grid if an input is a float."""
     config = config or IntegratorConfig()
+    model = partial(_dual_model if dual else _chart_model, picture)
     if is_float_backed(*inputs):
         span, grid, inputs, pair = _float_setup(config, model, inputs)
         start, cells = span[0], None
@@ -514,7 +531,7 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
         pair = model(*inputs)
         start, grid, cells = _exact_rows(config, *pair)
     return _trajectory(picture, "closed-form", *inputs[:2],
-                       lambda: _rows(grid(), start, *pair), cells)
+                       lambda: _rows(grid(), start, *pair), cells, dual)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -544,63 +561,30 @@ def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
         prev = param
 
 
-def _chart_constants(picture: str, params: OrbitParams) -> tuple:
-    """(slope, half_force) of the chart invariant: (v, k/2) or (s, y/2)."""
-    return ((params.v, HALF * params.k) if picture == "time"
-            else (params.s, HALF * params.y))
-
-
-def _chart_invariant(picture: str, params: OrbitParams) -> Callable:
-    """The chart invariant of a state (a, b), with its constants taken once.
-
-    Time: U up to the inert energy offset, p v - k q^2/2 (e0 taken as 0).
-    Space: pi up to the inert momentum offset, e s - y tau^2/2 (p0 taken
-    as 0).
-    """
-    slope, half_force = _chart_constants(picture, params)
-    return lambda a, b: b * slope - half_force * a * a
-
-
 def _chart_model(picture: str, k: Scalar, y: Scalar, a0: Scalar, b0: Scalar,
                  f0: Optional[Scalar] = None) -> tuple:
     """(sample, invariant) of the chart's closed form from (a0, b0); f0,
     the space picture's initial force, defaults to the on-orbit y*tau0."""
-    _check_picture(picture)
-    params = OrbitParams(k, y)
-    if picture == "time":
-        sample = _time_solution(a0, b0, params)
-    else:
-        sample = _space_solution(a0, b0, y * a0 if f0 is None else f0, params)
-    return sample, _chart_invariant(picture, params)
+    rate, gain, slope, half_force, half = _chart(picture, OrbitParams(k, y))
+    force = gain * a0 if f0 is None else f0
+    return (_motion(a0, rate, b0, force, half),
+            lambda a, b: b * slope - half_force * a * a)
 
 
 def _dual_model(picture: str, k: Scalar, y: Scalar, *state: Scalar) -> tuple:
     """(sample, invariant) of the dual flow from (p, e, f): path and psi."""
-    _check_picture(picture)
-    path = _time_path if picture == "time" else _space_path
+    path = _picture(picture)[3]
     return path((*state, k, y)), lambda p, e, f: psi_value(p, e, f, k, y)
 
 
-# picture -> (coordinate columns, invariant name)
-_LAYOUTS = {
-    "time": (("t", "q", "p"), "U"),
-    "space": (("x", "tau", "e"), "pi"),
-    "dual-time": (("t", "p", "e", "f"), "psi"),
-    "dual-space": (("x", "p", "e", "f"), "psi"),
-}
-
-
-def _check_picture(picture: str):
-    if picture not in ("time", "space"):
-        raise ValueError(f"unknown picture {picture!r}")
-
-
 def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
-                row_factory: Callable,
-                cell_factory: Optional[Callable] = None) -> Trajectory:
-    columns, invariant = _LAYOUTS[picture]
-    return Trajectory(picture, columns + (invariant, "drift"), invariant,
-                      method, {"k": k, "y": y}, row_factory, cell_factory)
+                rows: Callable, cells: Optional[Callable] = None,
+                dual: bool = False) -> Trajectory:
+    param, coords, invariant, _ = _picture(picture)
+    if dual:
+        picture, coords, invariant = f"dual-{picture}", ("p", "e", "f"), "psi"
+    return Trajectory(picture, (param, *coords, invariant, "drift"),
+                      invariant, method, {"k": k, "y": y}, rows, cells)
 
 
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
@@ -622,9 +606,7 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
         (params.k, params.y, *state0))
     length = stop - start
     params = OrbitParams(*inputs[:2])
-    slope, half_force = _chart_constants(picture, params)
-    rate, gain = ((-params.v, -params.k) if picture == "time"
-                  else (params.s, params.y))
+    rate, gain, slope, half_force, _ = _chart(picture, params)
     reach = max(abs(inputs[2]), abs(inputs[2] + rate * length))
     largest = max(6.0, min(step, length)) * abs(gain) * reach
     if length and not 2 * largest <= sys.float_info.max:
@@ -644,11 +626,14 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
     differences.
 
     Backend-generic: rational inputs give exact rational rows.  For the
-    space picture f0 defaults to the on-orbit value y*tau0.
+    space picture f0 defaults to the on-orbit value y*tau0; the time
+    picture takes none.
     """
+    if f0 is not None and picture != "space":
+        raise ValueError(f"f0 applies only to the space picture, "
+                         f"not to {picture!r}")
     inputs = (params.k, params.y, *state0, *(() if f0 is None else (f0,)))
-    return _sampled_trajectory(picture, config,
-                               partial(_chart_model, picture), inputs)
+    return _sampled_trajectory(picture, config, inputs)
 
 
 def dual_flow_trajectory(mu0: DualElement, picture: str,
@@ -661,6 +646,5 @@ def dual_flow_trajectory(mu0: DualElement, picture: str,
     the paths of time_flow/space_flow, evaluated one by one; exact cells
     come from forward differences.
     """
-    return _sampled_trajectory(f"dual-{picture}", config,
-                               partial(_dual_model, picture),
-                               (*mu0[3:], *mu0[:3]))
+    return _sampled_trajectory(picture, config, (*mu0[3:], *mu0[:3]),
+                               dual=True)

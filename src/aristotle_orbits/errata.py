@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .backend import exact_div
+from .backend import HALF, exact_div
 from .dynamics import (
     SpaceState, TimeState,
     hamiltonian_space, hamiltonian_time,
@@ -23,7 +23,7 @@ from .dynamics import (
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
 from .lie_core import (
-    HALF, AlgebraElement, BasisIndex,
+    AlgebraElement, BasisIndex,
     compose, compose_printed, from_single_exponential, to_single_exponential,
 )
 from .orbits import (

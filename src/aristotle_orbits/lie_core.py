@@ -34,9 +34,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
-from .backend import Scalar
+from .backend import HALF, Scalar
 
-HALF = Fraction(1, 2)
 TWELFTH = Fraction(1, 12)
 
 DIM = 5

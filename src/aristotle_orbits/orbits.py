@@ -24,16 +24,15 @@ the tests hold against the first.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import truediv
 from typing import NamedTuple, Optional
 
-from .backend import EPS_CLASS, InputFormatError, Scalar, exact_div, is_zero
+from .backend import (
+    EPS_CLASS, HALF, InputFormatError, Scalar, exact_div, is_zero,
+)
 from .lie_core import AlgebraElement, GroupElement, adjoint_of_group, inverse
-
-HALF = Fraction(1, 2)
 
 # How coadjoint(g, mu) relates to coadjoint_printed(g.x, g.t, g.zeta, mu):
 # they coincide with no inversion and no sign flips, an identity proved on

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from . import linalg, poly
-from .backend import exact_div, rel_err
+from .backend import HALF, exact_div, rel_err
 from .dynamics import (
     IntegratorConfig, OrbitParams, SpaceState, TimeState,
     integrate, space_closed_form, space_flow, space_rhs,
@@ -38,7 +38,7 @@ from .orbits import (
     coadjoint_matrix, coadjoint_printed, invariants,
 )
 
-HALF, SIXTH = Fraction(1, 2), Fraction(1, 6)
+SIXTH = Fraction(1, 6)
 
 
 def _mutated_eq24() -> StructureTensor:

@@ -795,8 +795,9 @@ def test_simulate_scalar_flag_errors_name_the_flag(capsys, backend, flag,
 
 def test_simulate_non_quadratic_rows_fail_before_output(capsys, monkeypatch):
     # a cubic invariant cannot be tabulated by second differences
-    monkeypatch.setattr(dynamics, "_chart_invariant",
-                        lambda picture, params: lambda a, b: a * a * a)
+    chart_model = dynamics._chart_model
+    monkeypatch.setattr(dynamics, "_chart_model", lambda *args: (
+        chart_model(*args)[0], lambda a, b: a * a * a))
     code, out, err = run(capsys, "simulate", "--picture", "time",
                          "--closed-form", "--state=1,1", "--k=1", "--y=1",
                          "--range", "0:2", "--step", "0.25")

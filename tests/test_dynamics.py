@@ -14,13 +14,13 @@ from aristotle_orbits.dynamics import (
     ChartUndefinedError, IntegratorConfig, OrbitParams, SpaceState, TimeState,
     closed_form_trajectory, dual_flow_trajectory,
     hamiltonian_space, hamiltonian_time, integrate,
-    Trajectory, realization_space, realization_time,
+    realization_space, realization_time,
     space_closed_form, space_flow, space_rhs, space_rhs_printed,
     time_closed_form, time_flow, time_rhs, time_rhs_printed,
 )
 from aristotle_orbits import dynamics
 from aristotle_orbits.dynamics import (
-    SCAN_POINTS, _chart_invariant, _exact_rows, _float_grid, _grid_advances,
+    SCAN_POINTS, _exact_rows, _float_grid, _grid_advances,
 )
 from aristotle_orbits.orbits import (
     DualElement, OrbitClass, classify, coadjoint_printed, invariants,
@@ -155,11 +155,14 @@ def test_space_closed_form_is_flow_readout(params, tau0, e0, p0, x):
 
 @given(params_st(), small_fractions, small_fractions, small_fractions)
 def test_chart_invariants_constant_along_closed_forms(params, q0, p0, t):
-    invariant = _chart_invariant("time", params)
-    assert invariant(*time_closed_form(q0, p0, params, t)) == invariant(q0, p0)
-    invariant = _chart_invariant("space", params)
+    # U = p v - k q^2/2 and pi = e s - y tau^2/2, written out
+    def invariant(slope, force):
+        return lambda a, b: b * slope - HALF * force * a * a
+    u = invariant(params.v, params.k)
+    assert u(*time_closed_form(q0, p0, params, t)) == u(q0, p0)
+    pi = invariant(params.s, params.y)
     tau_e = space_closed_form(q0, p0, params.y * q0, params, t)
-    assert invariant(*tau_e) == invariant(q0, p0)
+    assert pi(*tau_e) == pi(q0, p0)
 
 
 def test_potential_forms_build_the_closed_forms():
@@ -455,6 +458,29 @@ def test_integrate_chart_errors():
         integrate("sideways", (0, 0), OrbitParams(1, 1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda p: integrate(p, (1.0, 1.0), OrbitParams(1.0, 1.0)),
+    lambda p: closed_form_trajectory(p, (1, 1), OrbitParams(1, 1)),
+    lambda p: dual_flow_trajectory(DualElement(1, 1, 1, 1, 1), p),
+], ids=["rk4", "closed-form", "dual"])
+@pytest.mark.parametrize("picture", ["sideways", "dual-time", "Time", ""])
+def test_unknown_picture_is_a_value_error(build, picture):
+    with pytest.raises(ValueError, match="unknown picture"):
+        build(picture)
+
+
+@pytest.mark.parametrize("f0", [5, Fraction(5, 3), 5.0])
+@pytest.mark.parametrize("state0", [(1, 2), (1.0, 2.0)])
+def test_time_closed_form_refuses_f0(f0, state0):
+    # f0 is the space picture's initial force; the time closed form once
+    # ignored it, and a float f0 turned its exact rows into floats
+    params = OrbitParams(*map(type(state0[0]), (3, 4)))
+    with pytest.raises(ValueError, match="only to the space picture"):
+        closed_form_trajectory("time", state0, params, f0=f0)
+    rows = rows_of(closed_form_trajectory("space", state0, params, f0=f0))
+    assert rows[0][1:3] == state0
+
+
 def test_closed_form_trajectory_rational_is_exact():
     config = IntegratorConfig(step=Fraction(1, 2), start=0, stop=2)
     traj = closed_form_trajectory("time", (Fraction(0), Fraction(0)),
@@ -747,13 +773,19 @@ def _dual_rows(picture, mu0, grid):
 
 
 def _closed_form_states(picture, state0, params, grid, f0):
-    # state0 (and f0) are the state at the range's start, grid[0]
+    # The four formulas written out, each in the float order of the
+    # source's evaluation, so that float rows compare bit for bit:
+    # q = q0 - v t, p = p0 - k q0 t + y t^2/2; tau = tau0 + s x,
+    # e = e0 + f0 x + k x^2/2.  state0 (and f0) are the state at the
+    # range's start, grid[0].
+    a0, b0 = state0
+    offsets = [param - grid[0] for param in grid]
     if picture == "time":
-        return [time_closed_form(*state0, params, t - grid[0]) for t in grid]
-    if f0 is None:
-        f0 = params.y * state0[0]
-    return [space_closed_form(*state0, f0, params, x - grid[0])
-            for x in grid]
+        v, kq0, half_y = params.v, params.k * a0, HALF * params.y
+        return [(a0 - v * t, b0 - kq0 * t + half_y * t * t) for t in offsets]
+    s, half_k = params.s, HALF * params.k
+    f0 = params.y * a0 if f0 is None else f0
+    return [(a0 + s * x, b0 + f0 * x + half_k * x * x) for x in offsets]
 
 
 pictures = st.sampled_from(("time", "space"))

@@ -1,5 +1,6 @@
 """Import guards: no module but derive_law imports the sampler (``rng``),
-and the package imports nothing outside the standard library.
+the package imports nothing outside the standard library, and no module
+of the package or of its tests imports a name it never uses.
 
 Every verify check and every errata finding is a proof on indeterminates,
 so a module that imports ``rng`` again samples where it could prove.
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "aristotle_orbits"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "aristotle_orbits"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [path for path in SOURCES
            if path.name not in ("derive_law.py", "rng.py")]
@@ -74,3 +76,42 @@ def test_every_absolute_import_is_the_standard_library():
                            "import numpy, json\nfrom . import poly\n"
                            "def f():\n    from sympy import S\n") == \
         {"numpy", "sympy", "sympy.S"}
+
+
+def _unused_imports(source: str) -> set:
+    """The names ``source`` imports, at any depth, and never reads; a name
+    listed in ``__all__`` is read (a re-export)."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "__all__"
+                      for target in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return bound - read
+
+
+CHECKED = SOURCES + sorted(TESTS.rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=[
+    str(p.relative_to(TESTS.parent)) for p in CHECKED])
+def test_module_imports_no_name_it_never_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_every_unused_import_is_found():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path, json as j\nimport a.b\n"
+              "from .x import y, z as w, kept\n"
+              "__all__ = ['kept']\n"
+              "def f():\n    from .m import inner\n    return os.sep\n")
+    assert _unused_imports(source) == {"j", "a", "y", "w", "inner"}
+    assert _unused_imports("import a.b\nprint(a.b)\n") == set()
