@@ -25,6 +25,14 @@ one stream.  One function sets up a float trajectory: float images,
 grid, and the rows at the range ends and the columns' vertices, refused
 if not finite.  RK4's stages are bounded too.
 
+One exact RK4 step of either chart's field is the flow, so a float RK4
+run differs from the flow of its own float constants by rounding alone.
+``rk4_bound`` bounds that rounding exactly, in closed form in the step
+count, operation by operation in the stepping loop's order, in the
+standard model fl(x op y) = (x op y)(1 + delta), |delta| <= 2^-53, with
+gradual underflow (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed. 2002, ch. 2-3).
+
 ``time_rhs``/``space_rhs`` are the derivatives of the verified flows.
 The *_printed variants transcribe the source text's damping-form
 right-hand sides, which disagree with the flows away from the initial
@@ -330,9 +338,7 @@ def _float_grid(start: float, stop: float,
     if not (h > 0 and math.isfinite((stop - start) / h)):
         raise InputFormatError(f"no float grid spans {start!r}:{stop!r} "
                                f"by steps of {h!r}")
-    count = int((stop - start) / h + 1e-9)
-    if abs(start + count * h - stop) > 1e-9 * h:
-        count += 1
+    count = _grid_count(start, stop, h)
     last = start if stop == start else stop  # [start] keeps a -0.0 start
 
     def grid():
@@ -352,6 +358,15 @@ def _float_grid(start: float, stop: float,
             f"step {h!r} does not advance the float grid from {start!r} to "
             f"{stop!r}; the trajectory parameter must be strictly increasing")
     return grid
+
+
+def _grid_count(start: float, stop: float, h: float) -> int:
+    """The number of points start + i*h of the float grid, and so of its
+    steps: ``stop`` follows them."""
+    count = int((stop - start) / h + 1e-9)
+    if abs(start + count * h - stop) > 1e-9 * h:
+        count += 1
+    return count
 
 
 def _grid_advances(start: float, h: float, count: int,
@@ -561,6 +576,104 @@ def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
         prev = param
 
 
+#: The unit roundoff of binary64 and half its subnormal spacing: a float
+#: operation's result is (x op y)(1 + delta) + eta, |delta| <= U and
+#: |eta| <= ETA, with eta = 0 for a sum or a doubling.
+U = Fraction(1, 2**53)
+ETA = Fraction(1, 2**1075)
+U1 = 1 + U
+# gamma_k = k U / (1 - k U) bounds k compounded roundings: the product of
+# k factors (1 + delta)^(+-1) is 1 + theta, |theta| <= gamma_k
+GAMMA_3, GAMMA_5, GAMMA_6, GAMMA_8 = (k * U / (1 - k * U)
+                                      for k in (3, 5, 6, 8))
+
+
+def _reach(a0: Scalar, rate: Scalar, length: Scalar) -> Scalar:
+    """The largest |a| on a chart path over a parameter range of
+    ``length``: a moves at a constant rate, so it is at an end."""
+    return max(abs(a0), abs(a0 + rate * length))
+
+
+class RK4Bound(NamedTuple):
+    """An exact bound on the rounding of ``integrate``'s rows.
+
+    ``end`` is the exact (a, b) at the range's stop of the flow of the
+    run's own float constants; every row's (a, b) lies within ``coords``
+    of that flow at the row's parameter, and every row's drift is at most
+    ``drift``.  ``steps`` counts the run's RK4 steps.
+    """
+
+    steps: int
+    end: tuple
+    coords: tuple
+    drift: Fraction
+
+
+def _rk4_bound(steps: int, largest: Fraction, length: Fraction,
+               a0: Fraction, b0: Fraction, rate: Fraction, gain: Fraction,
+               slope: Fraction, half_force: Fraction) -> tuple:
+    """((E_a, E_b), E_drift) of ``_rk4_rows`` over ``steps`` steps of at
+    most ``largest`` summing to ``length``, in closed form.
+
+    Each computed step is fl(param - prev): exact on a grid from 0 by
+    Sterbenz's lemma, within U of it anyway, so the steps sum to a
+    virtual length within U length of ``length``.  One exact RK4 step of
+    the affine field is the flow (``verify`` proves it), so the scheme
+    stepped exactly along the computed steps is the flow at the virtual
+    parameters, and every error is the loop's rounding, operation by
+    operation in its order.  With n steps, h <= H, reach A of the exact
+    path and |b| <= B = |b0| + |gain| A length (1 + U):
+
+    - a: the increment fl(sixth rate_sum) is h rate within d = gamma_5 H
+      |rate| + ETA (7 |rate| + 1) (rate_sum has 3 roundings), and the sum
+      adds U |a|, so e_{i+1} <= (1 + U) e_i + c, c = (1 + U) d + U A, and
+      e_n <= c n / (1 - n U), as (1 + U)^n - 1 <= gamma_n.
+    - b: each monomial of the increment h gain (a + h rate / 2) passes at
+      most 8 roundings, so from a computed state the increment is within
+      L = gamma_8 H |gain| (A' + H |rate| / 2) + zeta of exact RK4's,
+      A' = A + E_a bounding |a| and zeta the underflows carried to it;
+      the sum adds U (B + f_i + H |gain| e_i), and the exact step carries
+      a's error on as h gain e_i: f_{i+1} <= (1 + U)(f_i + H |gain| e_i)
+      + (1 + U) L + U B, which sums, with (1 + U)^n <= 1 / (1 - n U), to
+      a term in n^2 and one in n.
+    - drift: the invariant b slope - half_force a^2 is kept by the exact
+      flow up to |gain slope - 2 half_force rate| A length (1 + U), zero
+      when half_force is gain/2 exactly; the computed state moves it by
+      |slope| E_b + |half_force| E_a (2 A + E_a), and its evaluation
+      rounds by rho = gamma_3 (|slope| B' + |half_force| A'^2) + 2 ETA
+      (2 + A'), B' = B + E_b, at each of the two rows, before a last
+      subtraction.
+
+    Against the flow at a row's own parameter each coordinate adds its
+    derivative's largest size times U length.  Standard model with
+    gradual underflow (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed. 2002, ch. 2-3), assuming no overflow, which
+    ``integrate``'s row probes and stage check guard against; n U < 1 on
+    every grid ``_float_grid`` accepts.
+    """
+    n, H, T = steps, largest, length
+    R, G, S, F = map(abs, (rate, gain, slope, half_force))
+    RT, HR = R * T, H * R
+    A = _reach(a0, rate, T) + U * RT
+    GAT = G * A * T
+    B = abs(b0) + U1 * GAT
+    inflation = 1 / (1 - n * U)  # bounds (1 + U)^n
+    c = U1 * (GAMMA_5 * HR + ETA * (7 * R + 1)) + U * A
+    e_a = c * n * inflation
+    A1 = A + e_a
+    HG = H * G
+    # the underflows carried to the stage sum, then to the increment
+    zeta = ETA * (4 * (H / 6 + ETA) * (6 + G * (5 + 4 * R))
+                  + 2 * (1 + GAMMA_6) * G * (6 * A1 + 3 * HR) + 1)
+    local = GAMMA_8 * HG * (A1 + HR / 2) + zeta
+    e_b = (U1 * HG * c * (n * (n - 1) // 2) * inflation
+           + n * (U1 * local + U * B)) * inflation
+    rho = GAMMA_3 * (S * (B + e_b) + F * A1 * A1) + 2 * ETA * (2 + A1)
+    kept = abs(gain * slope - 2 * half_force * rate) * U1 * A * T
+    drift = U1 * (2 * rho + S * e_b + F * e_a * (A + A1) + kept)
+    return (e_a + U * RT, e_b + U * GAT), drift
+
+
 def _chart_model(picture: str, k: Scalar, y: Scalar, a0: Scalar, b0: Scalar,
                  f0: Optional[Scalar] = None) -> tuple:
     """(sample, invariant) of the chart's closed form from (a0, b0); f0,
@@ -587,34 +700,69 @@ def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
                       invariant, method, {"k": k, "y": y}, rows, cells)
 
 
+def _rk4_setup(picture: str, state0: Sequence[Scalar], params: OrbitParams,
+               config: Optional[IntegratorConfig]) -> tuple:
+    """(span, grid, inputs, chart) of an RK4 run: the float set-up
+    (``_float_setup``) and the chart constants (``_chart``), with the
+    stages bounded as ``integrate`` says."""
+    span, grid, inputs, _ = _float_setup(
+        config or IntegratorConfig(), partial(_chart_model, picture),
+        (params.k, params.y, *state0))
+    start, stop, step = span
+    length = stop - start
+    chart = _chart(picture, OrbitParams(*inputs[:2]))
+    reach = _reach(inputs[2], chart[0], length)
+    largest = max(6.0, min(step, length)) * abs(chart[1]) * reach
+    if length and not 2 * largest <= sys.float_info.max:
+        raise InputFormatError(f"{NOT_FINITE}: an RK4 stage reaches "
+                               f"{largest!r}, over half the largest double")
+    return span, grid, inputs, chart
+
+
 def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
               config: Optional[IntegratorConfig] = None) -> Trajectory:
     """Float RK4 over the derived rhs, from state0 at the range's start.
 
     Rows carry the chart invariant and its drift; the rhs is an affine
-    polynomial field, so at h = 1e-3 the scheme tracks the closed forms
-    to roundoff.  Before the first row the closed form from the same
-    state is checked finite (``_float_setup``, as for the float closed
-    form); so are RK4's stages, which overflow first.  a moves at a
-    constant rate, so |a| is largest at an end of the range (``reach``),
-    each stage is at most |gain| reach, the stage sum 6 times that and b's
-    increment h times it: kept under half the largest double, a binade of
-    headroom for rounding.
+    polynomial field, so the scheme is the flow up to rounding, which
+    ``rk4_bound`` bounds.  Before the first row the closed form from the
+    same state is checked finite (``_float_setup``, as for the float
+    closed form); so are RK4's stages, which overflow first.  a moves at
+    a constant rate, so |a| is largest at an end of the range
+    (``_reach``), each stage is at most |gain| reach, the stage sum 6
+    times that and b's increment h times it: kept under half the largest
+    double, a binade of headroom for rounding.
     """
-    (start, stop, step), grid, inputs, _ = _float_setup(
-        config or IntegratorConfig(), partial(_chart_model, picture),
-        (params.k, params.y, *state0))
-    length = stop - start
-    params = OrbitParams(*inputs[:2])
-    rate, gain, slope, half_force, _ = _chart(picture, params)
-    reach = max(abs(inputs[2]), abs(inputs[2] + rate * length))
-    largest = max(6.0, min(step, length)) * abs(gain) * reach
-    if length and not 2 * largest <= sys.float_info.max:
-        raise InputFormatError(f"{NOT_FINITE}: an RK4 stage reaches "
-                               f"{largest!r}, over half the largest double")
-    return _trajectory(
-        picture, f"rk4 h={step!r}", params.k, params.y,
-        lambda: _rk4_rows(grid(), inputs[2:], rate, gain, slope, half_force))
+    (_, _, step), grid, inputs, chart = _rk4_setup(picture, state0, params,
+                                                   config)
+    return _trajectory(picture, f"rk4 h={step!r}", *inputs[:2],
+                       lambda: _rk4_rows(grid(), inputs[2:], *chart[:4]))
+
+
+def rk4_bound(picture: str, state0: Sequence[Scalar], params: OrbitParams,
+              config: Optional[IntegratorConfig] = None) -> RK4Bound:
+    """The exact bound (``_rk4_bound``) on the rounding of the run that
+    ``integrate`` makes of these arguments, refused as it is refused;
+    no row is stepped.
+
+    The grid's regular steps are within ``_grid_rounding`` of the step
+    (each point start + i*h is within half of it of its exact value), and
+    the last one, to stop, is read off the grid's last regular point.
+    """
+    (start, stop, step), _, inputs, chart = _rk4_setup(picture, state0,
+                                                       params, config)
+    steps = _grid_count(start, stop, step)
+    span = (steps - 1) * step
+    largest = U1 * max(
+        Fraction(step) + Fraction(_grid_rounding(start, span)),
+        Fraction(stop) - Fraction(start + span)) if steps else Fraction(0)
+    length = Fraction(stop) - Fraction(start)
+    a0, b0 = map(Fraction, inputs[2:])
+    rate, gain, slope, half_force = map(Fraction, chart[:4])
+    end = (a0 + rate * length,
+           b0 + gain * length * (a0 + rate * length / 2))
+    return RK4Bound(steps, end, *_rk4_bound(
+        steps, largest, length, a0, b0, rate, gain, slope, half_force))
 
 
 def closed_form_trajectory(picture: str, state0: Sequence[Scalar],

@@ -6,8 +6,10 @@ divides) and proves its identities for every input: a zero residual is a
 proof, a nonzero one the counterexample itself.  Nothing is sampled, so
 the report is determined by the mutation alone; ``symbols`` and
 ``chart_symbols`` make the indeterminates, for the errata audit too.
-integrator-tolerance proves that one RK4 step is the flow and
-then measures the float integrator's rounding on four runs.
+integrator-tolerance proves that one RK4 step is the flow, so that
+float RK4 differs from it by rounding alone; it bounds that rounding
+exactly on four runs (``dynamics.rk4_bound``) and measures each run's
+first steps within their bound.
 
 ``MUTATIONS`` holds deliberately broken structure tensors for exercising
 the suite's teeth: running under a mutation must flip the algebra checks
@@ -23,10 +25,10 @@ from operator import mul
 from typing import Callable, Optional
 
 from . import linalg, poly
-from .backend import HALF, exact_div, rel_err
+from .backend import HALF, exact_div
 from .dynamics import (
     IntegratorConfig, OrbitParams, SpaceState, TimeState,
-    integrate, space_closed_form, space_flow, space_rhs,
+    integrate, rk4_bound, space_closed_form, space_flow, space_rhs,
     time_closed_form, time_flow, time_rhs,
 )
 from .lie_core import (
@@ -285,26 +287,43 @@ def _rk4_step(rhs: Callable, state: tuple, h) -> list:
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-# the integrator check's float runs over [0, 10] at h = 1e-3: picture,
-# chart state and exact orbit labels
-FLOAT_RUNS = (("time", (0.0, 0.0), OrbitParams(1, 1)),
-              ("time", (0.5, -1.0), OrbitParams(2, 3)),
-              ("space", (0.0, 0.0), OrbitParams(1, 1)),
-              ("space", (-0.5, 1.0), OrbitParams(3, 2)))
+# the integrator check's float runs: picture, chart state, exact orbit
+# labels and range, [0, 10] at h = 1e-3; the rounding of each is bounded,
+# and its first WITNESS_STEPS steps are stepped and measured
+FLOAT_RANGE = IntegratorConfig(step=1e-3, start=0.0, stop=10.0)
+FLOAT_RUNS = (("time", (0.0, 0.0), OrbitParams(1, 1), FLOAT_RANGE),
+              ("time", (0.5, -1.0), OrbitParams(2, 3), FLOAT_RANGE),
+              ("space", (0.0, 0.0), OrbitParams(1, 1), FLOAT_RANGE),
+              ("space", (-0.5, 1.0), OrbitParams(3, 2), FLOAT_RANGE))
+WITNESS_STEPS = 100
+WITNESS_MEASURES = ("a error", "b error", "drift")
+TOLERANCE = 1e-8
 
 
 def _float_run(run: tuple) -> tuple:
-    """A float run's final relative errors in both coordinates against its
-    flow, and its largest drift, in one pass over its rows."""
-    picture, state0, params = run
-    float_params = OrbitParams(float(params.k), float(params.y))
-    solution = _pictures(float_params, *state0)[picture == "space"][2]
-    config = IntegratorConfig(step=1e-3, start=0.0, stop=10.0)
+    """(name, bounds, measured, limits) of a float run: its name with
+    its step count; the exact bounds on its final relative error
+    (relative above 1, absolute below) and on its drift; and the final
+    (a, b) errors and largest drift of its first WITNESS_STEPS steps,
+    stepped, against the exact flow, beside their bounds."""
+    picture, state0, params, config = run
+    bound = rk4_bound(*run)
+    witness = config._replace(stop=min(
+        config.stop, config.start + WITNESS_STEPS * config.step))
+    short = rk4_bound(picture, state0, params, witness)
     drift = 0.0
-    for row in integrate(picture, state0, params, config).row_factory():
+    for row in integrate(picture, state0, params, witness).row_factory():
         if row[-1] > drift:
             drift = row[-1]
-    return (*map(rel_err, row[1:3], solution(10.0)), drift)
+    name = (f"{picture} {state0} k={params.k} y={params.y}, "
+            f"{bound.steps} steps of h={config.step!r}")
+    return (name,
+            (max(e / max(1, abs(x)) for e, x in zip(bound.coords, bound.end)),
+             bound.drift),
+            (*(abs(Fraction(value) - x) for value, x in zip(row[1:3],
+                                                            short.end)),
+             Fraction(drift)),
+            (*short.coords, short.drift))
 
 
 def _check_integrator(_tensor: StructureTensor):
@@ -317,15 +336,29 @@ def _check_integrator(_tensor: StructureTensor):
         for name, _var, solution, rhs in _pictures(params, a0, b0)))
     if not exact:
         return exact, proof
-    worst_err, worst_drift = 0.0, 0.0
-    for *errs, drift in map(_float_run, FLOAT_RUNS):
-        if drift > worst_drift:
-            worst_drift = drift
-        worst_err = max(worst_err, *errs)
-    passed = worst_err <= 1e-8 and worst_drift <= 1e-8
-    return passed, (f"{proof}; so 4 float trajectories over [0, 10] at "
-                    f"h=1e-3 differ from the flow by rounding only: max final "
-                    f"rel err {worst_err:.3e}, max drift {worst_drift:.3e}")
+    bounds, worst = [], 0
+    for name, (rel, drift), measured, limits in map(_float_run, FLOAT_RUNS):
+        if rel > TOLERANCE or drift > TOLERANCE:
+            witness = ", ".join(f"{what} {float(value):.3e}" for what, value
+                                in zip(WITNESS_MEASURES, measured))
+            return False, (f"{proof}; but {name} has bounds {float(rel):.3e} "
+                           f"on its final rel err and {float(drift):.3e} on "
+                           f"its drift, over {TOLERANCE}; its first "
+                           f"{WITNESS_STEPS} steps measure {witness}")
+        for what, value, limit in zip(WITNESS_MEASURES, measured, limits):
+            if value > limit:
+                return False, (f"{proof}; but {name}: its first "
+                               f"{WITNESS_STEPS} steps measure {what} "
+                               f"{float(value):.3e}, over their bound "
+                               f"{float(limit):.3e}")
+            if limit:
+                worst = max(worst, value / limit)
+        bounds.append(f"{name}: {float(rel):.2e}, {float(drift):.2e}")
+    return True, (f"{proof}; so float RK4 differs from the flow by rounding "
+                  f"only, bounded exactly in the standard model (final rel "
+                  f"err, drift): {'; '.join(bounds)}; the first "
+                  f"{WITNESS_STEPS} steps of each, stepped, measure at most "
+                  f"{float(worst):.1%} of their bounds")
 
 
 CHECKS: "tuple[tuple[str, Callable], ...]" = (

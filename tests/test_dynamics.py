@@ -1,6 +1,7 @@
 """Flows, closed forms, right-hand sides, Hamiltonians, integrator."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -1137,3 +1138,93 @@ def test_rows_rerun_identically():
     traj = integrate("space", (0.5, -1.0), OrbitParams(3, 2), config)
     assert list(traj.row_factory()) == list(traj.row_factory())
     assert not hasattr(traj, "rows")
+
+
+# ------------------------------------------------- RK4's rounding, bounded
+
+def _flow_at(picture, params, state0, offset):
+    """The exact (a, b) at ``offset`` of the flow of integrate's own float
+    constants, written out: a0 + rate s, b0 + gain (a0 s + rate s^2/2)."""
+    rate, gain = map(Fraction, dynamics._chart(picture, params)[:2])
+    a0, b0 = map(Fraction, state0)
+    return a0 + rate * offset, b0 + gain * (a0 * offset
+                                            + rate * offset * offset / 2)
+
+
+# signs, 0.1-like decimals, magnitudes up to 1e6; states also tiny ones,
+# whose products underflow
+decimals = st.integers(-10**7, 10**7).map(lambda i: i / 10)
+labels = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), st.one_of(
+    st.integers(1, 10**7).map(lambda i: i / 10), st.floats(1e-3, 1e6)))
+states = st.one_of(decimals, st.floats(-1e6, 1e6), st.sampled_from(
+    [0.0, -0.0, 5e-324, -1e-300, 1e-160, 0.1, -0.3]))
+
+
+@given(pictures, labels, labels, states, states,
+       st.sampled_from([0.0, 0.0, -1.5, 0.3, 7.0]),
+       st.sampled_from([1e-3, 0.1, 0.125, 0.3, 1.0]),
+       st.integers(0, 2000) | st.sampled_from([1000, 2000]))
+@settings(max_examples=80, deadline=None)
+def test_rk4_bound_dominates_the_rounding(picture, k, y, a0, b0, start, h,
+                                          steps):
+    # the float run's final (a, b) against the exact flow at its last
+    # parameter, and its largest drift, are within the exact bound
+    params = OrbitParams(k, y)
+    config = IntegratorConfig(step=h, start=start, stop=start + steps * h)
+    try:
+        rows = rows_of(integrate(picture, (a0, b0), params, config))
+    except (ChartUndefinedError, InputFormatError):
+        return
+    bound = dynamics.rk4_bound(picture, (a0, b0), params, config)
+    assert bound.steps == len(rows) - 1
+    last = rows[-1]
+    exact = _flow_at(picture, params, (a0, b0),
+                     Fraction(last[0]) - Fraction(start))
+    assert exact == bound.end
+    for value, flow, limit in zip(last[1:3], exact, bound.coords):
+        assert abs(Fraction(value) - flow) <= limit
+    assert max(row[-1] for row in rows) <= bound.drift
+
+
+def test_rk4_bound_grows_with_the_steps():
+    # more steps over one range, or more of one step, round more; 10**12
+    # steps are bounded at once, as no row is stepped
+    run = ("time", (0.5, -1.0), OrbitParams(2.0, 3.0))
+    over_one_range = [dynamics.rk4_bound(*run, IntegratorConfig(
+        step=10 / steps, start=0.0, stop=10.0))
+        for steps in (1, 10, 10**4, 10**6, 10**12)]
+    of_one_step = [dynamics.rk4_bound(*run, IntegratorConfig(
+        step=1e-3, start=0.0, stop=steps * 1e-3))
+        for steps in (0, 1, 100, 10**4, 10**5)]
+    for bounds in (over_one_range, of_one_step):
+        for less, more in zip(bounds, bounds[1:]):
+            assert less.steps < more.steps
+            assert all(map(operator.lt, less.coords, more.coords))
+            assert less.drift < more.drift
+    assert of_one_step[0].coords == (0, 0)
+    assert over_one_range[-1].steps == 10**12
+
+
+@given(pictures, float_labels, float_labels,
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.sampled_from([(1e-3, 0.0, 10.0), (0.5, 0.0, 1.0), (1.0, -100.0, 100.0),
+                        (1e-11, 0.0, 10.0), (2e-16, 0.0, 1.0),
+                        (1e154, -1e154, 1e154), (0.5, 1.0, 1.0)]))
+@settings(max_examples=150, deadline=None)
+def test_rk4_bound_is_given_exactly_where_integrate_runs(picture, k, y, a0,
+                                                         b0, span):
+    # the bound shares integrate's set-up, so it refuses what integrate
+    # refuses, with the same error, and is a finite exact number otherwise
+    params, config = OrbitParams(k, y), IntegratorConfig(*span)
+    try:
+        integrate(picture, (a0, b0), params, config)
+    except (ChartUndefinedError, InputFormatError) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            dynamics.rk4_bound(picture, (a0, b0), params, config)
+        assert str(excinfo.value) == str(exc)
+        return
+    bound = dynamics.rk4_bound(picture, (a0, b0), params, config)
+    for value in (*bound.end, *bound.coords, bound.drift):
+        assert type(value) is Fraction
+    assert min(*bound.coords, bound.drift) >= 0

@@ -1,11 +1,15 @@
 """Verification suite: registry shape, mutation teeth, determinism."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from aristotle_orbits import verify
-from aristotle_orbits.dynamics import time_rhs_printed
+from aristotle_orbits.cli import main
+from aristotle_orbits.dynamics import (
+    IntegratorConfig, OrbitParams, rk4_bound, time_rhs_printed,
+)
 from aristotle_orbits.lie_core import compose_printed
 from aristotle_orbits.orbits import OrbitClass, classify, invariants
 from aristotle_orbits.poly import monomial_name
@@ -90,7 +94,7 @@ def test_render_text(report):
 
 
 def test_integrator_check_streams_its_rows():
-    # 4 RK4 trajectories of 10001 rows; held in memory they peak at ~2 MiB
+    # 4 bounds in closed form and 4 witnesses of 101 streamed RK4 rows
     check = dict(CHECKS)["integrator-tolerance"]  # draws no samples
     tracemalloc.start()
     try:
@@ -100,6 +104,84 @@ def test_integrator_check_streams_its_rows():
         tracemalloc.stop()
     assert passed
     assert peak < 0.5 * 2 ** 20, peak
+
+
+def test_integrator_check_steps_only_its_witnesses(monkeypatch):
+    # one integrate call a float run, for its first WITNESS_STEPS steps:
+    # 4 x 101 rows in all, where the runs have 4 x 10001
+    real, runs, rows = verify.integrate, [], []
+
+    def counted(*args):
+        runs.append(args)
+        trajectory = real(*args)
+        return SimpleNamespace(row_factory=lambda: map(
+            lambda row: rows.append(row) or row, trajectory.row_factory()))
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    assert run_suite()["all_passed"]
+    assert len(runs) == len(verify.FLOAT_RUNS) == 4
+    assert len(rows) <= 4 * (verify.WITNESS_STEPS + 1) == 4 * 101
+
+
+def _verify_lines(capsys) -> tuple:
+    code = main(["verify"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out.splitlines()
+
+
+LONG_RUN = ("time", (0.5, -1.0), OrbitParams(2, 3),
+            IntegratorConfig(step=1e-11, start=0.0, stop=10.0))
+
+
+def test_integrator_failure_names_its_run(monkeypatch, capsys):
+    # a run of 10**12 steps is bounded at once, over the tolerance: verify
+    # exits 2, and only the check's line and the verdict change
+    _, passing = _verify_lines(capsys)
+    monkeypatch.setattr(verify, "FLOAT_RUNS",
+                        verify.FLOAT_RUNS[:1] + (LONG_RUN,))
+    code, failing = _verify_lines(capsys)
+    assert code == 2
+    changed = [(a, b) for a, b in zip(passing, failing) if a != b]
+    assert len(passing) == len(failing) and len(changed) == 2
+    (_, line), verdict = changed
+    assert verdict == ("all checks passed", "FAILURES PRESENT")
+    assert line.startswith("[FAIL] integrator-tolerance: proved on "
+                           "indeterminates: ")
+    assert ("; but time (0.5, -1.0) k=2 y=3, 1000000000000 steps of "
+            "h=1e-11 has bounds ") in line
+    assert "over 1e-08; its first 100 steps measure a error " in line
+
+
+def test_integrator_fails_when_a_witness_passes_its_bound(monkeypatch):
+    # a witness whose b is off by 1e-9 measures far over its bound
+    real = verify.integrate
+
+    def nudged(*args):
+        trajectory = real(*args)
+        return SimpleNamespace(row_factory=lambda: (
+            (*row[:2], row[2] + 1e-9, *row[3:])
+            for row in trajectory.row_factory()))
+
+    monkeypatch.setattr(verify, "integrate", nudged)
+    passed, detail = dict(CHECKS)["integrator-tolerance"](None)
+    assert not passed
+    assert ("; but time (0.0, 0.0) k=1 y=1, 10000 steps of h=0.001: its "
+            "first 100 steps measure b error 1.000e-09, over their bound "
+            "1.788e-16") in detail
+
+
+def test_integrator_detail_states_each_runs_bound(report):
+    detail = {c["name"]: c["detail"]
+              for c in report["checks"]}["integrator-tolerance"]
+    for picture, state0, params, _ in verify.FLOAT_RUNS:
+        assert (f"{picture} {state0} k={params.k} y={params.y}, 10000 "
+                f"steps of h=0.001: ") in detail
+    for run in verify.FLOAT_RUNS:
+        bound = rk4_bound(*run)
+        assert bound.drift <= verify.TOLERANCE
+        for error, value in zip(bound.coords, bound.end):
+            assert error <= verify.TOLERANCE * abs(value)
 
 
 PROVED = ("associativity", "group-axioms", "adjoint-homomorphism",
