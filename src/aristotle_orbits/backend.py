@@ -184,8 +184,3 @@ def is_zero(value: Scalar, tol: float = 0.0, scale: Scalar = 1) -> bool:
         except OverflowError:
             return abs(value) <= Fraction(tol) * abs(scale)
     return value == 0
-
-
-def rel_err(a: Scalar, b: Scalar) -> float:
-    """|a - b| / max(1, |a|, |b|)."""
-    return abs(float(a) - float(b)) / max(1.0, abs(float(a)), abs(float(b)))

@@ -395,13 +395,13 @@ def _chunk_renderer(template: str, texts: Callable,
     take ``texts(cells)``, joined by ``separator``.
 
     A row's last two cells, invariant and drift, are rendered once per
-    invariant cell in the chunk: drift is |inv - inv0|, so equal
-    invariants have equal tails.  An exact cell is its text; a float one
-    is a double, and 0.0 == -0.0 though the two print differently, so a
-    zero invariant's tail is rendered afresh.  One RK4 step is the flow
+    pair of them in the chunk.  An exact cell is its text; a float one is
+    a double, and 0.0 == -0.0 though the two print differently, so a zero
+    invariant's tail is rendered afresh.  One RK4 step is the flow
     (``verify``'s ``integrator-tolerance``), so the invariant moves only
     by rounding and its doubles repeat in a chunk; on the chart closed
-    forms and the dual flows the invariant is constant.
+    forms and the dual flows it is constant, in floats too (exact, then
+    rounded once), and off the orbit each drift is rounded on its own.
     """
     cut = template.rindex("%s", 0, template.rindex("%s"))
     head, tail = template[:cut], template[cut:]
@@ -409,12 +409,12 @@ def _chunk_renderer(template: str, texts: Callable,
     def render(chunk: list) -> str:
         tails, lines = {}, []
         for row in chunk:
-            inv = row[-2]
-            text = tails.get(inv) if inv else None
+            pair = row[-2:]
+            text = tails.get(pair) if pair[0] else None
             if text is None:
-                text = tail % texts(row[-2:])
-                if inv:
-                    tails[inv] = text
+                text = tail % texts(pair)
+                if pair[0]:
+                    tails[pair] = text
             lines.append(head % texts(row[:-2]) + text)
         return separator.join(lines)
     return render

@@ -17,13 +17,12 @@ them the dual-space flows (``time_flow``/``space_flow``), polynomials in
 the parameter checked against ``coadjoint_printed`` by the tests and
 ``verify``, are total, and ChartUndefinedError says so.
 
-Every trajectory starts from its state at the range's start.  Its rows
-are lazy: RK4's from one fused stepping loop, the closed forms' and
-flows' from one row generator.  An exact trajectory's cells come from
-the integer forward differences of its quadratic columns, in chunks of
-one stream.  One function sets up a float trajectory: float images,
-grid, and the rows at the range ends and the columns' vertices, refused
-if not finite.  RK4's stages are bounded too.
+Every trajectory starts from its state at the range's start; its rows
+are lazy.  RK4's come from one fused stepping loop.  The closed forms
+and flows read their quadratic columns once, exactly, off the model on
+a polynomial offset: exact cells by forward differences, float ones at
+each row's exact offset, rounded once.  One function sets up a float
+run, refused if a cell at the range ends or a vertex would overflow.
 
 One exact RK4 step of either chart's field is the flow, so a float RK4
 run differs from the flow of its own float constants by rounding alone.
@@ -151,7 +150,8 @@ class Trajectory:
     of ``size`` rows (None: one list), each drawn as it is asked for, from
     ``cell_factory()`` (by default ``row_factory()``).  On an exact
     trajectory each cell is the canonical text of its value
-    (``format_scalar``).  Fields are read-only.
+    (``format_scalar``), on a float closed form or flow the exact cell
+    rounded once (the parameter aside).  Fields are read-only.
     """
 
     def __init__(self, picture: str, columns: tuple, invariant_name: str,
@@ -226,13 +226,6 @@ def _chart(picture: str, params: OrbitParams) -> tuple:
         return s, params.y, s, HALF * params.y, HALF * params.k
     v = params.v
     return -v, -params.k, v, HALF * params.k, HALF * params.y
-
-
-def _motion(a0: Scalar, rate: Scalar, b0: Scalar, force: Scalar,
-            half: Scalar) -> Callable:
-    """s -> (a0 + rate s, b0 + force s + half s^2): either chart's closed
-    form, its force starting at ``force`` and growing at gain*rate = 2 half."""
-    return lambda s: (a0 + rate * s, b0 + force * s + half * s * s)
 
 
 def time_closed_form(q0: Scalar, p0: Scalar, params: OrbitParams,
@@ -420,9 +413,9 @@ def _grid_rounding(start: float, span: float) -> float:
 
 def _quadratic_columns(offset: Poly, sample: Callable,
                        invariant: Callable) -> list:
-    """(c0, c1, c2) of each column (*coords, invariant) of the row sampled
-    at ``offset``, a polynomial of one variable; a higher power is an
-    error."""
+    """(c0, c1, c2, op) of each column op(c0 + c1 o + c2 o^2) (*coords,
+    invariant, |invariant - c0|) of the row sampled at ``offset`` = o, a
+    polynomial of one variable; a higher power is an error."""
     coords = sample(offset)
     columns = []
     for value in (*coords, invariant(*coords)):
@@ -430,48 +423,48 @@ def _quadratic_columns(offset: Poly, sample: Callable,
         if any(power > 2 for power, in terms):
             raise ArithmeticError(f"a column is {value}, not quadratic")
         columns.append(tuple(terms.get((power,), 0) for power in range(3)))
-    return columns
+    return [(*c, operator.pos) for c in columns] + [(0, *columns[-1][1:], abs)]
+
+
+def _divided(num: int, den: int) -> float:
+    """num / den (den > 0) rounded once, as int / int does; +-inf beyond."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _exact_rows(config: IntegratorConfig, sample: Callable,
                 invariant: Callable) -> tuple:
-    """(start, grid, cells) of exact rows: the rerunnable grid start
-    + i*step for i < n = ceil((stop - start)/step), then stop (a float
-    step is read as its decimal text), and the rerunnable rows of their
-    cells (``Trajectory``'s ``cell_factory``).
-
-    ``sample`` and ``invariant`` run once, on the polynomial offset
-    step*i.  Each column is c0 + c1 i + c2 i^2, so its cells are tabulated
-    by forward differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator
-    per column, numerators advanced by two integer additions per row.  The
-    row at stop is read off the coefficients.
+    """(rows, cells), ``Trajectory``'s rerunnable factories, of exact rows
+    over the grid start + i*step for i < n = ceil((stop - start)/step),
+    then stop (a float step is read as its decimal text).  ``sample`` and
+    ``invariant`` run once, on the polynomial offset step*i.  Each column
+    is c0 + c1 i + c2 i^2, so its cells are tabulated by forward
+    differences (Knuth, TAOCP vol. 2, 4.6.4): one denominator per column,
+    numerators advanced by two integer additions per row.  The row at
+    stop is read off the coefficients (``_rows_at``).
     """
     step = parse_scalar(config.step)
     start, stop = Fraction(config.start), Fraction(config.stop)
     at = (stop - start) / step  # the index of stop
     count = math.ceil(at)
     index, = indeterminates("i")
-    columns = [(start, step, 0),
+    columns = [(start, step, 0, operator.pos),
                *_quadratic_columns(step * index, sample, invariant)]
     # per column (param, coords, invariant, drift): den, N0, dN, d2N, op
     tables = []
-    for c0, c1, c2 in columns:
+    for c0, c1, c2, op in columns:
         differences = (c0, c1 + c2, 2 * c2)
         den = math.lcm(*(value.denominator for value in differences))
         tables.append((den, *(int(value * den) for value in differences),
-                       operator.pos))
-    den, _, d1, d2, _ = tables[-1]
-    tables.append((den, 0, d1, d2, abs))  # drift |N - N0| / den
-    last = [c0 + c1 * at + c2 * at * at for c0, c1, c2 in columns]
-    stop_row = (*map(str, last), str(abs(last[-1] - columns[-1][0])))
-
-    def grid() -> Iterator:
-        return chain((start + i * step for i in range(count)), (stop,))
+                       op))
+    stop_row = next(_rows_at([at], 0, columns, ratio_text))[1:]
 
     def cells() -> Iterator:
         return chain(islice(zip(*starmap(_column, tables)), count),
                      (stop_row,))
-    return start, grid, cells
+    return lambda: (tuple(map(Fraction, row)) for row in cells()), cells
 
 
 def _column(den: int, n0: int, d1: int, d2: int, op: Callable) -> Iterator:
@@ -484,31 +477,39 @@ def _column(den: int, n0: int, d1: int, d2: int, op: Callable) -> Iterator:
     return map(ratio_text, map(op, numerators), repeat(den))
 
 
-def _rows(grid: Iterator, start: Scalar, sample: Callable,
-          invariant: Callable) -> Iterator:
-    """(param, *coords, invariant, drift) of the solution at param - start."""
-    inv0 = None
+def _rows_at(grid: Iterator, start: Scalar, columns: list,
+             divide: Callable = operator.truediv) -> Iterator:
+    """(param, *cells) at each ``param`` of ``grid``: each column at the
+    exact offset m/d = param - start, divide(n0 d^2 + n1 m d + n2 m^2, den
+    d^2) over one denominator per column; the default, int / int, rounds
+    it once to a double.  A constant column's cell is made once."""
+    cells, varying = [], []
+    for c0, c1, c2, op in columns:
+        den = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        n0, n1, n2 = (int(c * den) for c in (c0, c1, c2))
+        if n1 or n2:
+            varying.append((len(cells), den, n0, n1, n2, op))
+        cells.append(divide(op(n0), den))
+    n_start, d_start = start.as_integer_ratio()
     for param in grid:
-        coords = sample(param - start)
-        inv = invariant(*coords)
-        if inv0 is None:
-            inv0 = inv
-        yield (param, *coords, inv, abs(inv - inv0))
+        n, d = param.as_integer_ratio()
+        m, d = n * d_start - n_start * d, d * d_start
+        dd, md, mm = d * d, m * d, m * m
+        for i, den, n0, n1, n2, op in varying:
+            cells[i] = divide(op(n0 * dd + n1 * md + n2 * mm), den * dd)
+        yield (param, *cells)
 
 
-def _float_setup(config: IntegratorConfig, model: Callable,
-                 inputs: tuple) -> tuple:
-    """((start, stop, step), grid, inputs, (sample, invariant)) of a float
-    trajectory, each checked before any row, in this order: the float
-    images of the range and of ``inputs`` (a value beyond the double range
-    is an input error), the grid they span (``_float_grid``), and
-    ``model(*inputs)``, refused if a row over the range is not finite.
-
-    Each column, and each product in the invariant (a column times a
-    constant, or the square of a line), is quadratic in the offset, so
-    its largest magnitude lies at a range end or at a vertex -c1/(2 c2)
-    read off the model on the inputs' exact images: the rows there bound
-    every row.  RK4 follows the closed form to roundoff.
+def _float_setup(config: IntegratorConfig, model: Callable, inputs: tuple,
+                 picture: Optional[str] = None) -> tuple:
+    """((start, stop, step), grid, inputs, chart, columns, probed) of a
+    float trajectory, each checked before any row, in this order: the
+    float images of the range and of ``inputs`` (a value beyond the double
+    range is an input error), the grid they span (``_float_grid``), the
+    ``picture``'s chart constants by classify's zero test on the floats,
+    and the columns read once off ``model`` on the inputs' exact images
+    (offset from the range's start).  A quadratic is largest in magnitude
+    at an end or its vertex, so the rows there (``probed``) bound all.
     """
     try:
         span = tuple(map(float, (config.start, config.stop, config.step)))
@@ -519,17 +520,19 @@ def _float_setup(config: IntegratorConfig, model: Callable,
     grid = _float_grid(*span)
     if not all(map(math.isfinite, inputs)):
         raise InputFormatError(f"{NOT_FINITE}: the inputs are {inputs!r}")
-    pair = model(*inputs)
+    chart = _chart(picture, OrbitParams(*inputs[:2])) if picture else None
+    columns = _quadratic_columns(*indeterminates("s"),
+                                 *model(*map(Fraction, inputs)))
     start, stop, _ = span
-    vertices = (-c1 / (2 * c2) for _, c1, c2 in _quadratic_columns(
-        *indeterminates("t"), *model(*map(Fraction, inputs))) if c2)
-    probes = [start, stop, *(start + float(vertex) for vertex in vertices
-                             if 0 < vertex < stop - start)]
-    for row in _rows(probes, start, *pair):
-        if not all(map(math.isfinite, row)):
+    vertices = (Fraction(start) - Fraction(c1) / (2 * c2)  # as parameters
+                for _, c1, c2, _ in columns if c2)
+    probes = [start, stop, *(v for v in vertices if start < v < stop)]
+    probed = list(_rows_at(probes, start, columns, _divided))
+    for row in probed:
+        if not all(map(math.isfinite, row[1:])):
             raise InputFormatError(
-                f"{NOT_FINITE}: the row at {row[0]!r} is {row[1:]!r}")
-    return span, grid, inputs, pair
+                f"{NOT_FINITE}: the row at {float(row[0])!r} is {row[1:]!r}")
+    return span, grid, inputs, chart, columns, probed
 
 
 def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
@@ -540,13 +543,12 @@ def _sampled_trajectory(picture: str, config: Optional[IntegratorConfig],
     config = config or IntegratorConfig()
     model = partial(_dual_model if dual else _chart_model, picture)
     if is_float_backed(*inputs):
-        span, grid, inputs, pair = _float_setup(config, model, inputs)
-        start, cells = span[0], None
+        span, grid, inputs, _, columns, _ = _float_setup(
+            config, model, inputs, None if dual else picture)
+        rows, cells = lambda: _rows_at(grid(), span[0], columns), None
     else:
-        pair = model(*inputs)
-        start, grid, cells = _exact_rows(config, *pair)
-    return _trajectory(picture, "closed-form", *inputs[:2],
-                       lambda: _rows(grid(), start, *pair), cells, dual)
+        rows, cells = _exact_rows(config, *model(*inputs))
+    return _trajectory(picture, "closed-form", *inputs[:2], rows, cells, dual)
 
 
 def _rk4_rows(grid: Iterator[float], state0: Sequence[float], rate: float,
@@ -676,11 +678,12 @@ def _rk4_bound(steps: int, largest: Fraction, length: Fraction,
 
 def _chart_model(picture: str, k: Scalar, y: Scalar, a0: Scalar, b0: Scalar,
                  f0: Optional[Scalar] = None) -> tuple:
-    """(sample, invariant) of the chart's closed form from (a0, b0); f0,
-    the space picture's initial force, defaults to the on-orbit y*tau0."""
+    """(sample, invariant) of the chart's closed form from (a0, b0): s ->
+    (a0 + rate s, b0 + f0 s + half s^2), the force growing at gain*rate = 2
+    half from f0, by default the on-orbit gain*a0 (y*tau0 in space)."""
     rate, gain, slope, half_force, half = _chart(picture, OrbitParams(k, y))
     force = gain * a0 if f0 is None else f0
-    return (_motion(a0, rate, b0, force, half),
+    return (lambda s: (a0 + rate * s, b0 + force * s + half * s * s),
             lambda a, b: b * slope - half_force * a * a)
 
 
@@ -703,19 +706,27 @@ def _trajectory(picture: str, method: str, k: Scalar, y: Scalar,
 def _rk4_setup(picture: str, state0: Sequence[Scalar], params: OrbitParams,
                config: Optional[IntegratorConfig]) -> tuple:
     """(span, grid, inputs, chart) of an RK4 run: the float set-up
-    (``_float_setup``) and the chart constants (``_chart``), with the
-    stages bounded as ``integrate`` says."""
-    span, grid, inputs, _ = _float_setup(
+    (``_float_setup``), with the stages and invariant products bounded
+    as ``integrate`` says."""
+    span, grid, inputs, chart, _, probed = _float_setup(
         config or IntegratorConfig(), partial(_chart_model, picture),
-        (params.k, params.y, *state0))
+        (params.k, params.y, *state0), picture)
     start, stop, step = span
     length = stop - start
-    chart = _chart(picture, OrbitParams(*inputs[:2]))
     reach = _reach(inputs[2], chart[0], length)
     largest = max(6.0, min(step, length)) * abs(chart[1]) * reach
     if length and not 2 * largest <= sys.float_info.max:
         raise InputFormatError(f"{NOT_FINITE}: an RK4 stage reaches "
                                f"{largest!r}, over half the largest double")
+    a, b = (Fraction(max(abs(row[i]) for row in probed)) for i in (1, 2))
+    slope, half_force = (abs(Fraction(value)) for value in chart[2:4])
+    terms = {"time": ("p v", "k q^2/2"), "space": ("e s", "y tau^2/2")}
+    for term, product in zip(terms[picture], (b * slope, half_force * a * a)):
+        if not 2 * product <= sys.float_info.max:
+            raise InputFormatError(
+                f"{NOT_FINITE}: the RK4 invariant's product {term} reaches "
+                f"{_divided(*product.as_integer_ratio())!r}, over half the "
+                "largest double")
     return span, grid, inputs, chart
 
 
@@ -727,11 +738,12 @@ def integrate(picture: str, state0: Sequence[Scalar], params: OrbitParams,
     polynomial field, so the scheme is the flow up to rounding, which
     ``rk4_bound`` bounds.  Before the first row the closed form from the
     same state is checked finite (``_float_setup``, as for the float
-    closed form); so are RK4's stages, which overflow first.  a moves at
-    a constant rate, so |a| is largest at an end of the range
-    (``_reach``), each stage is at most |gain| reach, the stage sum 6
-    times that and b's increment h times it: kept under half the largest
-    double, a binade of headroom for rounding.
+    closed form).  a moves at a constant rate, so |a| is largest at an
+    end of the range (``_reach``); each stage is at most |gain| reach,
+    the stage sum 6 times that and b's increment h times it.  These, and
+    the invariant's products b slope and half_force a^2 at the closed
+    form's largest |b| and |a|, are kept under half the largest double, a
+    binade of headroom for rounding.
     """
     (_, _, step), grid, inputs, chart = _rk4_setup(picture, state0, params,
                                                    config)
@@ -769,13 +781,9 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
                            params: OrbitParams,
                            config: Optional[IntegratorConfig] = None,
                            f0: Optional[Scalar] = None) -> Trajectory:
-    """Exact solution from state0 (and f0) at the range's start, on the
-    integrator's grid: rows evaluated one by one, exact cells from forward
-    differences.
-
-    Backend-generic: rational inputs give exact rational rows.  For the
-    space picture f0 defaults to the on-orbit value y*tau0; the time
-    picture takes none.
+    """The closed form from state0 (and f0) at the range's start, on the
+    integrator's grid (``_sampled_trajectory``): exact rows on exact
+    inputs.  f0 defaults to the on-orbit y*tau0 in space; time takes none.
     """
     if f0 is not None and picture != "space":
         raise ValueError(f"f0 applies only to the space picture, "
@@ -787,12 +795,9 @@ def closed_form_trajectory(picture: str, state0: Sequence[Scalar],
 def dual_flow_trajectory(mu0: DualElement, picture: str,
                          config: Optional[IntegratorConfig] = None) -> Trajectory:
     """Exact dual-space evolution of (p, e, f) from mu0 at the range's
-    start; total, any k and y.
-
-    The carried invariant is psi = 2ke - f^2 + 2py, which is defined on
-    every orbit, so this mode works where the charts do not.  Rows are
-    the paths of time_flow/space_flow, evaluated one by one; exact cells
-    come from forward differences.
+    start, on any orbit: psi = 2ke - f^2 + 2py is defined on every one, so
+    this works where the charts do not.  Rows are the paths of
+    time_flow/space_flow (``_sampled_trajectory``).
     """
     return _sampled_trajectory(picture, config, (*mu0[3:], *mu0[:3]),
                                dual=True)

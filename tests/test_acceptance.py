@@ -13,7 +13,6 @@ from pathlib import Path
 
 from jsonschema import Draft202012Validator
 
-from aristotle_orbits.backend import rel_err
 from aristotle_orbits.cli import main
 from aristotle_orbits.derive_law import reconstruct_law, verify_reconstruction
 from aristotle_orbits.dynamics import (
@@ -33,6 +32,11 @@ from aristotle_orbits.orbits import (
 from aristotle_orbits.rng import SplitMix64
 
 HERE = Path(__file__).parent
+
+
+def rel_err(a, b) -> float:
+    """|a - b| / max(1, |a|, |b|), in floats."""
+    return abs(float(a) - float(b)) / max(1.0, abs(float(a)), abs(float(b)))
 
 
 def _finish(number: int, started: float, budget: float, description: str):

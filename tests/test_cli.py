@@ -419,11 +419,10 @@ def test_non_numeric_json_entry_is_input_error(tmp_path, capsys, backend,
 
 
 OVERFLOWING_POINT = "1e200,1e200,1e200,1e200,1e200"  # psi is inf - inf
-# p = p0 - k q0 t + y t^2/2 and e = e0 + f0 x + k x^2/2 overflow only at
-# the range's end, 2e154 (a chart slope y/k or k/y cannot overflow:
-# classify's zero test keeps it below 1/EPS_CLASS); the dual's psi
-# overflows only at t = f0/y = 3.75e153, where f vanishes, strictly inside
-# the range
+# p = p0 - k q0 t + y t^2/2, e = e0 + f0 x + k x^2/2 and the dual's
+# p = p0 - f0 t + y t^2/2 overflow only at the range's end, 2e154 (a chart
+# slope y/k or k/y cannot overflow: classify's zero test keeps it below
+# 1/EPS_CLASS)
 OVERFLOWING_SIMULATIONS = [
     ("--picture", "time", "--backend", "float", "--state", "1,1",
      "--k", "1", "--y", "1", "--range", "0:2e154", "--step", "1e154"),
@@ -431,8 +430,7 @@ OVERFLOWING_SIMULATIONS = [
      "--k", "1", "--y", "1", "--range", "0:2e154", "--step", "1e154",
      "--closed-form"),
     ("--picture", "time", "--backend", "float", "--dual",
-     "--mu=0,8e307,1.5e154,1,4", "--range", "1.75e153:5.75e153",
-     "--step", "2e153"),
+     "--mu=1,1,1,1,1", "--range", "0:2e154", "--step", "1e154"),
 ]
 NON_FINITE_RESULTS = [
     ("classify", "--backend", "float", OVERFLOWING_POINT),
@@ -501,6 +499,36 @@ def test_rk4_run_whose_stages_overflow_writes_nothing(capsys, argv,
                    "an RK4 stage reaches inf, over half the largest double\n")
 
 
+# U = p v - k q^2/2 is about 8.75e307, but its product p v is 2e308
+OVERFLOWING_PRODUCT = ("--picture", "time", "--backend", "float",
+                       "--state=1.5e154,5e307", "--k=1", "--y=4",
+                       "--range=0:0", "--step=1/2")
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_rk4_run_whose_invariant_product_overflows_writes_nothing(
+        capsys, output_format):
+    # RK4 evaluates its invariant in floats, so a product beyond the
+    # doubles is refused before any row; the closed form's U is the exact
+    # invariant rounded once, so it is written
+    code, out, err = run(capsys, "simulate", *OVERFLOWING_PRODUCT,
+                         f"--format={output_format}")
+    assert (code, out) == (1, "")
+    assert err == ("aristotle-orbits: error: a computed value is not finite: "
+                   "the RK4 invariant's product p v reaches inf, over half "
+                   "the largest double\n")
+    code, out, err = run(capsys, "simulate", *OVERFLOWING_PRODUCT,
+                         "--closed-form", f"--format={output_format}")
+    assert code == 0, err
+    if output_format == "json":
+        (row,) = json.loads(out, parse_constant=_refuse)["rows"]
+    else:
+        (row,) = [line.split(",") for line in out.splitlines()[1:]]
+    assert float(row[3]) == 8.749999999999998e+307
+    assert float(row[3]) == float(Fraction(5e307) * 4
+                                  - Fraction(1.5e154) ** 2 / 2)
+
+
 def _refuse(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
@@ -512,6 +540,8 @@ def _refuse(constant):
     ("--picture", "space", "--state", "1,1", "--k", "1", "--y", "1",
      "--closed-form", "--f0", "1e308"),
     ("--picture", "time", "--dual", "--mu=1e150,1e150,1e150,1e-150,1e-150"),
+    # f^2 and 2ke alone pass the largest double, but psi is -6.5e307
+    ("--picture", "time", "--dual", "--mu=0,8e307,1.5e154,1,4"),
 ])
 @pytest.mark.parametrize("output_format", ["csv", "json"])
 def test_huge_finite_simulation_is_written(capsys, argv, output_format):
@@ -1066,6 +1096,14 @@ SIMULATE_MODES.append(
      lambda: closed_form_trajectory(
          "space", (Fraction(1, 4), Fraction(-7, 4)), OrbitParams(_K, _Y),
          _EXACT, f0=Fraction(2, 3))))
+# off the orbit pi moves by 1e-12 x, under half its ulp: the rows share one
+# float pi, but each drift is its own exact value rounded
+SIMULATE_MODES.append(
+    (("--picture", "space", "--state=0,1e6", "--k=1", "--y=1", "--f0=1e-12",
+      "--range=0:1", "--step=1/4", "--closed-form", "--backend", "float"),
+     lambda: closed_form_trajectory(
+         "space", (0.0, 1e6), OrbitParams(1.0, 1.0),
+         IntegratorConfig(step=0.25, start=0.0, stop=1.0), f0=1e-12)))
 
 
 @pytest.mark.parametrize("argv, build", SIMULATE_MODES)

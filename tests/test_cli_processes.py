@@ -181,12 +181,15 @@ PLAIN_CASES = {
 def test_float_rows_are_the_plain_row_template(capsys, deadline, forks, argv,
                                                build, output_format):
     # a conserved tail is rendered once per invariant value in a chunk;
-    # the invariant -0.0 (first row) and 0.0 (second) print differently
+    # RK4's invariant -0.0 (first row) and 0.0 (second) print differently,
+    # and the closed form's is the exact 0, rounded: 0.0 in every row
     argv = (*argv, "--range", "0:10", "--format", output_format)
     trajectory = build(dynamics.IntegratorConfig(step=0.001, start=0.0,
                                                  stop=10.0))
     rows = list(trajectory.row_factory())
-    if argv[:len(ZERO_INVARIANT)] == ZERO_INVARIANT:
+    if argv == (*ZERO_INVARIANT, "--closed-form", *argv[-4:]):
+        assert {repr(row[-2]) for row in rows} == {"0.0"}
+    elif argv[:len(ZERO_INVARIANT)] == ZERO_INVARIANT:
         assert [repr(row[-2]) for row in rows[:2]] == ["-0.0", "0.0"]
     else:
         assert len({row[-2] for row in rows}) < len(rows) / 2  # repeats

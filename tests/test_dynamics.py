@@ -3,10 +3,12 @@
 import math
 import operator
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from aristotle_orbits.backend import InputFormatError, format_scalar
@@ -23,6 +25,7 @@ from aristotle_orbits import dynamics
 from aristotle_orbits.dynamics import (
     SCAN_POINTS, _exact_rows, _float_grid, _grid_advances,
 )
+from aristotle_orbits.poly import Poly
 from aristotle_orbits.orbits import (
     DualElement, OrbitClass, classify, coadjoint_printed, invariants,
 )
@@ -329,22 +332,30 @@ def test_trajectory_rejects_non_increasing_parameter():
 def test_float_trajectory_with_a_non_finite_value_is_refused():
     # p = p0 - k q0 t + y t^2/2 overflows at t = 2e154 (a chart slope
     # cannot: classify's zero test keeps |y/k| and |k/y| below
-    # 1/EPS_CLASS); e = e0 + f0 x + k x^2/2 overflows at x = 2; the dual's
-    # psi overflows only where f vanishes, at t = f0/y = 3.75e153, strictly
-    # inside the range
-    huge = IntegratorConfig(step=2e153, start=1.75e153, stop=5.75e153)
+    # 1/EPS_CLASS); e = e0 + f0 x + k x^2/2 overflows at x = 2
     builds = (
         lambda: integrate("time", (1, 1), OrbitParams(1.0, 1.0),
                           IntegratorConfig(step=1e154, start=0, stop=2e154)),
         lambda: closed_form_trajectory(
             "space", (1.0, 1.0), OrbitParams(1.0, 1.0),
             IntegratorConfig(step=1.0, start=0, stop=2), f0=1e308),
-        lambda: dual_flow_trajectory(DualElement(0.0, 8e307, 1.5e154, 1, 4),
-                                     "time", huge),
     )
     for build in builds:
         with pytest.raises(InputFormatError, match="not finite"):
             build()
+
+
+def test_float_dual_psi_is_exact_where_its_float_products_overflow():
+    # psi = 2ke - f^2 + 2py: f^2 alone is 2.25e308 at t = 0 and 2ke
+    # 1.6e308, but psi itself is about -6.5e307 and constant, so each row
+    # holds it, rounded once, and every cell is finite
+    huge = IntegratorConfig(step=2e153, start=1.75e153, stop=5.75e153)
+    mu0 = DualElement(0.0, 8e307, 1.5e154, 1.0, 4.0)
+    rows = rows_of(dual_flow_trajectory(mu0, "time", huge))
+    psi = float(2 * Fraction(8e307) - Fraction(1.5e154) ** 2)
+    assert len(rows) == 3
+    assert {row[-2:] for row in rows} == {(psi, 0.0)}
+    assert all(map(math.isfinite, (cell for row in rows for cell in row)))
 
 
 def test_rk4_and_float_closed_form_share_one_float_set_up():
@@ -774,11 +785,9 @@ def _dual_rows(picture, mu0, grid):
 
 
 def _closed_form_states(picture, state0, params, grid, f0):
-    # The four formulas written out, each in the float order of the
-    # source's evaluation, so that float rows compare bit for bit:
-    # q = q0 - v t, p = p0 - k q0 t + y t^2/2; tau = tau0 + s x,
-    # e = e0 + f0 x + k x^2/2.  state0 (and f0) are the state at the
-    # range's start, grid[0].
+    # The four formulas written out: q = q0 - v t, p = p0 - k q0 t +
+    # y t^2/2; tau = tau0 + s x, e = e0 + f0 x + k x^2/2.  state0 (and f0)
+    # are the state at the range's start, grid[0].
     a0, b0 = state0
     offsets = [param - grid[0] for param in grid]
     if picture == "time":
@@ -1068,29 +1077,201 @@ float_cases = st.tuples(
     st.sampled_from((0.1, 0.125, 0.3, 0.001)))
 
 
-@given(float_cases, st.one_of(st.none(), st.floats(-3, 3)))
-@settings(max_examples=40)
-def test_float_closed_form_rows_are_the_formulas(case, f0):
-    picture, k, y, a0, b0, start, h = case
+def _exact_cells(picture, labels, state, dual=False, f0=None):
+    """offset -> the exact (*coords, invariant) of the paper's formulas
+    from the exact images of the float inputs, written out: q = q0 - v t,
+    p = p0 - k q0 t + y t^2/2, U = p v - k q^2/2; tau = tau0 + s x, e =
+    e0 + f0 x + k x^2/2, pi = e s - y tau^2/2; the dual flows of (p, e, f)
+    with psi = 2ke - f^2 + 2py."""
+    k, y = map(Fraction, labels)
+    a0, b0, *rest = map(Fraction, state)
+    if dual:
+        c0, = rest
+        if picture == "time":
+            path = lambda t: (a0 - c0 * t + y * t * t / 2, b0, c0 - y * t)
+        else:
+            path = lambda x: (a0, b0 + c0 * x + k * x * x / 2, c0 + k * x)
+        return lambda s: (*path(s), psi_of(*path(s), k, y))
+    if picture == "time":
+        v = y / k
+        return lambda t: ((q := a0 - v * t), (p := b0 - k * a0 * t
+                                              + y * t * t / 2),
+                          p * v - k * q * q / 2)
+    slowness = k / y
+    force = y * a0 if f0 is None else Fraction(f0)
+    return lambda x: ((tau := a0 + slowness * x),
+                      (e := b0 + force * x + k * x * x / 2),
+                      e * slowness - y * tau * tau / 2)
+
+
+def psi_of(p, e, f, k, y):
+    return 2 * k * e - f * f + 2 * p * y
+
+
+def _rounded_rows(cells, grid):
+    """Each grid row's exact cells and drift |inv - inv0|, each rounded
+    to a double once by ``float()``."""
+    inv0 = cells(0)[-1]
+    rows = []
+    for param in grid:
+        exact = cells(Fraction(param) - Fraction(grid[0]))
+        rows.append((param, *map(float, exact), float(abs(exact[-1] - inv0))))
+    return rows
+
+
+def _some_cell_overflows(cells, length):
+    """Whether an exact cell at an end of [0, length], or at a column's
+    vertex inside it (from the column's second difference), rounds
+    beyond the largest double."""
+    inv0 = cells(0)[-1]
+    offsets = [Fraction(0), length]
+    for f0, f1, f2 in zip(*(cells(Fraction(i)) for i in range(3))):
+        c2 = (f2 - 2 * f1 + f0) / 2
+        if c2 and 0 < (f0 - f1 + c2) / (2 * c2) < length:
+            offsets.append((f0 - f1 + c2) / (2 * c2))
+    for offset in offsets:
+        exact = cells(offset)
+        for value in (*exact, exact[-1] - inv0):
+            try:
+                float(value)
+            except OverflowError:
+                return True
+    return False
+
+
+def _assert_rows_are_rounded_cells(build, cells, grid):
+    """The trajectory's rows are the exact cells rounded once, or it is
+    refused and some exact cell rounds beyond the doubles."""
+    try:
+        traj = build()
+    except InputFormatError as exc:
+        event("refused")
+        assert "not finite" in str(exc)
+        assert _some_cell_overflows(cells, Fraction(grid[-1])
+                                    - Fraction(grid[0]))
+        return
+    event("written")
+    assert rows_of(traj) == _rounded_rows(cells, grid)
+
+
+# signed zeros, subnormal, tiny and near-1e150 values beside ordinary ones
+rounding_inputs = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e150,
+                     -1e150, 1.5e150]),
+    st.floats(-4, 4), st.floats(1e149, 1e151), st.floats(-1e151, -1e149))
+rounding_starts = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, -0.0, 0.1, -2.5, 1e6, 1e-300]))
+rounding_steps = st.sampled_from((0.1, 0.125, 0.3, 0.25))
+# psi = 2ke - f^2 + 2py passes the doubles only from about 1e154
+dual_inputs = st.one_of(rounding_inputs, st.floats(1e154, 1e156),
+                        st.floats(-1e156, -1e154))
+
+
+@given(pictures, rounding_inputs, rounding_inputs, rounding_inputs,
+       rounding_inputs, st.one_of(st.none(), rounding_inputs),
+       rounding_starts, rounding_steps)
+@settings(max_examples=80, deadline=None)
+def test_float_closed_form_rows_are_the_formulas(picture, k, y, a0, b0, f0,
+                                                 start, h):
+    # every cell but the parameter is float() of the exact formula at the
+    # row's exact offset, for the run's own float inputs
     if picture == "time":
         f0 = None
     params = OrbitParams(k, y)
+    if not _has_chart(params, "v" if picture == "time" else "s"):
+        event("no chart")
+        return
     config = IntegratorConfig(step=h, start=start, stop=start + 2)
-    traj = closed_form_trajectory(picture, (a0, b0), params, config, f0=f0)
-    grid = _reference_float_grid(start, start + 2, h)
-    states = _closed_form_states(picture, (a0, b0), params, grid, f0)
-    assert rows_of(traj) == _chart_rows(picture, params, grid, states)
+    _assert_rows_are_rounded_cells(
+        lambda: closed_form_trajectory(picture, (a0, b0), params, config,
+                                       f0=f0),
+        _exact_cells(picture, (k, y), (a0, b0), f0=f0),
+        _reference_float_grid(start, start + 2, h))
 
 
-@given(float_cases, st.floats(-3, 3))
-@settings(max_examples=40)
-def test_float_dual_rows_are_the_flows(case, e0):
-    picture, k, y, p0, f0, start, h = case
-    mu0 = DualElement(p0, e0, f0, k, y)
+@given(pictures, dual_inputs, dual_inputs,
+       st.tuples(dual_inputs, dual_inputs, dual_inputs),
+       rounding_starts, rounding_steps)
+@settings(max_examples=80, deadline=None)
+def test_float_dual_rows_are_the_flows(picture, k, y, state, start, h):
     config = IntegratorConfig(step=h, start=start, stop=start + 2)
-    traj = dual_flow_trajectory(mu0, picture, config)
-    grid = _reference_float_grid(start, start + 2, h)
-    assert rows_of(traj) == _dual_rows(picture, mu0, grid)
+    _assert_rows_are_rounded_cells(
+        lambda: dual_flow_trajectory(DualElement(*state, k, y), picture,
+                                     config),
+        _exact_cells(picture, (k, y), state, dual=True),
+        _reference_float_grid(start, start + 2, h))
+
+
+@pytest.mark.parametrize("y, written", [
+    (2.0**971 * (1 - 2.0**-53), True),  # p(1) = MAX + y/2 rounds to MAX
+    (2.0**971, False),  # y/2 is half an ulp of MAX: it rounds to 2^1024
+])
+def test_float_row_is_refused_exactly_where_a_cell_rounds_beyond(y, written):
+    # q = -v t is tiny and U = MAX v, so p is the largest cell
+    config = IntegratorConfig(step=1.0, start=0.0, stop=1.0)
+    params, state = OrbitParams(2.0**1000, y), (0.0, sys.float_info.max)
+    assert Fraction(sys.float_info.max) + Fraction(y) / 2 > \
+        Fraction(sys.float_info.max)
+    build = lambda: closed_form_trajectory("time", state, params, config)
+    if written:
+        assert rows_of(build())[-1][2] == sys.float_info.max
+    else:
+        with pytest.raises(InputFormatError,
+                           match=r"the row at 1\.0 is \(-?[0-9.e-]+, inf,"):
+            build()
+
+
+@pytest.mark.parametrize("picture", ["time", "space"])
+@pytest.mark.parametrize("dual", [False, True], ids=["closed-form", "dual"])
+@pytest.mark.parametrize("number", [Fraction, float])
+def test_sampled_trajectories_read_their_model_once_on_a_poly(
+        monkeypatch, picture, dual, number):
+    # the columns are read off one symbolic sample; rows and cells, drawn
+    # any number of times over any grid, evaluate those columns only
+    calls = []
+
+    def counted(model):
+        def wrapped(*args):
+            sample, invariant = model(*args)
+            return (lambda offset: calls.append(offset) or sample(offset),
+                    invariant)
+        return wrapped
+
+    for name in ("_chart_model", "_dual_model"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    k, y, a0, b0, c0 = map(number, (1.5, -1.25, 0.25, -1.75, 0.5))
+    for stop in (0, 1, 50):
+        config = IntegratorConfig(step=number(0.125), start=number(-0.5),
+                                  stop=number(stop))
+        if dual:
+            traj = dual_flow_trajectory(DualElement(a0, b0, c0, k, y),
+                                        picture, config)
+        else:
+            traj = closed_form_trajectory(picture, (a0, b0),
+                                          OrbitParams(k, y), config)
+        for _ in range(2):
+            assert len(rows_of(traj)) == len(_cells(traj)) == 8 * stop + 5
+        assert len(calls) == 1 and isinstance(calls[0], Poly)
+        calls.clear()
+
+
+@pytest.mark.parametrize("picture, state, term", [
+    ("time", (1.4e154, 0.0), "k q^2/2"),
+    ("space", (1.4e154, 0.0), "y tau^2/2"),
+])
+def test_rk4_invariant_products_are_refused_with_one_binade_to_spare(
+        picture, state, term):
+    # k q^2/2 (y tau^2/2) is 9.8e307, a double over half the largest one:
+    # RK4, whose invariant is a float sum of two float products, refuses
+    # it before any row; the closed form's invariant is exact, then rounded
+    config = IntegratorConfig(step=0.5, start=0, stop=0)
+    params = OrbitParams(1.0, 1.0)
+    with pytest.raises(InputFormatError,
+                       match=rf"the RK4 invariant's product {re.escape(term)}"
+                             r" reaches 9\.8\d*e\+307, over half"):
+        integrate(picture, state, params, config)
+    (row,) = rows_of(closed_form_trajectory(picture, state, params, config))
+    assert row[-2] == float(-Fraction(1.4e154) ** 2 / 2)
 
 
 @given(float_cases)
